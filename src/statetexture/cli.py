@@ -18,6 +18,7 @@ non-convergence), 2 usage error.  Numeric output uses 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -35,6 +36,8 @@ _THEORY_BY_FLAG = {
     "entangle": "entanglement_bipartite",
     "ggm": "gme",
 }
+
+MAX_SCAN_POINTS = 10 ** 6
 
 _ALIAS = {
     ("texture", "extrema"): "texture-extrema",
@@ -238,9 +241,14 @@ def _cmd_ising_scan(args) -> int:
         if args.h is None:
             raise UsageError("a fixed --h is required for a g-axis scan")
         spec = ising.ChainSpec(args.n, h=args.h, g=0.0)
+    if not all(math.isfinite(v) for v in (args.start, args.stop, args.step)):
+        raise UsageError("--from, --to and --step must be finite")
     if args.step <= 0:
         raise UsageError("--step must be positive")
-    count = int(round((args.stop - args.start) / args.step))
+    span = (args.stop - args.start) / args.step
+    if not span < MAX_SCAN_POINTS - 0.5:
+        raise UsageError(f"the scan grid exceeds {MAX_SCAN_POINTS} points; use a larger --step")
+    count = int(round(span))
     pts = args.start + args.step * np.arange(count + 1)
     pts = pts[pts <= args.stop + 1e-12 * max(1.0, abs(args.stop))]
     window = None

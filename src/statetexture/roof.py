@@ -2,11 +2,18 @@
 
 The roof value of a mixed state is the smallest probability-weighted average
 of a pure-state monotone over decompositions ``rho = sum_i p_i |psi_i><psi_i|``.
-Decompositions are parameterized by isometries acting on the eigenbranches of
-``rho``; the optimizer is a derivative-free coordinate descent over the
-angles of two-branch rotations (each step re-mixes one pair of branches via
-bounded scalar line searches), restarted from random isometries.  The result
-is always an upper bound on the roof.
+Each monotone is ``1 - max |<phi|psi>|^2`` over the free pure states ``phi``
+of its theory, so every theory supplies one batched oracle returning that
+maximum and its maximizer for each branch.  Decompositions are the rows
+``w_i`` of ``W = U B``, with ``B = sqrt(mu) V^T`` built from the eigenpairs
+of ``rho`` and ``U`` an m x r isometry.  The objective
+``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by steepest descent
+on the complex Stiefel manifold: the Euclidean gradient
+``G = -(phi_i <phi_i|w_i>)_i B^+`` follows from Danskin's theorem, it is
+projected onto the tangent space, and steps are retracted by a QR
+factorization and sized by Armijo backtracking.  Where the maximizer switches
+the gradient is only a subgradient, which the seeded restarts guard against.
+The result is always an upper bound on the roof.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import UsageError
 from .monotones import (MonotoneResult, THEORIES, coherence_monotone,
@@ -26,14 +32,22 @@ from .monotones import (MonotoneResult, THEORIES, coherence_monotone,
 from .states import DensityMatrix, PureState, _normalize_cut, spectral_decompose
 
 RANK_CUTOFF = 1e-12
-ANGLE_XATOL = 1e-5
+ARMIJO_SLOPE = 1e-4
+MIN_STEP = 1e-14
+
+# eigenkets of Z, X and Y with both signs: the single-qubit stabilizer states
+STABILIZER_KETS = (np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+                   / np.sqrt([1, 1, 2, 2, 2, 2])[:, None])
+
+Oracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class RoofConfig:
     """Optimizer knobs: decomposition cardinality (defaults to rank squared),
-    number of random restarts, per-sweep improvement tolerance, sweep cap,
-    and the seed feeding each restart's substream."""
+    number of random restarts, the bound on the Riemannian gradient norm that
+    stops a restart, the cap on descent iterations per restart, and the seed
+    feeding each restart's substream."""
 
     cardinality: Optional[int] = None
     restarts: int = 32
@@ -51,114 +65,109 @@ class ConvexRoofResult:
     gap_to_oracle: Optional[float] = None
 
 
-def _term_builder(theory: str, dims, cut) -> Callable[[np.ndarray], float]:
-    """Return f(w) = ||w||^2 * monotone(w / ||w||) for unnormalized branch
-    vectors; closed forms avoid the normalization where possible."""
-    if theory == "coherence":
-        def term(w):
-            probs = np.abs(w) ** 2
-            return float(probs.sum() - probs.max())
-        return term
+def _nearest_ket(kets: np.ndarray) -> Oracle:
+    """Oracle over a finite set of free kets (the rows of ``kets``)."""
+    def nearest(w):
+        amps = w @ kets.conj().T
+        best = np.argmax(np.abs(amps), axis=1)
+        return np.abs(amps[np.arange(w.shape[0]), best]) ** 2, kets[best]
+    return nearest
 
+
+def _nearest_product(dims, side_a, side_b) -> Oracle:
+    """Oracle over product states across ``side_a : side_b``: the leading
+    Schmidt pair of every branch, from one stacked SVD."""
+    perm = side_a + side_b
+    d_a = int(np.prod([dims[k] for k in side_a]))
+    axes = (0,) + tuple(1 + k for k in perm)
+    back = (0,) + tuple(1 + k for k in np.argsort(perm))
+    permuted = tuple(dims[k] for k in perm)
+
+    def nearest(w):
+        m = w.shape[0]
+        mats = np.transpose(w.reshape((m,) + tuple(dims)), axes).reshape(m, d_a, -1)
+        u, s, vh = np.linalg.svd(mats)
+        phi = u[:, :, 0, None] * vh[:, None, 0, :]
+        phi = np.transpose(phi.reshape((m,) + permuted), back).reshape(m, -1)
+        return s[:, 0] ** 2, phi
+    return nearest
+
+
+def _oracle(theory: str, dims, cut) -> Oracle:
+    """``nearest(W) -> (overlap[m], phi[m, d])``: for each row ``w_i`` of
+    ``W``, the largest ``|<phi|w_i>|^2`` over free pure ``phi`` and a
+    maximizing ``phi``."""
+    if theory == "coherence":
+        return _nearest_ket(np.eye(int(np.prod(dims)), dtype=complex))
     if theory == "nonstabilizerness":
         if int(np.prod(dims)) != 2:
             raise UsageError("non-stabilizerness roof needs a single qubit")
-
-        def term(w):
-            a, b = w[0], w[1]
-            mx = 2.0 * np.real(np.conj(a) * b)
-            my = 2.0 * np.imag(np.conj(a) * b)
-            mz = (a.real ** 2 + a.imag ** 2) - (b.real ** 2 + b.imag ** 2)
-            n2 = (a.real ** 2 + a.imag ** 2) + (b.real ** 2 + b.imag ** 2)
-            return 0.5 * (n2 - max(abs(mx), abs(my), abs(mz)))
-        return term
-
+        return _nearest_ket(STABILIZER_KETS)
     if theory == "entanglement_bipartite":
-        side_a, side_b = cut
-        d_a = int(np.prod([dims[k] for k in side_a]))
-        d_b = int(np.prod([dims[k] for k in side_b]))
-        perm = side_a + side_b
-        n = len(dims)
-        shaped = tuple(dims)
-
-        if (d_a, d_b) == (2, 2) and n == 2:
-            def term(w):
-                # smallest squared singular value of the 2x2 coefficient matrix
-                n2 = np.real(np.vdot(w, w))
-                det = w[0] * w[3] - w[1] * w[2]
-                disc = n2 * n2 - 4.0 * (det.real ** 2 + det.imag ** 2)
-                return 0.5 * (n2 - math.sqrt(max(disc, 0.0)))
-            return term
-
-        def term(w):
-            mat = np.transpose(w.reshape(shaped), perm).reshape(d_a, d_b)
-            s = np.linalg.svd(mat, compute_uv=False)
-            n2 = float(np.sum(s ** 2))
-            return n2 - float(s[0] ** 2)
-        return term
-
+        return _nearest_product(dims, *cut)
     if theory == "gme":
         n = len(dims)
-        cuts = list(_bipartitions(n))
-        shaped = tuple(dims)
+        cuts = [_nearest_product(dims, a, tuple(k for k in range(n) if k not in a))
+                for a in _bipartitions(n)]
 
-        def term(w):
-            t = w.reshape(shaped)
-            n2 = np.real(np.vdot(w, w))
-            best = -1.0
-            for side_a in cuts:
-                side_b = tuple(k for k in range(n) if k not in side_a)
-                d_a = int(np.prod([dims[k] for k in side_a]))
-                mat = np.transpose(t, side_a + side_b).reshape(d_a, -1)
-                s0 = np.linalg.svd(mat, compute_uv=False)[0]
-                best = max(best, float(s0 ** 2))
-            return n2 - best
-        return term
-
+        def nearest(w):
+            overlaps, phis = zip(*(cut_oracle(w) for cut_oracle in cuts))
+            best, rows = np.argmax(overlaps, axis=0), np.arange(w.shape[0])
+            return np.array(overlaps)[best, rows], np.array(phis)[best, rows]
+        return nearest
     raise UsageError(f"unknown theory {theory!r}; pick one of {THEORIES}")
 
 
-def _pair_sweep(branches: np.ndarray, terms: np.ndarray,
-                term: Callable[[np.ndarray], float]) -> float:
-    """One full pass of two-branch rotations; mutates branches/terms in place
-    and returns the updated objective."""
-    m = branches.shape[0]
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            wi = branches[i]
-            wj = branches[j]
-            base = terms[i] + terms[j]
+def _retract(x: np.ndarray) -> np.ndarray:
+    """QR retraction onto the Stiefel manifold, R's diagonal made positive
+    (it is never zero: ``u^+ (u - t xi) = 1 - t A`` with ``A`` anti-Hermitian)."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
-            def rotated(beta, alpha, gamma):
-                cb, sb = math.cos(beta), math.sin(beta)
-                ea = complex(math.cos(alpha), math.sin(alpha))
-                eg = complex(math.cos(gamma), math.sin(gamma))
-                ni = (cb * eg) * wi + (sb * ea) * wj
-                nj = (-sb * ea.conjugate()) * wi + (cb * eg.conjugate()) * wj
-                return ni, nj
 
-            angles = [0.0, 0.0, 0.0]
-            bounds = [(-math.pi / 2, math.pi / 2), (-math.pi, math.pi), (-math.pi, math.pi)]
-            best = base
-            for k in range(3):
-                def objective(x, k=k):
-                    trial = list(angles)
-                    trial[k] = x
-                    ni, nj = rotated(*trial)
-                    return term(ni) + term(nj)
+def _tangent(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Projection of ``x`` onto the Stiefel tangent space at ``u``."""
+    ux = u.conj().T @ x
+    return x - u @ (0.5 * (ux + ux.conj().T))
 
-                res = minimize_scalar(objective, bounds=bounds[k], method="bounded",
-                                      options={"xatol": ANGLE_XATOL})
-                if res.fun < best:
-                    best = res.fun
-                    angles[k] = float(res.x)
-            if best < base - 1e-15:
-                ni, nj = rotated(*angles)
-                branches[i] = ni
-                branches[j] = nj
-                terms[i] = term(ni)
-                terms[j] = term(nj)
-    return float(terms.sum())
+
+def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
+             cfg: RoofConfig) -> Tuple[float, np.ndarray, bool]:
+    """Riemannian steepest descent from ``iso``; returns the objective, the
+    final branches and whether the stopping test was met.
+
+    The trial step is the Barzilai-Borwein step ``<s, s> / |<s, y>|`` of the
+    previous iteration, halved until the Armijo condition holds.  The test is
+    met when the Riemannian gradient norm falls below ``cfg.tolerance`` or
+    when no step longer than ``MIN_STEP`` decreases the objective.
+    """
+    def evaluate(u):
+        w = u @ base
+        overlap, phi = nearest(w)
+        c = np.einsum("id,id->i", phi.conj(), w)
+        xi = _tangent(u, -(phi * c[:, None]) @ base.conj().T)
+        return 1.0 - float(overlap.sum()), w, xi
+
+    value, w, xi = evaluate(iso)
+    step = 1.0
+    for _ in range(int(cfg.max_iterations)):
+        slope = float(np.vdot(xi, xi).real)
+        if slope < cfg.tolerance ** 2:
+            return value, w, True
+        while step > MIN_STEP:
+            trial = _retract(iso - step * xi)
+            t_value, t_w, t_xi = evaluate(trial)
+            if value - t_value >= 2.0 * ARMIJO_SLOPE * step * slope:
+                break
+            step *= 0.5
+        else:
+            return value, w, True
+        # s = -step xi and y = t_xi - (xi moved to the new tangent space)
+        sy = step * abs(float(np.vdot(xi, t_xi - _tangent(trial, xi)).real))
+        step = step * step * slope / sy if sy > 0.0 else 2.0 * step
+        iso, value, w, xi = trial, t_value, t_w, t_xi
+    return value, w, False
 
 
 def convex_roof(rho: DensityMatrix, theory: str,
@@ -182,7 +191,7 @@ def convex_roof(rho: DensityMatrix, theory: str,
 
     Restarts draw from independent substreams keyed by (seed, restart index)
     and are merged by minimum, so the result does not depend on the order in
-    which they execute.
+    which they execute.  Restart 0 starts from the eigen-decomposition.
     """
     cfg = config or RoofConfig()
     dims = rho.subsystem_dims
@@ -198,7 +207,7 @@ def convex_roof(rho: DensityMatrix, theory: str,
             cut = (0,)
         probe = PureState(np.eye(rho.dim)[0], dims)
         norm_cut = _normalize_cut(probe, cut)
-    term = _term_builder(theory, dims, norm_cut)
+    nearest = _oracle(theory, dims, norm_cut)
 
     spec = spectral_decompose(rho)
     keep = spec.eigenvalues > RANK_CUTOFF
@@ -222,19 +231,10 @@ def convex_roof(rho: DensityMatrix, theory: str,
         else:
             g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
             iso = np.linalg.qr(g)[0]
-        branches = np.ascontiguousarray(iso @ base)
-        terms = np.array([term(branches[i]) for i in range(m)])
-        total = float(terms.sum())
-        converged = False
-        for _sweep in range(int(cfg.max_iterations)):
-            previous = total
-            total = _pair_sweep(branches, terms, term)
-            if previous - total < cfg.tolerance:
-                converged = True
-                break
+        total, branches, converged = _descend(iso, base, nearest, cfg)
         if total < best_value:
             best_value = total
-            best_branches = branches.copy()
+            best_branches = branches
             best_converged = converged
 
     probs = np.real(np.einsum("id,id->i", best_branches, best_branches.conj()))

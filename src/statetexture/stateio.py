@@ -8,7 +8,8 @@ A state file is a JSON document with exactly these fields:
              prod(dims) for a pure state, nested prod(dims)-square lists
              for a mixed one
 
-Inconsistent shapes are rejected rather than coerced.
+Inconsistent shapes and entries that are not JSON numbers (strings,
+booleans, null) are rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -37,13 +38,24 @@ def _read_json(path) -> dict:
     return doc
 
 
+def _is_number(x) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _numbers(entries: list, field: str, path) -> np.ndarray:
+    if not all(map(_is_number, entries)):
+        raise InvalidStateError(f"state file {path}: field {field!r} must hold only numbers")
+    return np.asarray(entries, dtype=float)
+
+
 def _vector(doc: dict, field: str, length: int, path) -> np.ndarray:
     data = doc.get(field)
     if not isinstance(data, list) or len(data) != length:
         raise InvalidStateError(
             f"state file {path}: field {field!r} must be a flat list of length {length}"
         )
-    return np.asarray(data, dtype=float)
+    return _numbers(data, field, path)
 
 
 def _matrix(doc: dict, field: str, dim: int, path) -> np.ndarray:
@@ -53,7 +65,7 @@ def _matrix(doc: dict, field: str, dim: int, path) -> np.ndarray:
         raise InvalidStateError(
             f"state file {path}: field {field!r} must be a {dim}x{dim} nested list"
         )
-    return np.asarray(data, dtype=float)
+    return _numbers([x for row in data for x in row], field, path).reshape(dim, dim)
 
 
 def load_state(path) -> StateLike:
@@ -64,7 +76,7 @@ def load_state(path) -> StateLike:
         raise InvalidStateError(f"state file {path} lacks fields {sorted(missing)}")
     dims = doc["dims"]
     if (not isinstance(dims, list) or not dims
-            or any(not isinstance(d, int) or d < 1 for d in dims)):
+            or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
         raise InvalidStateError(f"state file {path}: dims must be a list of positive integers")
     total = int(np.prod(dims))
     kind = doc["kind"]

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from statetexture import DensityMatrix, PureState, save_state
-from statetexture.cli import main
+from statetexture import DensityMatrix, PureState, load_state, random_state, save_state
+from statetexture.cli import MAX_SCAN_POINTS, main
 
 
 @pytest.fixture
@@ -246,6 +246,70 @@ class TestContract:
         code, out, err = run(capsys, "texture", "--state", str(bad))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("field, value", [
+        ("re", ["1", 0]), ("re", [True, 0]), ("re", [None, 0]), ("im", [0, False]),
+        ("dims", [True, 2]),
+    ])
+    def test_non_numeric_state_entries_rejected(self, capsys, tmp_path, field, value):
+        doc = {"dims": [2], "kind": "pure", "re": [1, 0], "im": [0, 0]}
+        doc[field] = value
+        bad = tmp_path / "bad.state"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "texture", "--state", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_numeric_matrix_entry_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bad.state"
+        bad.write_text(json.dumps({"dims": [2], "kind": "mixed", "re": [[1, 0], [0, "0"]],
+                                   "im": [[0, 0], [0, 0]]}))
+        code, _, err = run(capsys, "texture", "--state", str(bad))
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_valid_state_file_round_trips_exactly(self, tmp_path, kind):
+        state = random_state(4, kind, seed=31, subsystem_dims=(2, 2))
+        first, second = tmp_path / "a.state", tmp_path / "b.state"
+        save_state(first, state)
+        loaded = load_state(first)
+        save_state(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        data = state.amplitudes if kind == "pure" else state.matrix
+        assert np.array_equal(loaded.amplitudes if kind == "pure" else loaded.matrix, data)
+        assert loaded.subsystem_dims == (2, 2)
+
+    @pytest.mark.parametrize("flag, value", [("--from", "nan"), ("--to", "inf"),
+                                             ("--step", "nan"), ("--step", "1e-300")])
+    def test_unbounded_scan_grid_is_usage_error(self, capsys, flag, value):
+        argv = {"--from": "0", "--to": "2", "--step": "0.5"}
+        argv[flag] = value
+        code, out, err = run(capsys, "ising", "scan", "--n", "8", "--axis", "h",
+                             *(tok for pair in argv.items() for tok in pair))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    def test_scan_point_cap_checked_before_allocation(self, capsys, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def arange(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(np, "arange", arange)
+        step = repr(1.0 / MAX_SCAN_POINTS)
+        # MAX_SCAN_POINTS + 1 points: rejected before the grid exists
+        code, _, err = run(capsys, "ising", "scan", "--n", "8", "--axis", "h",
+                           "--from", "0", "--to", "1", "--step", step)
+        assert code == 2
+        assert "usage error:" in err
+        # exactly MAX_SCAN_POINTS points: passes the check and reaches the grid
+        with pytest.raises(Allocated):
+            main(["ising", "scan", "--n", "8", "--axis", "h", "--from", "0",
+                  "--to", repr(1.0 - 1.0 / MAX_SCAN_POINTS), "--step", step])
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "texture", "--state", str(tmp_path / "nope.state"))

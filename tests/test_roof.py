@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as strat
 
-from oracles import entanglement_value_of_concurrence, wootters_concurrence
+from oracles import (SX, SY, SZ, entanglement_value_of_concurrence, random_density,
+                     wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
                           convex_roof, pure_state_monotone, random_state)
 
@@ -128,3 +130,43 @@ class TestOtherTheories:
         rho = random_state(4, "mixed", seed=26)
         with pytest.raises(UsageError):
             convex_roof(rho, "entanglement_bipartite", FAST)
+
+
+def octahedron_state(seed):
+    """A qubit state strictly inside the stabilizer octahedron |x|+|y|+|z| < 1,
+    whose non-stabilizerness roof is exactly 0."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-1.0, 1.0, 3)
+    r *= rng.uniform(0.2, 0.9) / np.sum(np.abs(r))
+    return DensityMatrix(0.5 * (np.eye(2) + r[0] * SX + r[1] * SY + r[2] * SZ))
+
+
+class TestOctahedron:
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_stabilizer_mixture_reaches_zero(self, seed):
+        res = convex_roof(octahedron_state(seed), "nonstabilizerness",
+                          RoofConfig(cardinality=5, restarts=8, tolerance=1e-7, seed=11))
+        assert -1e-12 <= res.value <= 1e-6
+
+
+def pure_entanglement(amplitudes):
+    """1 - lambda_1 of a two-qubit pure state from its concurrence 2|ad - bc|."""
+    a, b, c, d = amplitudes
+    return entanglement_value_of_concurrence(min(1.0, 2.0 * abs(a * d - b * c)))
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(0, 2 ** 32 - 1))
+    def test_two_qubit_roof_bounds(self, seed):
+        mat = random_density(4, np.random.default_rng(seed))
+        rho = DensityMatrix(mat, (2, 2))
+        res = convex_roof(rho, "entanglement_bipartite", FAST)
+        oracle = entanglement_value_of_concurrence(wootters_concurrence(mat))
+        assert oracle - 1e-9 <= res.value <= oracle + 1e-3
+        rebuilt = sum(p * np.outer(s.amplitudes, s.amplitudes.conj())
+                      for p, s in res.decomposition)
+        assert np.max(np.abs(rebuilt - mat)) < 1e-10
+        mu, vecs = np.linalg.eigh(mat)
+        eigen_average = sum(p * pure_entanglement(v) for p, v in zip(mu, vecs.T) if p > 0)
+        assert res.value <= eigen_average + 1e-9
