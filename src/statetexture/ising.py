@@ -10,8 +10,10 @@ all-+x product state, so the ground-state rugosity stays small for g < 0 and
 jumps across g = 0.  At g = 0 the model maps to free fermions; the
 antiperiodic momentum sector hosts the even-parity ground state and yields
 closed forms for the rugosity and the nearest-neighbor correlators.  For
-g != 0 the chain is solved by exact diagonalization (dense up to 10 sites,
-matrix-free Lanczos above).
+g != 0 the chain is solved by exact diagonalization, which works in the
+symmetry sector that holds the ground state: states symmetric under
+rotations and reversal of the ring, restricted to even spin-flip parity at
+g = 0 (see :func:`ed_ground`).
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError
 from .states import DensityMatrix, PureState
 from .texture import computational_basis, rugosity_pure, texture_in_basis
 
 MAX_ED_SITES = 20
-MAX_DENSE_SITES = 10
+# dense eigh beats Lanczos up to about 200 orbits (2-core machine, one BLAS
+# thread); 256 keeps every sector of n <= 12 dense, so those solves never
+# import scipy, and sends every sector of n >= 14 to Lanczos
+MAX_DENSE_SECTOR = 256
 MAX_ANALYTIC_SITES = 10 ** 6
 DEGENERACY_GAP = 1e-8
 
@@ -154,21 +158,15 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     The even-parity ground state is a paired Bogoliubov state; its overlap
     with the uniform superposition gives
 
-        R = ln 2 - sum_p ln sin^2(theta_p - phi_p / 2).
+        R = ln 2 - sum_p ln sin^2(theta_p - phi_p / 2),
 
-    The same quantity is evaluated through the complex pair-amplitude form
-    ``|v_p cos(phi/2) - i u_p sin(phi/2)|^2`` as a consistency check; the two
-    must agree to 1e-10 per mode.
+    where sin^2(theta_p - phi_p / 2) equals the pair amplitude
+    ``|v_p cos(phi/2) - i u_p sin(phi/2)|^2`` with u_p = cos theta_p and
+    v_p = i sin theta_p.
     """
     _require_analytic(spec)
-    phi, lam, theta = _mode_arrays(spec.n, spec.h)
+    phi, _, theta = _mode_arrays(spec.n, spec.h)
     s2 = np.sin(theta - phi / 2.0) ** 2
-    v = 1j * np.sin(theta)
-    u = np.cos(theta)
-    amp2 = np.abs(v * np.cos(phi / 2.0) - 1j * u * np.sin(phi / 2.0)) ** 2
-    worst = float(np.max(np.abs(s2 - amp2)))
-    if worst > 1e-10:
-        raise AssertionError(f"pair-amplitude forms disagree by {worst:.3e}")
     if np.any(s2 < 1e-300):
         warnings.warn("vanishing pair overlap; rugosity is infinite", RuntimeWarning,
                       stacklevel=2)
@@ -176,16 +174,14 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     return float(math.log(2.0) - np.sum(np.log(s2)))
 
 
-def _pair_contraction(n: int, h: float, r: int) -> float:
-    """Two-point fermionic contraction G(r) of the even-sector ground state."""
-    phi, lam, theta = _mode_arrays(n, h)
+def _pair_contractions(n: int, h: float, distances: Sequence[int]) -> List[float]:
+    """Two-point fermionic contractions G(r) of the even-sector ground state."""
+    phi, _, theta = _mode_arrays(n, h)
     # ground-pair mixing angle chi = pi - theta
     s2 = np.sin(theta) ** 2
     sc = -np.sin(theta) * np.cos(theta)
-    val = (4.0 / n) * float(np.sum(s2 * np.cos(phi * r) + sc * np.sin(phi * r)))
-    if r == 0:
-        val -= 1.0
-    return val
+    return [(4.0 / n) * float(np.sum(s2 * np.cos(phi * r) + sc * np.sin(phi * r)))
+            - (1.0 if r == 0 else 0.0) for r in distances]
 
 
 def _pair_state_matrix(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> np.ndarray:
@@ -210,10 +206,7 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
     """Magnetization, nearest-neighbor correlators and pair rugosity of the
     g = 0 ground state, from the fermionic two-point contractions."""
     _require_analytic(spec)
-    n, h = spec.n, spec.h
-    g0 = _pair_contraction(n, h, 0)
-    gp = _pair_contraction(n, h, 1)
-    gm = _pair_contraction(n, h, -1)
+    g0, gp, gm = _pair_contractions(spec.n, spec.h, (0, 1, -1))
     m_z = -g0
     c_xx = gp
     c_yy = gm
@@ -225,39 +218,86 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
 # Exact diagonalization branch
 # ----------------------------------------------------------------------
 
-class _ChainOperator:
-    """Vectorized application of the chain Hamiltonian to computational-basis
-    amplitude arrays (optionally batched along the last axis)."""
+def _dihedral_orbits(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the 2^n basis states under rotations and reversal of the ring.
 
-    def __init__(self, n: int, h: float, g: float):
-        self.n = n
-        self.h = h
-        self.g = g
-        dim = 1 << n
-        idx = np.arange(dim)
-        diag = np.zeros(dim)
-        for j in range(n):
-            diag += 1.0 - 2.0 * ((idx >> j) & 1)
-        self.z_diag = -(h / 2.0) * diag
-        self.bond_flips = [idx ^ ((1 << j) | (1 << ((j + 1) % n))) for j in range(n)]
-        self.site_flips = [idx ^ (1 << j) for j in range(n)]
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = self.z_diag.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi
-        for flip in self.bond_flips:
-            out += -0.5 * psi[flip]
-        if self.g != 0.0:
-            for flip in self.site_flips:
-                out += (self.g / 2.0) * psi[flip]
-        return out
-
-
-def _even_parity_mask(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    bits = np.zeros(idx.size, dtype=np.int64)
+    Returns the representative (smallest member) of each orbit, the orbit
+    index of every basis state, and the orbit sizes.
+    """
+    dim = 1 << n
+    # int32 holds the states of up to 30 sites and halves the memory traffic
+    states = np.arange(dim, dtype=np.int32)
+    mirror = np.zeros(dim, dtype=np.int32)
     for j in range(n):
-        bits += (idx >> j) & 1
-    return bits % 2 == 0
+        mirror |= ((states >> j) & 1) << (n - 1 - j)
+    rep = states.copy()
+    for image in (states, mirror):
+        for _ in range(n):
+            np.minimum(rep, image, out=rep)
+            image = ((image << 1) | (image >> (n - 1))) & (dim - 1)
+    # a representative is its own orbit minimum, so numbering the states that
+    # equal their minimum, in order, numbers the orbits without a sort
+    is_rep = rep == states
+    orbit = (np.cumsum(is_rep) - 1)[rep]
+    return states[is_rep], orbit, np.bincount(orbit)
+
+
+def _popcount(states: np.ndarray, n: int) -> np.ndarray:
+    return sum((states >> j) & 1 for j in range(n))
+
+
+def _sector_hamiltonian(spec: ChainSpec, orbits: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                        keep: np.ndarray):
+    """Chain Hamiltonian on the symmetric states of the kept orbits.
+
+    Orbit state |a> is the normalized uniform superposition of its N_a
+    members, so <b|H|a> = sum c sqrt(N_a / N_b) over the flip terms c that
+    take the representative of a into orbit b.  Dense up to
+    ``MAX_DENSE_SECTOR`` orbits, CSR above.
+    """
+    n, h, g = spec.n, spec.h, spec.g
+    reps, orbit, size = orbits
+    kept = np.flatnonzero(keep)
+    m = kept.size
+    sector = np.full(reps.size, -1, dtype=np.int64)
+    sector[kept] = np.arange(m)
+    states = reps[kept]
+    masks = [(1 << j) | (1 << ((j + 1) % n)) for j in range(n)]
+    coeffs = [-0.5] * n
+    if g != 0.0:
+        masks += [1 << j for j in range(n)]
+        coeffs += [g / 2.0] * n
+    targets = orbit[states[:, None] ^ np.array(masks)]
+    # row a holds <b|H|a> = <a|H|b>: the diagonal, then one entry per flip
+    # term; entries that land on the same orbit b add up
+    index = np.column_stack([np.arange(m), sector[targets]])
+    value = np.column_stack([-(h / 2.0) * (n - 2.0 * _popcount(states, n)),
+                             np.array(coeffs) * np.sqrt(size[kept][:, None] / size[targets])])
+    if m <= MAX_DENSE_SECTOR:
+        flat = (np.arange(m)[:, None] * m + index).ravel()
+        return np.bincount(flat, weights=value.ravel(), minlength=m * m).reshape(m, m)
+    from scipy.sparse import csr_array
+    indptr = np.arange(0, index.size + 1, index.shape[1])
+    return csr_array((value.ravel(), index.ravel(), indptr), shape=(m, m))
+
+
+def _lowest(ham, k: int, spec: ChainSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues and the lowest eigenvector of a sector matrix."""
+    if isinstance(ham, np.ndarray):
+        evals, evecs = np.linalg.eigh(ham)
+        return evals[:k], evecs[:, 0]
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    m = ham.shape[0]
+    start = np.random.default_rng(0x1517 + spec.n).standard_normal(m)
+    try:
+        evals, evecs = eigsh(ham, k=k, which="SA", v0=start, tol=0, maxiter=100 * m)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Lanczos failed to converge for {spec}: "
+            f"{len(exc.eigenvalues)} of {k} eigenpairs found"
+        ) from exc
+    order = np.argsort(evals)
+    return evals[order], evecs[:, order[0]]
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -268,11 +308,21 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 def ed_ground(spec: ChainSpec) -> EDGroundState:
     """Ground state, energy and spectral gap by exact diagonalization.
 
-    Dense eigensolve up to 10 sites, matrix-free Lanczos above.  At g = 0
-    the Hamiltonian conserves spin-flip parity and the ground state lies in
-    the even sector; the returned vector is projected onto that sector,
-    which fixes it deterministically even when the odd partner is
-    quasi-degenerate (gap below 1e-8, reported via the ``degenerate`` flag).
+    The solve runs in the sector that holds the ground state: symmetric
+    superpositions over the orbits of basis states under rotations and
+    reversal of the ring.  In the sz basis the off-diagonal elements are
+    -1/2 (bond flips) and g/2 (site flips), and the gauge prod sz maps g to
+    -g, so by Perron-Frobenius the ground state is positive up to that gauge
+    and hence invariant under translation and reflection.  At g = 0 the
+    Hamiltonian also conserves spin-flip parity, and the solve keeps only
+    the even-popcount orbits, which selects the even ground state even when
+    the odd partner is quasi-degenerate.  Sector matrices up to
+    ``MAX_DENSE_SECTOR`` orbits are solved densely, larger ones by Lanczos.
+
+    ``gap`` is the distance from the ground energy to the next level of the
+    symmetric sector; at g = 0 it is the distance to the lowest level of the
+    odd-parity sector instead, so a quasi-degenerate parity partner is
+    reported through ``degenerate`` (gap below 1e-8).
 
     Amplitudes are real with the largest-magnitude entry positive; basis
     index bit j holds chain site j, so subsystem axis k of the returned
@@ -280,45 +330,26 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     """
     if spec.n > MAX_ED_SITES:
         raise ResourceLimitError(f"exact diagonalization limited to {MAX_ED_SITES} sites")
-    op = _ChainOperator(spec.n, spec.h, spec.g)
-    dim = 1 << spec.n
-    if spec.n <= MAX_DENSE_SITES:
-        ham = op.apply(np.eye(dim))
-        evals, evecs = np.linalg.eigh(ham)
-        e0, e1 = float(evals[0]), float(evals[1])
-        v0, v1 = evecs[:, 0], evecs[:, 1]
+    orbits = _dihedral_orbits(spec.n)
+    reps, orbit, size = orbits
+    if spec.g == 0.0:
+        even = _popcount(reps, spec.n) % 2 == 0
+        evals, even_coef = _lowest(_sector_hamiltonian(spec, orbits, even), 1, spec)
+        odd, _ = _lowest(_sector_hamiltonian(spec, orbits, ~even), 1, spec)
+        e0, gap = float(evals[0]), float(odd[0] - evals[0])
+        coef = np.zeros(reps.size)
+        coef[even] = even_coef
     else:
-        linop = LinearOperator((dim, dim), dtype=np.float64,
-                               matvec=lambda x: op.apply(np.asarray(x, float).ravel()))
-        start = np.random.default_rng(0x1517 + spec.n).standard_normal(dim)
-        try:
-            evals, evecs = eigsh(linop, k=2, which="SA", v0=start, tol=0, maxiter=100 * dim)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"Lanczos failed to converge for {spec}: "
-                f"{len(exc.eigenvalues)} of 2 eigenpairs found"
-            ) from exc
-        order = np.argsort(evals)
-        e0, e1 = float(evals[order[0]]), float(evals[order[1]])
-        v0, v1 = evecs[:, order[0]], evecs[:, order[1]]
-
-    gap = e1 - e0
+        every = np.ones(reps.size, dtype=bool)
+        evals, coef = _lowest(_sector_hamiltonian(spec, orbits, every), 2, spec)
+        e0, gap = float(evals[0]), float(evals[1] - evals[0])
     degenerate = gap < DEGENERACY_GAP
     if degenerate:
         warnings.warn(
             f"near-degenerate ground space (gap {gap:.3e}) for {spec}",
             RuntimeWarning, stacklevel=2,
         )
-    vec = v0
-    if spec.g == 0.0:
-        mask = _even_parity_mask(spec.n)
-        cand = np.where(mask, v0, 0.0)
-        if np.linalg.norm(cand) < 0.5:
-            # solver returned the odd-dominated partner; recover the even
-            # state from the second vector of the quasi-degenerate pair
-            cand = np.where(mask, v1, 0.0)
-        vec = cand / np.linalg.norm(cand)
-    vec = _canonical_sign(np.asarray(vec, dtype=float))
+    vec = _canonical_sign((coef / np.sqrt(size))[orbit])
     state = PureState(vec / np.linalg.norm(vec), (2,) * spec.n)
     return EDGroundState(state=state, energy=e0, gap=gap, degenerate=degenerate)
 

@@ -56,10 +56,12 @@ def entanglement_value_of_concurrence(c):
     return 0.5 * (1.0 - np.sqrt(max(0.0, 1.0 - c * c)))
 
 
-def _site_op(op, site, n):
+def _chain_op(ops, n):
+    """Kronecker product with ops[site] on each listed site and the identity
+    elsewhere; site j is bit j of the basis index."""
     mat = np.array([[1.0]], dtype=complex)
     for j in range(n - 1, -1, -1):
-        mat = np.kron(mat, op if j == site else np.eye(2, dtype=complex))
+        mat = np.kron(mat, ops.get(j, np.eye(2, dtype=complex)))
     return mat
 
 
@@ -74,9 +76,9 @@ def kron_ising_hamiltonian(n, h, g):
     ham = np.zeros((dim, dim), dtype=complex)
     for j in range(n):
         k = (j + 1) % n
-        ham -= 0.5 * _site_op(SX, j, n) @ _site_op(SX, k, n)
-        ham -= (h / 2.0) * _site_op(SZ, j, n)
-        ham += (g / 2.0) * _site_op(SX, j, n)
+        ham -= 0.5 * _chain_op({j: SX, k: SX}, n)
+        ham -= (h / 2.0) * _chain_op({j: SZ}, n)
+        ham += (g / 2.0) * _chain_op({j: SX}, n)
     return ham
 
 

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import statetexture
 from oracles import kron_ising_hamiltonian
 from statetexture import (ChainSpec, ResourceLimitError, UsageError,
                           analytic_rugosity, bogoliubov_modes,
@@ -62,6 +68,17 @@ class TestAnalyticRugosity:
     def test_matches_ed(self, n, h):
         spec = ChainSpec(n, h)
         assert abs(analytic_rugosity(spec) - ed_rugosity(spec)) < 1e-8
+
+    @pytest.mark.parametrize("h", [-1.7, -0.3, 0.0, 0.2, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [4, 12, 64, 512])
+    def test_pair_amplitude_forms_agree(self, n, h):
+        # sin^2(theta - phi/2) against the complex pair amplitude
+        # |v cos(phi/2) - i u sin(phi/2)|^2 with v = i sin(theta)
+        for mode in bogoliubov_modes(ChainSpec(n, h)):
+            s2 = math.sin(mode.theta - mode.phi / 2.0) ** 2
+            amp = abs(1j * mode.v_im * math.cos(mode.phi / 2.0)
+                      - 1j * mode.u * math.sin(mode.phi / 2.0)) ** 2
+            assert abs(s2 - amp) < 1e-10
 
     def test_even_in_h(self):
         for n in (8, 512):
@@ -146,9 +163,78 @@ class TestEdGroundState:
         assert amp[np.argmax(np.abs(amp))].real > 0
 
     def test_deterministic(self):
-        a = ed_ground_state(ChainSpec(12, 0.9)).amplitudes
-        b = ed_ground_state(ChainSpec(12, 0.9)).amplitudes
-        assert np.array_equal(a, b)
+        # dense sector (n = 12) and Lanczos sectors (n = 16), with and without parity
+        for spec in (ChainSpec(12, 0.9), ChainSpec(16, 0.5), ChainSpec(16, 0.5, g=0.3)):
+            a, b = ed_ground(spec), ed_ground(spec)
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+            assert (a.energy, a.gap) == (b.energy, b.gap)
+
+
+def _flip_matvec(psi, n, h, g):
+    """Full-space chain Hamiltonian applied through bit flips of the basis index."""
+    idx = np.arange(1 << n)
+    out = np.zeros_like(psi)
+    for j in range(n):
+        out -= 0.5 * psi[idx ^ ((1 << j) | (1 << ((j + 1) % n)))]
+        out -= (h / 2.0) * (1.0 - 2.0 * ((idx >> j) & 1)) * psi
+        out += (g / 2.0) * psi[idx ^ (1 << j)]
+    return out
+
+
+class TestSymmetrySector:
+    """The sector solve against full-space references."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_matches_kron_oracle_grid(self, n):
+        # the Kronecker Hamiltonian is affine in h and g: build it three times
+        base = kron_ising_hamiltonian(n, 0.0, 0.0).real
+        dz = kron_ising_hamiltonian(n, 1.0, 0.0).real - base
+        dx = kron_ising_hamiltonian(n, 0.0, 1.0).real - base
+        even = np.array([bin(s).count("1") % 2 == 0 for s in range(1 << n)])
+        for h in (-0.7, 0.2, 0.5, 1.0, 1.5, 3.0):
+            for g in (-0.5, 0.0, 0.05, 0.3, 0.8):
+                ham = base + h * dz + g * dx
+                evals, evecs = scipy.linalg.eigh(ham, subset_by_index=[0, 1])
+                if g == 0.0:
+                    # gap to the lowest odd-parity level
+                    odd = np.linalg.eigvalsh(ham[np.ix_(~even, ~even)])[0]
+                    gap = odd - np.linalg.eigvalsh(ham[np.ix_(even, even)])[0]
+                else:
+                    gap = evals[1] - evals[0]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    res = ed_ground(ChainSpec(n, h, g))
+                assert abs(res.energy - evals[0]) < 1e-10
+                assert abs(res.gap - gap) < 1e-8
+                assert res.degenerate == (gap < 1e-8)
+                if gap > 1e-8:
+                    assert abs(evecs[:, 0] @ res.state.amplitudes) > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("n", [14, 16, 18])
+    def test_residual_in_full_space(self, n):
+        for h, g in ((0.5, 0.05), (1.2, -0.4), (0.8, 0.0)):
+            res = ed_ground(ChainSpec(n, h, g))
+            psi = res.state.amplitudes.real
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+            assert np.linalg.norm(_flip_matvec(psi, n, h, g) - res.energy * psi) <= 1e-8
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_quasi_degenerate_lanczos_sector_is_even(self, n):
+        # h = 0.2: the odd partner lies far below the degeneracy threshold
+        with pytest.warns(RuntimeWarning):
+            res = ed_ground(ChainSpec(n, 0.2))
+        assert res.degenerate
+        assert abs(rugosity_pure(res.state) - analytic_rugosity(ChainSpec(n, 0.2))) < 1e-8
+
+    def test_import_and_small_solves_leave_scipy_unloaded(self):
+        code = ("import sys, statetexture as st\n"
+                "st.ed_ground(st.ChainSpec(12, 0.5, 0.3)); st.ed_ground(st.ChainSpec(12, 0.5))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(statetexture.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestEdRugosity:
@@ -164,7 +250,7 @@ class TestEdRugosity:
         vals = [ed_rugosity(ChainSpec(8, 0.5, g=g)) / 8 for g in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 16])
     def test_matches_analytic_at_zero_g(self, n):
         for h in (0.5, 1.5):
             assert abs(ed_rugosity(ChainSpec(n, h))
