@@ -12,9 +12,9 @@ from .purity import (PurityReport, check_renyi2_bound, renyi_purity,
                      single_shot_cost, texture_purity)
 from .monotones import (MonotoneResult, coherence_monotone, concurrence_two_qubit,
                         entanglement_monotone, gme_monotone,
-                        nonstabilizerness_monotone, sampled_local_texture_bound,
-                        single_qubit_clifford_group)
-from .roof import ConvexRoofResult, RoofConfig, convex_roof, pure_state_monotone
+                        nonstabilizerness_monotone, pure_state_monotone,
+                        sampled_local_texture_bound, single_qubit_clifford_group)
+from .roof import ConvexRoofResult, RoofConfig, convex_roof
 from .ising import (ChainSpec, EDGroundState, MomentumMode, PairObservables,
                     ScanGrid, analytic_rugosity, bogoliubov_modes,
                     dispersion_ground_energy, ed_ground, ed_ground_state,

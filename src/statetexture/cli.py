@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import StateTextureError, UsageError
-from . import ising, purity, roof, stateio, texture
+from . import ising, monotones, purity, roof, stateio, texture
 from .states import PureState, density_of
 from .selftest import run_selftest
 
@@ -141,7 +140,7 @@ def _cmd_monotone(args) -> int:
         if psi.subsystem_dims is None:
             raise UsageError("--cut requires a state file with more than one subsystem")
         cut = _parse_cut(args.cut, len(psi.subsystem_dims))
-    result = roof.pure_state_monotone(psi, theory, cut=cut)
+    result = monotones.pure_state_monotone(psi, theory, cut=cut)
     pairs = [("theory", result.theory), ("value", result.value)]
     pairs += [(f"witness_{k}", v) for k, v in sorted(result.witness.items())]
     _emit(pairs, args.format == "human")
@@ -364,15 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_override() -> None:
-    threads = os.environ.get("STATETEXTURE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _apply_thread_override()
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) >= 2 and (argv[0], argv[1]) in _ALIAS:
         argv = [_ALIAS[(argv[0], argv[1])]] + argv[2:]

@@ -3,12 +3,12 @@
 The roof value of a mixed state is the smallest probability-weighted average
 of a pure-state monotone over decompositions ``rho = sum_i p_i |psi_i><psi_i|``.
 Each monotone is ``1 - max |<phi|psi>|^2`` over the free pure states ``phi``
-of its theory, so every theory supplies one batched oracle returning that
-maximum and its maximizer for each branch.  Decompositions are the rows
-``w_i`` of ``W = U B``, with ``B = sqrt(mu) V^T`` built from the eigenpairs
-of ``rho`` and ``U`` an m x r isometry.  The objective
-``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by steepest descent
-on the complex Stiefel manifold: the Euclidean gradient
+of its theory, and the roof runs on that theory's batched oracle from
+``monotones``, which returns the maximum and a maximizer for each branch.
+Decompositions are the rows ``w_i`` of ``W = U B``, with ``B = sqrt(mu) V^T``
+built from the eigenpairs of ``rho`` and ``U`` an m x r isometry.  The
+objective ``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by steepest
+descent on the complex Stiefel manifold: the Euclidean gradient
 ``G = -(phi_i <phi_i|w_i>)_i B^+`` follows from Danskin's theorem, it is
 projected onto the tangent space, and steps are retracted by a QR
 factorization and sized by Armijo backtracking.  Where the maximizer switches
@@ -20,26 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import UsageError
-from .monotones import (MonotoneResult, THEORIES, coherence_monotone,
-                        concurrence_two_qubit, entanglement_monotone,
-                        gme_monotone, nonstabilizerness_monotone,
-                        _bipartitions)
-from .states import DensityMatrix, PureState, _normalize_cut, spectral_decompose
+from .monotones import Oracle, concurrence_two_qubit, free_state_oracle
+from .states import DensityMatrix, PureState, spectral_decompose
 
 RANK_CUTOFF = 1e-12
 ARMIJO_SLOPE = 1e-4
 MIN_STEP = 1e-14
-
-# eigenkets of Z, X and Y with both signs: the single-qubit stabilizer states
-STABILIZER_KETS = (np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
-                   / np.sqrt([1, 1, 2, 2, 2, 2])[:, None])
-
-Oracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -63,59 +54,6 @@ class ConvexRoofResult:
     restarts_used: int
     converged: bool
     gap_to_oracle: Optional[float] = None
-
-
-def _nearest_ket(kets: np.ndarray) -> Oracle:
-    """Oracle over a finite set of free kets (the rows of ``kets``)."""
-    def nearest(w):
-        amps = w @ kets.conj().T
-        best = np.argmax(np.abs(amps), axis=1)
-        return np.abs(amps[np.arange(w.shape[0]), best]) ** 2, kets[best]
-    return nearest
-
-
-def _nearest_product(dims, side_a, side_b) -> Oracle:
-    """Oracle over product states across ``side_a : side_b``: the leading
-    Schmidt pair of every branch, from one stacked SVD."""
-    perm = side_a + side_b
-    d_a = int(np.prod([dims[k] for k in side_a]))
-    axes = (0,) + tuple(1 + k for k in perm)
-    back = (0,) + tuple(1 + k for k in np.argsort(perm))
-    permuted = tuple(dims[k] for k in perm)
-
-    def nearest(w):
-        m = w.shape[0]
-        mats = np.transpose(w.reshape((m,) + tuple(dims)), axes).reshape(m, d_a, -1)
-        u, s, vh = np.linalg.svd(mats)
-        phi = u[:, :, 0, None] * vh[:, None, 0, :]
-        phi = np.transpose(phi.reshape((m,) + permuted), back).reshape(m, -1)
-        return s[:, 0] ** 2, phi
-    return nearest
-
-
-def _oracle(theory: str, dims, cut) -> Oracle:
-    """``nearest(W) -> (overlap[m], phi[m, d])``: for each row ``w_i`` of
-    ``W``, the largest ``|<phi|w_i>|^2`` over free pure ``phi`` and a
-    maximizing ``phi``."""
-    if theory == "coherence":
-        return _nearest_ket(np.eye(int(np.prod(dims)), dtype=complex))
-    if theory == "nonstabilizerness":
-        if int(np.prod(dims)) != 2:
-            raise UsageError("non-stabilizerness roof needs a single qubit")
-        return _nearest_ket(STABILIZER_KETS)
-    if theory == "entanglement_bipartite":
-        return _nearest_product(dims, *cut)
-    if theory == "gme":
-        n = len(dims)
-        cuts = [_nearest_product(dims, a, tuple(k for k in range(n) if k not in a))
-                for a in _bipartitions(n)]
-
-        def nearest(w):
-            overlaps, phis = zip(*(cut_oracle(w) for cut_oracle in cuts))
-            best, rows = np.argmax(overlaps, axis=0), np.arange(w.shape[0])
-            return np.array(overlaps)[best, rows], np.array(phis)[best, rows]
-        return nearest
-    raise UsageError(f"unknown theory {theory!r}; pick one of {THEORIES}")
 
 
 def _retract(x: np.ndarray) -> np.ndarray:
@@ -144,7 +82,7 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
     """
     def evaluate(u):
         w = u @ base
-        overlap, phi = nearest(w)
+        overlap, phi, _ = nearest(w)
         c = np.einsum("id,id->i", phi.conj(), w)
         xi = _tangent(u, -(phi * c[:, None]) @ base.conj().T)
         return 1.0 - float(overlap.sum()), w, xi
@@ -194,20 +132,8 @@ def convex_roof(rho: DensityMatrix, theory: str,
     which they execute.  Restart 0 starts from the eigen-decomposition.
     """
     cfg = config or RoofConfig()
-    dims = rho.subsystem_dims
-    if theory in ("entanglement_bipartite", "gme") and dims is None:
-        raise UsageError(f"theory {theory!r} requires subsystem_dims on the state")
-    if dims is None:
-        dims = (rho.dim,)
-    norm_cut = None
-    if theory == "entanglement_bipartite":
-        if cut is None:
-            if len(dims) != 2:
-                raise UsageError("an explicit cut is required for more than two subsystems")
-            cut = (0,)
-        probe = PureState(np.eye(rho.dim)[0], dims)
-        norm_cut = _normalize_cut(probe, cut)
-    nearest = _oracle(theory, dims, norm_cut)
+    dims = rho.subsystem_dims if rho.subsystem_dims is not None else (rho.dim,)
+    nearest, _ = free_state_oracle(theory, dims, cut)
 
     spec = spectral_decompose(rho)
     keep = spec.eigenvalues > RANK_CUTOFF
@@ -261,20 +187,3 @@ def convex_roof(rho: DensityMatrix, theory: str,
         converged=best_converged,
         gap_to_oracle=gap,
     )
-
-
-def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult:
-    """Dispatch to the closed-form pure-state monotone for ``theory``."""
-    if theory == "coherence":
-        return coherence_monotone(psi)
-    if theory == "nonstabilizerness":
-        return nonstabilizerness_monotone(psi)
-    if theory == "entanglement_bipartite":
-        if cut is None:
-            if psi.subsystem_dims is None or len(psi.subsystem_dims) != 2:
-                raise UsageError("an explicit cut is required for more than two subsystems")
-            cut = (0,)
-        return entanglement_monotone(psi, cut)
-    if theory == "gme":
-        return gme_monotone(psi)
-    raise UsageError(f"unknown theory {theory!r}; pick one of {THEORIES}")

@@ -6,6 +6,8 @@ construction; all operations here are pure functions of their inputs.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -178,15 +180,37 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(t.reshape(d_keep, d_keep), kept_dims)
 
 
-def _normalize_cut(psi: PureState, cut: Iterable[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    if psi.subsystem_dims is None:
-        raise UsageError("schmidt_decompose requires subsystem_dims on the input state")
-    n = len(psi.subsystem_dims)
+Cut = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _normalize_cut(dims: Optional[Tuple[int, ...]], cut: Iterable[int]) -> Cut:
+    if dims is None:
+        raise UsageError("a cut requires subsystem_dims on the input state")
+    n = len(dims)
     side_a = tuple(sorted(set(int(k) for k in cut)))
     if not side_a or any(k < 0 or k >= n for k in side_a) or len(side_a) == n:
         raise UsageError(f"cut {side_a} is not a proper bipartition of {n} subsystems")
     side_b = tuple(k for k in range(n) if k not in side_a)
     return side_a, side_b
+
+
+@functools.lru_cache(maxsize=64)
+def _cut_layout(dims: Tuple[int, ...], cut: Cut):
+    """Transpose axes and ``d_A`` that turn state rows into cut matrices, and
+    the axes and permuted dimensions that turn them back.  Cached because the
+    convex roof asks for the same few cuts at every objective evaluation."""
+    side_a, side_b = cut
+    perm = side_a + side_b
+    return ((0,) + tuple(1 + k for k in perm), math.prod(dims[k] for k in side_a),
+            (0,) + tuple(1 + perm.index(k) for k in range(len(perm))),
+            tuple(dims[k] for k in perm))
+
+
+def _cut_matrices(w: np.ndarray, dims: Tuple[int, ...], cut: Cut) -> np.ndarray:
+    """Each row of ``w`` as its ``d_A x d_B`` matrix across the normalized
+    bipartition ``cut``."""
+    axes, d_a, _, _ = _cut_layout(dims, cut)
+    return np.transpose(w.reshape((len(w),) + dims), axes).reshape(len(w), d_a, -1)
 
 
 def schmidt_decompose(psi: PureState, cut: Iterable[int]) -> SchmidtData:
@@ -195,19 +219,14 @@ def schmidt_decompose(psi: PureState, cut: Iterable[int]) -> SchmidtData:
     Returns the squared Schmidt coefficients sorted descending; they equal
     the eigenvalues of the reduced density matrix on either side.
     """
-    side_a, side_b = _normalize_cut(psi, cut)
-    dims = psi.subsystem_dims
-    tensor = psi.amplitudes.reshape(dims)
-    perm = side_a + side_b
-    d_a = int(np.prod([dims[k] for k in side_a]))
-    d_b = int(np.prod([dims[k] for k in side_b]))
-    mat = np.transpose(tensor, perm).reshape(d_a, d_b)
+    cut = _normalize_cut(psi.subsystem_dims, cut)
+    mat = _cut_matrices(psi.amplitudes[None, :], psi.subsystem_dims, cut)[0]
     s = np.linalg.svd(mat, compute_uv=False)
-    lam = np.zeros(min(d_a, d_b))
+    lam = np.zeros(min(mat.shape))
     lam[: s.size] = s ** 2
     lam = np.sort(lam)[::-1]
     lam /= lam.sum()
-    return SchmidtData((side_a, side_b), lam)
+    return SchmidtData(cut, lam)
 
 
 def random_state(dim: int, kind: str = "pure", seed: int = 0,

@@ -114,6 +114,25 @@ class TestMonotoneCommand:
         want = 0.5 * (1 - 1 / math.sqrt(2))
         assert float(parse_structured(out)["value"]) == pytest.approx(want, abs=1e-10)
 
+    def test_structured_output_golden(self, capsys, tmp_path, ghz3):
+        t = PureState(np.array([1.0, np.exp(1j * np.pi / 4)]) / math.sqrt(2))
+        product = PureState(np.kron([1.0, 0.0], [1.0, 1.0]) / math.sqrt(2), (2, 2))
+        golden = {
+            ("ggm", ghz3): "theory gme\nvalue 0.5\nwitness_cut ((0,), (1, 2))\n"
+                           "witness_largest_schmidt 0.5\n",
+            ("magic", t): "theory nonstabilizerness\nvalue 0.146446609407\n"
+                          "witness_axis x\nwitness_magnetization 0.707106781187\n",
+            ("entangle", product): "theory entanglement_bipartite\nvalue 0\n"
+                                   "witness_cut ((0,), (1,))\nwitness_largest_schmidt 1\n",
+        }
+        for (flag, state), want in golden.items():
+            path = tmp_path / f"{flag}.state"
+            save_state(path, state)
+            code, out, _ = run(capsys, "monotone", flag, "--state", str(path),
+                               "--format", "structured")
+            assert code == 0
+            assert out == want
+
     def test_requires_pure_state(self, capsys, mixed_file):
         code, _, err = run(capsys, "monotone", "coherence", "--state", mixed_file)
         assert code == 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import haar_unitary, wootters_concurrence
+from oracles import SX, SY, SZ, haar_unitary, wootters_concurrence
 from statetexture import (PureState, ResourceLimitError,
                           UsageError, coherence_monotone, concurrence_two_qubit,
                           entanglement_monotone, fourier_basis, gme_monotone,
@@ -76,6 +76,17 @@ class TestNonstabilizerness:
             brute = clifford_magic_brute_force(psi)
             assert abs(closed - brute) < 1e-10
 
+    def test_witness_magnetization_is_pauli_expectation(self):
+        paulis = {"x": SX, "y": SY, "z": SZ}
+        for seed in range(30):
+            psi = random_state(2, "pure", seed=seed)
+            res = nonstabilizerness_monotone(psi)
+            amp = psi.amplitudes
+            want = np.vdot(amp, paulis[res.witness["axis"]] @ amp).real
+            assert abs(res.witness["magnetization"] - want) < 1e-12
+            assert all(abs(np.vdot(amp, s @ amp).real) <= abs(want) + 1e-12
+                       for s in paulis.values())
+
     def test_dimension_guard(self):
         with pytest.raises(UsageError):
             nonstabilizerness_monotone(random_state(4, "pure", seed=0))
@@ -143,6 +154,14 @@ class TestGme:
                     if 0 not in cut:
                         continue
                     assert gme <= entanglement_monotone(psi, cut).value + 1e-10
+
+    def test_witness_cut_attains_value(self):
+        for seed in range(10):
+            psi = random_state(16, "pure", seed=seed, subsystem_dims=(2, 2, 2, 2))
+            res = gme_monotone(psi)
+            cut = entanglement_monotone(psi, res.witness["cut"][0])
+            assert abs(cut.value - res.value) < 1e-12
+            assert abs(res.witness["largest_schmidt"] - (1.0 - res.value)) < 1e-12
 
     def test_brute_force_bipartition_count(self, ghz3):
         res = gme_monotone(ghz3)

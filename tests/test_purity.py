@@ -108,6 +108,12 @@ class TestRenyi2Bound:
             report = check_renyi2_bound(DensityMatrix(random_density(d, rng)))
             assert report.bound_satisfied
 
+    def test_qubit_equality_on_random_states(self):
+        rng = np.random.default_rng(14)
+        for seed in range(50):
+            report = check_renyi2_bound(DensityMatrix(random_density(2, rng)))
+            assert abs(report.renyi_purities[2.0] - report.renyi2_bound_rhs) < 1e-10
+
     def test_requested_alphas_reported(self):
         report = check_renyi2_bound(random_state(3, "mixed", seed=9), alphas=(0.5, 3.0))
         assert set(report.renyi_purities) == {0.5, 3.0}

@@ -66,6 +66,19 @@ class TestResultContract:
             want = pure_state_monotone(psi, "entanglement_bipartite").value
             assert abs(res.value - want) < 1e-8
 
+    @pytest.mark.parametrize("theory,d,dims", [
+        ("coherence", 3, None),
+        ("nonstabilizerness", 2, None),
+        ("entanglement_bipartite", 6, (2, 3)),
+        ("gme", 8, (2, 2, 2)),
+        ("gme", 16, (2, 2, 2, 2)),
+    ])
+    def test_rank_one_roof_is_the_closed_form(self, theory, d, dims):
+        for seed in range(3):
+            psi = random_state(d, "pure", seed=seed, subsystem_dims=dims)
+            res = convex_roof(psi.projector(), theory, RoofConfig(restarts=1))
+            assert abs(res.value - pure_state_monotone(psi, theory).value) < 1e-12
+
     def test_more_restarts_never_worse(self):
         rho = random_state(4, "mixed", seed=23, subsystem_dims=(2, 2))
         values = [
