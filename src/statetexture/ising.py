@@ -9,8 +9,25 @@ this orientation a negative longitudinal field g pins the chain onto the
 all-+x product state, so the ground-state rugosity stays small for g < 0 and
 jumps across g = 0.  At g = 0 the model maps to free fermions; the
 antiperiodic momentum sector hosts the even-parity ground state and yields
-closed forms for the rugosity and the nearest-neighbor correlators.  For
-g != 0 the chain is solved by exact diagonalization, which works in the
+closed forms for the rugosity and the nearest-neighbor correlators.
+
+Those closed forms are algebraic in cos phi_p and sin phi_p of the momenta
+phi_p = (2p-1) pi / N, p = 1..N/2; the Bogoliubov angle theta_p is never
+formed.  With delta = cos phi - h and lam = sqrt(delta^2 + sin^2 phi), the
+eigenvector of the momentum block gives
+
+    cos theta = -sqrt((lam - delta) / 2 lam),  sin theta = sqrt((lam + delta) / 2 lam),
+
+so sin^2 theta = (lam + delta) / (2 lam), -sin theta cos theta =
+sqrt(lam^2 - delta^2) / (2 lam) = sin phi / (2 lam), and, through
+cos 2theta = -delta / lam and sin 2theta = -sin phi / lam, the rugosity
+amplitude sin^2(theta - phi/2) = (lam + 1 - h cos phi) / (2 lam).  Each
+numerator lam + x has lam^2 - x^2 = y^2 with y = sin phi for x = delta and
+y = h sin phi for x = 1 - h cos phi; where x < 0 it is evaluated as
+y^2 / (lam - x), which does not cancel.  The table of cos phi_p and
+sin phi_p depends on N alone and is built once per scan.
+
+For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
 g = 0 (see :func:`ed_ground`).
@@ -37,9 +54,16 @@ MAX_DENSE_SECTOR = 256
 MAX_ANALYTIC_SITES = 10 ** 6
 DEGENERACY_GAP = 1e-8
 
+_I2 = np.eye(2)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+# the Pauli products of the pair state: sz on either site, then xx, yy, zz
+_Z_SUM = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
+_XX = np.kron(_SX, _SX)
+_YY = np.kron(_SY, _SY)
+_ZZ = np.kron(_SZ, _SZ)
+_PAIR_BASIS = computational_basis(4)
 
 
 @dataclass(frozen=True)
@@ -55,6 +79,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n < 2 or self.n % 2 != 0:
             raise UsageError(f"site count must be even and >= 2, got {self.n}")
+        if not (math.isfinite(self.h) and math.isfinite(self.g)):
+            raise UsageError(f"fields must be finite, got h = {self.h}, g = {self.g}")
         if self.boundary != "periodic":
             raise UsageError(f"only periodic chains are supported, got {self.boundary!r}")
 
@@ -119,16 +145,50 @@ class ScanGrid:
 # Analytic (free-fermion) branch, g = 0
 # ----------------------------------------------------------------------
 
-def _mode_arrays(n: int, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = np.arange(1, n // 2 + 1)
-    phi = (2 * p - 1) * np.pi / n
-    lam = np.sqrt((h - np.cos(phi)) ** 2 + np.sin(phi) ** 2)
-    delta = np.cos(phi) - h
-    # normalized ground-eigenvector form of the mixing angle; the argument
-    # stays in [-1, 0] for every h because lam >= |delta|
-    arg = (delta - lam) / np.sqrt(2.0 * lam * (lam - delta))
-    theta = np.arccos(np.clip(arg, -1.0, 1.0))
-    return phi, lam, theta
+def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / N, p = 1..N/2.
+
+    This is the only part of the free-fermion formulas that depends on N
+    alone; a scan builds it once for all of its fields.
+    """
+    # both as sines of exact multiples of pi / 2N in [-pi/2, pi/2]:
+    # cos phi = sin(pi/2 - phi) is exactly odd and sin phi exactly even under
+    # phi -> pi - phi, the image of h -> -h, and both keep their relative
+    # accuracy where they are small (phi near pi/2, and near 0 or pi)
+    k = np.arange(n - 2.0, -n, -4.0)  # N - 2(2p - 1), so that pi/2 - phi_p = k pi / 2N
+    scale = np.pi / (2 * n)
+    sin_phi = np.abs(k)
+    np.subtract(n, sin_phi, out=sin_phi)
+    sin_phi *= scale
+    k *= scale
+    return np.sin(k, out=k), np.sin(sin_phi, out=sin_phi)
+
+
+def _dispersion(table: Tuple[np.ndarray, np.ndarray], h: float
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p)."""
+    cos_phi, sin_phi = table
+    delta = cos_phi - h
+    sin2 = sin_phi * sin_phi
+    lam = delta * delta
+    lam += sin2
+    return delta, sin2, np.sqrt(lam, out=lam)
+
+
+def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """(lam + x) / (2 lam) for lam = sqrt(x^2 + y2), without cancellation.
+
+    Since lam^2 - x^2 = y2, it equals r = y2 / (2 lam (lam + |x|)) where
+    x < 0, the modes on which lam + x cancels, and 1 - r elsewhere.
+    """
+    r = np.abs(x)
+    r += lam
+    r *= lam
+    r *= 2.0
+    np.divide(y2, r, out=r)
+    # (x >= 0) - copysign(r, x): r where x < 0, 1 - r elsewhere
+    np.copysign(r, x, out=r)
+    return np.subtract(~np.signbit(x), r, out=r)
 
 
 def _require_analytic(spec: ChainSpec) -> None:
@@ -141,15 +201,34 @@ def _require_analytic(spec: ChainSpec) -> None:
 def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     """Momentum modes phi_p = (2p-1) pi / N with dispersion
     ``lam = sqrt((h - cos phi)^2 + sin^2 phi)`` and the rotation angle
-    diagonalizing each momentum block."""
+    diagonalizing each momentum block, theta in [pi/2, pi] with
+    ``cos theta = -sqrt((lam - delta) / 2 lam)`` and
+    ``sin theta = sqrt((lam + delta) / 2 lam)``, delta = cos phi - h."""
     _require_analytic(spec)
-    phi, lam, theta = _mode_arrays(spec.n, spec.h)
+    delta, sin2, lam = _dispersion(_momentum_table(spec.n), spec.h)
+    sin_t = np.sqrt(_half_sum(lam, delta, sin2))
+    cos_t = -np.sqrt(_half_sum(lam, -delta, sin2))
+    theta = np.arctan2(sin_t, cos_t)
+    phi = np.arange(1, spec.n, 2) * np.pi / spec.n
     return [
-        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i]),
-                     theta=float(theta[i]), u=float(np.cos(theta[i])),
-                     v_im=float(np.sin(theta[i])))
+        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i]), theta=float(theta[i]),
+                     u=float(cos_t[i]), v_im=float(sin_t[i]))
         for i in range(phi.size)
     ]
+
+
+def _log_pair_amplitudes(table: Tuple[np.ndarray, np.ndarray], h: float) -> np.ndarray:
+    """ln sin^2(theta_p - phi_p / 2) of every mode (see :func:`analytic_rugosity`)."""
+    delta, sin2, lam = _dispersion(table, h)
+    a = np.multiply(table[0], -h, out=delta)
+    a += 1.0
+    sin2 *= h * h
+    amp = _half_sum(lam, a, sin2)
+    return np.log(amp, out=amp)
+
+
+def _rugosity(table: Tuple[np.ndarray, np.ndarray], h: float) -> float:
+    return float(math.log(2.0) - np.sum(_log_pair_amplitudes(table, h)))
 
 
 def analytic_rugosity(spec: ChainSpec) -> float:
@@ -162,41 +241,57 @@ def analytic_rugosity(spec: ChainSpec) -> float:
 
     where sin^2(theta_p - phi_p / 2) equals the pair amplitude
     ``|v_p cos(phi/2) - i u_p sin(phi/2)|^2`` with u_p = cos theta_p and
-    v_p = i sin theta_p.
+    v_p = i sin theta_p.  The angle itself is never formed.  With
+    delta = cos phi - h and lam = sqrt(delta^2 + sin^2 phi), cos theta =
+    -sqrt((lam - delta) / 2 lam) and sin theta = sqrt((lam + delta) / 2 lam)
+    give cos 2theta = cos^2 theta - sin^2 theta = -delta / lam and
+    sin 2theta = 2 sin theta cos theta = -sin phi / lam, so
+
+        sin^2(theta - phi/2) = (1 - cos 2theta cos phi - sin 2theta sin phi) / 2
+                             = (lam + delta cos phi + sin^2 phi) / (2 lam)
+                             = (lam + a) / (2 lam),   a = 1 - h cos phi.
+
+    Since lam^2 - a^2 = h^2 sin^2 phi, the amplitude is
+    q = h^2 sin^2 phi / (2 lam (lam + |a|)) where a < 0, the modes on which
+    lam + a cancels (|h| > 1), and 1 - q elsewhere.  At h = 0 every q is
+    exactly 0 and R = ln 2.
     """
     _require_analytic(spec)
-    phi, _, theta = _mode_arrays(spec.n, spec.h)
-    s2 = np.sin(theta - phi / 2.0) ** 2
-    if np.any(s2 < 1e-300):
-        warnings.warn("vanishing pair overlap; rugosity is infinite", RuntimeWarning,
-                      stacklevel=2)
-        return math.inf
-    return float(math.log(2.0) - np.sum(np.log(s2)))
+    return _rugosity(_momentum_table(spec.n), spec.h)
 
 
-def _pair_contractions(n: int, h: float, distances: Sequence[int]) -> List[float]:
-    """Two-point fermionic contractions G(r) of the even-sector ground state."""
-    phi, _, theta = _mode_arrays(n, h)
-    # ground-pair mixing angle chi = pi - theta
-    s2 = np.sin(theta) ** 2
-    sc = -np.sin(theta) * np.cos(theta)
-    return [(4.0 / n) * float(np.sum(s2 * np.cos(phi * r) + sc * np.sin(phi * r)))
-            - (1.0 if r == 0 else 0.0) for r in distances]
+def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObservables:
+    """Magnetization and nearest-neighbor correlators from the two-point
+    contractions of the even-sector ground state,
+
+        G(r) = (4/N) sum_p [sin^2 theta cos(phi r) - sin theta cos theta sin(phi r)]
+               - [r = 0],
+
+    needed at r = 0, +1 and -1 only, so three sums: of sin^2 theta =
+    (lam + delta) / (2 lam), of sin^2 theta cos phi, and of
+    -sin theta cos theta sin phi = sin^2 phi / (2 lam).
+    """
+    n = 2 * table[0].size
+    delta, sin2, lam = _dispersion(table, h)
+    sin2_t = _half_sum(lam, delta, sin2)
+    diagonal = float(np.sum(sin2_t))
+    hopping = float(np.dot(sin2_t, table[0]))
+    sin2 /= lam
+    pairing = 0.5 * float(np.sum(sin2))
+    m_z = 1.0 - 4.0 * diagonal / n
+    g_plus = 4.0 * (hopping + pairing) / n
+    g_minus = 4.0 * (hopping - pairing) / n
+    return _pair_report(m_z, g_plus, g_minus, m_z * m_z - g_plus * g_minus)
 
 
 def _pair_state_matrix(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> np.ndarray:
-    eye4 = np.eye(4, dtype=complex)
-    rho = (eye4
-           + m_z * (np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ))
-           + c_xx * np.kron(_SX, _SX)
-           + c_yy * np.kron(_SY, _SY)
-           + c_zz * np.kron(_SZ, _SZ)) / 4.0
-    return rho
+    return (np.eye(4, dtype=complex) + m_z * _Z_SUM + c_xx * _XX + c_yy * _YY
+            + c_zz * _ZZ) / 4.0
 
 
 def _pair_report(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> PairObservables:
     rho = DensityMatrix(_pair_state_matrix(m_z, c_xx, c_yy, c_zz), (2, 2))
-    direct = texture_in_basis(rho, computational_basis(4)).rugosity
+    direct = texture_in_basis(rho, _PAIR_BASIS).rugosity
     symmetric = -math.log((1.0 + c_xx) / 4.0)
     return PairObservables(m_z=m_z, c_xx=c_xx, c_yy=c_yy, c_zz=c_zz, rho_pair=rho,
                            pair_rugosity=direct, pair_rugosity_symmetric=symmetric)
@@ -206,12 +301,7 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
     """Magnetization, nearest-neighbor correlators and pair rugosity of the
     g = 0 ground state, from the fermionic two-point contractions."""
     _require_analytic(spec)
-    g0, gp, gm = _pair_contractions(spec.n, spec.h, (0, 1, -1))
-    m_z = -g0
-    c_xx = gp
-    c_yy = gm
-    c_zz = m_z * m_z - gp * gm
-    return _pair_report(m_z, c_xx, c_yy, c_zz)
+    return _pair_observables(_momentum_table(spec.n), spec.h)
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +418,18 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     index bit j holds chain site j, so subsystem axis k of the returned
     state corresponds to site n-1-k.
     """
+    _require_ed(spec)
+    return _ed_ground(spec, _dihedral_orbits(spec.n))
+
+
+def _require_ed(spec: ChainSpec) -> None:
     if spec.n > MAX_ED_SITES:
         raise ResourceLimitError(f"exact diagonalization limited to {MAX_ED_SITES} sites")
-    orbits = _dihedral_orbits(spec.n)
+
+
+def _ed_ground(spec: ChainSpec, orbits: Tuple[np.ndarray, np.ndarray, np.ndarray]
+               ) -> EDGroundState:
+    """:func:`ed_ground` on the orbit table of the chain's site count."""
     reps, orbit, size = orbits
     if spec.g == 0.0:
         even = _popcount(reps, spec.n) % 2 == 0
@@ -347,7 +446,7 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     if degenerate:
         warnings.warn(
             f"near-degenerate ground space (gap {gap:.3e}) for {spec}",
-            RuntimeWarning, stacklevel=2,
+            RuntimeWarning, stacklevel=3,
         )
     vec = _canonical_sign((coef / np.sqrt(size))[orbit])
     state = PureState(vec / np.linalg.norm(vec), (2,) * spec.n)
@@ -382,37 +481,30 @@ def reduced_pair_state(state: PureState, site: int = 0) -> DensityMatrix:
     return DensityMatrix(rho, (2, 2))
 
 
+def _state_pair_observables(state: PureState, site: int = 0) -> PairObservables:
+    mat = reduced_pair_state(state, site).matrix
+    m_z = 0.5 * float(np.real(np.trace(mat @ _Z_SUM)))
+    c_xx = float(np.real(np.trace(mat @ _XX)))
+    c_yy = float(np.real(np.trace(mat @ _YY)))
+    c_zz = float(np.real(np.trace(mat @ _ZZ)))
+    return _pair_report(m_z, c_xx, c_yy, c_zz)
+
+
 def ed_pair_observables(spec: ChainSpec, site: int = 0) -> PairObservables:
     """Nearest-neighbor observables from the exact-diagonalization ground
     state via partial trace."""
-    rho = reduced_pair_state(ed_ground_state(spec), site)
-    mat = rho.matrix
-    m_z = 0.5 * float(np.real(np.trace(mat @ (np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ)))))
-    c_xx = float(np.real(np.trace(mat @ np.kron(_SX, _SX))))
-    c_yy = float(np.real(np.trace(mat @ np.kron(_SY, _SY))))
-    c_zz = float(np.real(np.trace(mat @ np.kron(_SZ, _SZ))))
-    return _pair_report(m_z, c_xx, c_yy, c_zz)
+    return _state_pair_observables(ed_ground_state(spec), site)
 
 
 def dispersion_ground_energy(spec: ChainSpec) -> float:
     """Free-fermion ground energy ``-sum_p lam_p`` of the g = 0 chain."""
     _require_analytic(spec)
-    _, lam, _ = _mode_arrays(spec.n, spec.h)
-    return -float(np.sum(lam))
+    return -float(np.sum(_dispersion(_momentum_table(spec.n), spec.h)[2]))
 
 
 # ----------------------------------------------------------------------
 # Criticality scans
 # ----------------------------------------------------------------------
-
-def _point_value(spec: ChainSpec, observable: str, method: str) -> float:
-    if observable == "full":
-        return analytic_rugosity(spec) if method == "analytic" else ed_rugosity(spec)
-    if observable == "pair":
-        obs = pair_observables(spec) if method == "analytic" else ed_pair_observables(spec)
-        return obs.pair_rugosity
-    raise UsageError(f"observable must be 'full' or 'pair', got {observable!r}")
-
 
 def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "full",
          method: str = "analytic",
@@ -440,19 +532,35 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         raise UsageError(f"axis must be 'h' or 'g', got {axis!r}")
     if method not in ("analytic", "ed"):
         raise UsageError(f"method must be 'analytic' or 'ed', got {method!r}")
+    if observable not in ("full", "pair"):
+        raise UsageError(f"observable must be 'full' or 'pair', got {observable!r}")
     pts = np.asarray(list(grid), dtype=float)
     if pts.size < 5:
         raise UsageError("scan grid needs at least 5 points")
+    if not np.all(np.isfinite(pts)):
+        raise UsageError("scan grid must be finite")
     if np.any(np.diff(pts) <= 0):
         raise UsageError("scan grid must be strictly increasing")
-    if method == "analytic" and (axis == "g" or spec.g != 0.0):
-        raise UsageError("the analytic method requires g = 0 and an h-axis scan")
 
+    # everything that depends on n alone is built once for the whole grid
     values = np.empty(pts.size)
-    for k, x in enumerate(pts):
-        point = ChainSpec(spec.n, h=x if axis == "h" else spec.h,
-                          g=spec.g if axis == "h" else x, boundary=spec.boundary)
-        values[k] = _point_value(point, observable, method)
+    if method == "analytic":
+        if axis == "g" or spec.g != 0.0:
+            raise UsageError("the analytic method requires g = 0 and an h-axis scan")
+        _require_analytic(spec)
+        table = _momentum_table(spec.n)
+        for k, x in enumerate(pts):
+            values[k] = (_rugosity(table, x) if observable == "full"
+                         else _pair_observables(table, x).pair_rugosity)
+    else:
+        _require_ed(spec)
+        orbits = _dihedral_orbits(spec.n)
+        for k, x in enumerate(pts):
+            point = ChainSpec(spec.n, h=x if axis == "h" else spec.h,
+                              g=spec.g if axis == "h" else x, boundary=spec.boundary)
+            state = _ed_ground(point, orbits).state
+            values[k] = (rugosity_pure(state) if observable == "full"
+                         else _state_pair_observables(state).pair_rugosity)
 
     normalized = values / spec.n
     d1 = (normalized[2:] - normalized[:-2]) / (pts[2:] - pts[:-2])

@@ -311,6 +311,22 @@ class TestContract:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("ising", "point", "--n", "16", "--h", "nan"),
+        ("ising", "point", "--n", "16", "--h", "inf", "--observable", "pair"),
+        ("ising", "point", "--n", "16", "--h", "0.5", "--g", "nan", "--method", "ed"),
+        ("ising", "point", "--n", "16", "--h", "0.5", "--g", "inf", "--method", "ed"),
+        ("ising", "scan", "--n", "8", "--axis", "g", "--h", "nan",
+         "--from", "-0.2", "--to", "0.2", "--step", "0.1"),
+        ("ising", "scan", "--n", "8", "--axis", "h", "--g=-inf",
+         "--from", "0", "--to", "2", "--step", "0.5"),
+    ])
+    def test_non_finite_field_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_scan_point_cap_checked_before_allocation(self, capsys, monkeypatch):
         class Allocated(Exception):
             pass

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import statetexture
+import statetexture.ising as ising
 from oracles import kron_ising_hamiltonian
 from statetexture import (ChainSpec, ResourceLimitError, UsageError,
                           analytic_rugosity, bogoliubov_modes,
@@ -33,6 +34,12 @@ class TestChainSpec:
     def test_ed_size_limit(self):
         with pytest.raises(ResourceLimitError):
             ed_ground_state(ChainSpec(22, 1.0))
+
+    @pytest.mark.parametrize("h, g", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                      (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+    def test_non_finite_fields_rejected(self, h, g):
+        with pytest.raises(UsageError):
+            ChainSpec(16, h, g)
 
 
 class TestBogoliubovModes:
@@ -79,6 +86,41 @@ class TestAnalyticRugosity:
             amp = abs(1j * mode.v_im * math.cos(mode.phi / 2.0)
                       - 1j * mode.u * math.sin(mode.phi / 2.0)) ** 2
             assert abs(s2 - amp) < 1e-10
+
+    @pytest.mark.parametrize("h", [1.5, 2.0, -1.5])
+    def test_pair_amplitudes_match_mpmath(self, h):
+        # the modes nearest phi = 0 and phi = pi; at h > 1 (h < -1) the first
+        # (last) ones are those on which lam + 1 - h cos(phi) cancels
+        mpmath = pytest.importorskip("mpmath")
+        n = 10 ** 6
+        got = np.exp(ising._log_pair_amplitudes(ising._momentum_table(n), h))
+        with mpmath.workdps(40):
+            for p in [*range(1, 11), *range(n // 2 - 9, n // 2 + 1)]:
+                phi = (2 * p - 1) * mpmath.pi / n
+                lam = mpmath.sqrt((h - mpmath.cos(phi)) ** 2 + mpmath.sin(phi) ** 2)
+                want = float((lam + 1 - h * mpmath.cos(phi)) / (2 * lam))
+                assert abs(got[p - 1] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [2, 6, 64, 1000])
+    def test_mode_amplitudes_even_in_h(self, n):
+        # h -> -h maps phi to pi - phi, so the amplitudes come back reversed
+        table = ising._momentum_table(n)
+        for h in (0.3, 1.0, 1.5, 50.0):
+            assert np.array_equal(ising._log_pair_amplitudes(table, h),
+                                  ising._log_pair_amplitudes(table, -h)[::-1])
+
+    @pytest.mark.parametrize("h", [1.5, 2.0])
+    def test_total_matches_mpmath(self, h):
+        mpmath = pytest.importorskip("mpmath")
+        n = 16384
+        with mpmath.workdps(40):
+            terms = []
+            for p in range(1, n // 2 + 1):
+                phi = (2 * p - 1) * mpmath.pi / n
+                lam = mpmath.sqrt((h - mpmath.cos(phi)) ** 2 + mpmath.sin(phi) ** 2)
+                terms.append(mpmath.log((lam + 1 - h * mpmath.cos(phi)) / (2 * lam)))
+            want = float(mpmath.log(2) - mpmath.fsum(terms))
+        assert abs(analytic_rugosity(ChainSpec(n, h)) - want) <= 1e-13 * want
 
     def test_even_in_h(self):
         for n in (8, 512):
@@ -323,3 +365,28 @@ class TestScan:
         want = pair_observables(ChainSpec(128, 1.0)).pair_rugosity
         k = int(np.argmin(np.abs(grid - 1.0)))
         assert abs(out.rugosity[k] - want) < 1e-12
+
+    def test_analytic_scan_equals_point_values(self):
+        grid = np.linspace(-2.5, 2.5, 51)
+        full = scan(ChainSpec(256, 0.0), "h", grid, method="analytic")
+        pair = scan(ChainSpec(256, 0.0), "h", grid, observable="pair", method="analytic")
+        for k, h in enumerate(grid):
+            assert full.rugosity[k] == analytic_rugosity(ChainSpec(256, h))
+            assert pair.rugosity[k] == pair_observables(ChainSpec(256, h)).pair_rugosity
+
+    def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self, monkeypatch):
+        built = []
+        orbits = ising._dihedral_orbits
+        monkeypatch.setattr(ising, "_dihedral_orbits", lambda n: built.append(n) or orbits(n))
+        grid = np.linspace(-0.3, 0.3, 7)
+        full = scan(ChainSpec(8, 0.5), "g", grid, method="ed")
+        pair = scan(ChainSpec(8, 0.5), "g", grid, observable="pair", method="ed")
+        assert built == [8, 8]
+        for k, g in enumerate(grid):
+            assert full.rugosity[k] == ed_rugosity(ChainSpec(8, 0.5, g))
+            assert pair.rugosity[k] == ed_pair_observables(ChainSpec(8, 0.5, g)).pair_rugosity
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(UsageError):
+            scan(ChainSpec(8, 0.0), "h", [0.0, 0.5, bad, 1.5, 2.0], method="analytic")
