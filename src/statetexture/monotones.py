@@ -15,9 +15,11 @@ decomposition.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,17 +74,199 @@ def _leading_pair(w: np.ndarray, dims: Tuple[int, ...], cut: Cut):
     return s[:, 0] ** 2, np.transpose(pair, back).reshape(len(w), -1)
 
 
-def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: List[Cut]):
+# cuts whose matrices the GME screen stacks at a time; every cut matrix
+# holds the whole row, so a chunk is a fixed multiple of the rows' size
+SCREEN_CHUNK = 4
+# the screen's rounding margin, in units of d * eps * |w_i|^2: the Gram
+# products, the bounds and the SVD are each backward stable with errors of
+# a few d * eps * |w_i|^2, which this covers with room to spare
+SCREEN_MARGIN = 64.0
+
+
+class _Bipartitions(Sequence):
+    """The ``2**(n - 1) - 1`` nontrivial bipartitions of ``n`` parties as
+    ``(side A, side B)``: side A holds party 0 and party ``j + 1`` for each
+    set bit ``j`` of the index.  Each cut is built when it is asked for."""
+
+    def __init__(self, n_parties: int):
+        self.n_parties = n_parties
+        self.built: Dict[int, Cut] = {}
+
+    def __len__(self) -> int:
+        return 2 ** (self.n_parties - 1) - 1
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        cut = self.built.get(k)
+        if cut is None:
+            if not 0 <= k < len(self):
+                raise IndexError(k)
+            side_a = (0,) + tuple(j + 1 for j in range(self.n_parties - 1) if (k >> j) & 1)
+            cut = self.built[k] = side_a, tuple(j for j in range(1, self.n_parties) if j not in side_a)
+        return cut
+
+
+@functools.lru_cache(maxsize=None)
+def _digits(side: Tuple[int, ...]) -> np.ndarray:
+    """Every multi-index of subsystems with dimensions ``side``, row-major,
+    one per column."""
+    return np.indices(side, dtype=np.min_scalar_type(max(side))).reshape(len(side), -1)
+
+
+@functools.lru_cache(maxsize=32)
+def _gme_table(dims: Tuple[int, ...]):
+    """Every bipartition of subsystems ``dims`` and the GME screen's table
+    of them (about 0.2 MB at twelve qubits), built once per ``dims``.
+
+    The table groups the cuts by the subsystem dimensions of their smaller
+    and larger sides, smallest side first; in a group, the cuts whose side A
+    (holding subsystem 0) is the smaller one come first.  A group holds the
+    cut positions, whether side A is the smaller one, the strides in the
+    flat state of each cut's smaller-side and larger-side subsystems, and
+    the two sides' digit tables, so that ``strides @ digits`` are a side's
+    offsets."""
+    n = len(dims)
+    cuts = _Bipartitions(n)
+    member = np.ones((len(cuts), n), dtype=bool)  # side A, as in _Bipartitions
+    member[:, 1:] = (np.arange(len(cuts))[:, None] >> np.arange(n - 1)) & 1
+    sizes = np.array(dims)
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)])
+    d_a = np.where(member, sizes, 1).prod(axis=1)
+    a_small = d_a * d_a <= math.prod(dims)
+    small = member == a_small[:, None]
+    n_small = small.sum(axis=1)
+    groups = []
+    for k in range(1, n):
+        rows = np.flatnonzero(n_small == k)
+        if not rows.size:
+            continue
+        parties_s = np.nonzero(small[rows])[1].reshape(len(rows), k)
+        parties_l = np.nonzero(~small[rows])[1].reshape(len(rows), n - k)
+        members: Dict[Tuple[int, ...], List[int]] = {}
+        for j, key in enumerate(np.concatenate([sizes[parties_s], sizes[parties_l]], axis=1).tolist()):
+            members.setdefault(tuple(key), []).append(j)
+        for key, pick in members.items():
+            pick = np.array(pick)
+            pick = pick[np.argsort(~a_small[rows[pick]], kind="stable")]
+            groups.append((math.prod(key[:k]), rows[pick].min(), rows[pick], a_small[rows[pick]],
+                           strides[parties_s[pick]], strides[parties_l[pick]],
+                           _digits(key[:k]), _digits(key[k:])))
+    groups.sort(key=lambda group: group[:2])
+    return cuts, [group[2:] for group in groups]
+
+
+def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
+    """``svd(compute_uv=False)[0]`` of smaller-side-first cut matrices
+    ``mats[..., S, L]``, each taken side A first as one SVD per cut takes it;
+    ``a_small`` says, along the last batch axis, where side A is side S."""
+    top = np.empty(mats.shape[:-2])
+    for small_first in (True, False):
+        pick = a_small == small_first
+        if pick.any():
+            sub = mats[..., pick, :, :]
+            top[..., pick] = np.linalg.svd(sub if small_first else sub.swapaxes(-1, -2),
+                                           compute_uv=False)[..., 0]
+    return top
+
+
+def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
+                     groups) -> np.ndarray:
+    """For each row of ``w``, the first cut with the largest top singular
+    value, as ``svd(compute_uv=False)`` computes it; see ``nearest_product``."""
+    m, d = w.shape
+    tops = np.full((len(cuts), m), -1.0)  # the singular values computed
+    # the first chunk, of the smallest cuts, sets each row's best exactly
+    first = groups[0][0][:SCREEN_CHUNK]
+    for k in first:
+        tops[k] = np.linalg.svd(_cut_matrices(w, dims, cuts[k]), compute_uv=False)[:, 0]
+    if len(first) == len(cuts):
+        return np.argmax(tops, axis=0)
+    flat = w.view(float)
+    norm2 = np.einsum("ij,ij->i", flat, flat)
+    margin = SCREEN_MARGIN * d * np.finfo(float).eps * norm2
+    upper = np.empty((len(cuts), m))  # per cut and row, an upper bound
+    upper[first] = tops[first] ** 2
+    best = upper[first].max(axis=0)  # per row, the largest lower bound so far
+    for g, (index, a_small, strides_s, strides_l, digits_s, digits_l) in enumerate(groups):
+        size = digits_s.shape[1]
+        diagonal = np.arange(size)
+        root = math.sqrt(max(size - 1, 1))
+        mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
+        for start in range(SCREEN_CHUNK if g == 0 else 0, len(index), SCREEN_CHUNK):
+            part = slice(start, start + SCREEN_CHUNK)
+            cut_ids = index[part]
+            off = (strides_s[part] @ digits_s)[:, :, None] + (strides_l[part] @ digits_l)[:, None, :]
+            mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
+            # a cut whose max_i G_ii reaches the best is a contender
+            # whatever G says: it gets its singular value at once
+            flat = mats.view(float)
+            sure = np.einsum("...j,...j->...", flat, flat).max(-1) >= (best - margin)[:, None]
+            if sure.all():
+                top = _top_singular_values(mats, a_small[part])
+                tops[cut_ids] = top.T
+                upper[cut_ids] = (top * top).T
+                best = np.maximum(best, (top * top).max(-1))
+                continue
+            # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
+            gram = mats @ mats.conj().swapaxes(-1, -2)
+            gram[..., diagonal, diagonal] -= mean[:, :, None]
+            mod = np.abs(gram)
+            spread = np.sqrt(np.einsum("...ij,...ij->...", mod, mod) / size)
+            hi = np.minimum(mod.sum(-1).max(-1), spread * root) + mean
+            lo = spread / root + mean
+            if sure.any():
+                rows, cols = np.nonzero(sure)
+                top = _top_singular_values(mats[rows, cols], a_small[part][cols])
+                tops[cut_ids[cols], rows] = top
+                hi[rows, cols] = lo[rows, cols] = top * top
+            upper[cut_ids] = hi.T
+            best = np.maximum(best, lo.max(-1))
+    contenders = upper >= best - margin
+    pending = contenders & (tops < 0.0)
+    if pending.any():
+        several = contenders.sum(axis=0) > 1
+        for k in np.flatnonzero((pending & several).any(axis=1)):
+            rows = np.flatnonzero(pending[k] & several)
+            tops[k, rows] = np.linalg.svd(_cut_matrices(w[rows], dims, cuts[k]),
+                                          compute_uv=False)[:, 0]
+        # a row's lone contender wins without its singular value
+        tops[contenders & (tops < 0.0)] = np.inf
+    return np.argmax(np.where(contenders, tops, -1.0), axis=0)
+
+
+def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], groups=None):
     """Oracle over the states that are products across one of ``cuts``: for
     each row, the leading Schmidt pair of the cut with the largest Schmidt
-    coefficient.  With several cuts the winner is picked from singular values
-    alone, and Schmidt vectors are computed for the winning cuts only."""
+    coefficient, the first such cut on ties.  With several cuts the winning
+    cut comes from a screen over the cut table ``groups`` (from
+    ``_gme_table``, required then), and Schmidt vectors are computed for the
+    winning cuts only.
+
+    The screen runs the groups from the smallest side up, in chunks of
+    ``SCREEN_CHUNK`` cuts.  The first chunk gets its top singular values
+    from ``svd(compute_uv=False)``, one SVD per cut as before, which sets
+    each row's best value.  For a later cut, let M be its matrix with the
+    smaller side (size S) as rows, G = M M^+ its reduced state, m = tr G / S
+    and s^2 = |G - m I|_F^2 / S.  Then ``max_i G_ii <= lambda_1(G)``,
+    ``m + s / sqrt(S - 1) <= lambda_1(G)`` and ``lambda_1(G) <= m +
+    min(|G - m I|_inf, s sqrt(S - 1))``: Gershgorin's bound and Wolkowicz
+    and Styan's bounds, the latter exact for S = 2 and never above |G|_F.
+    A cut whose ``max_i G_ii`` already reaches the best skips G and gets its
+    singular value at once (every cut of a GHZ state does).  The others get
+    G's bounds, and the best grows with each lower bound and singular value.
+
+    A cut is a contender for a row when its upper bound (its squared
+    singular value, where computed) is within the margin
+    ``SCREEN_MARGIN * d * eps * |w|^2`` of the row's best.  A lone
+    contender wins.  Where there are several, each gets its singular value,
+    and the first largest wins.  The margin exceeds the rounding of the
+    bounds and of the SVD, each a few ``d * eps * |w|^2``, so a cut that is
+    not a contender has a singular value strictly below a contender's.  The
+    choice is therefore the argmax that one SVD per cut gives, ties
+    included, and the outputs are bitwise those of that rule."""
     if len(cuts) == 1:
         return (*_leading_pair(w, dims, cuts[0]), np.zeros(len(w), dtype=np.intp))
-    tops = np.empty((len(cuts), len(w)))
-    for k, cut in enumerate(cuts):
-        tops[k] = np.linalg.svd(_cut_matrices(w, dims, cut), compute_uv=False)[:, 0]
-    choice = np.argmax(tops, axis=0)
+    choice = _screened_choice(w, dims, cuts, groups)
     winners = np.unique(choice)
     if len(winners) == 1:
         return (*_leading_pair(w, dims, cuts[winners[0]]), choice)
@@ -93,14 +277,8 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: List[Cut]):
     return overlap, phi, choice
 
 
-def _bipartitions(n_parties: int):
-    # subsets containing party 0; excludes the trivial full set
-    for mask in range(2 ** (n_parties - 1) - 1):
-        yield (0,) + tuple(k + 1 for k in range(n_parties - 1) if (mask >> k) & 1)
-
-
 def free_state_oracle(theory: str, dims: Tuple[int, ...],
-                      cut: Optional[Iterable[int]] = None) -> Tuple[Oracle, List[Cut]]:
+                      cut: Optional[Iterable[int]] = None) -> Tuple[Oracle, Sequence[Cut]]:
     """The oracle of ``theory`` for states with subsystem dimensions ``dims``
     (one entry for an unstructured state), and the cuts its ``choice``
     indexes (none for coherence and non-stabilizerness).
@@ -130,7 +308,8 @@ def free_state_oracle(theory: str, dims: Tuple[int, ...],
             raise ResourceLimitError(
                 f"bipartition enumeration is limited to {MAX_GME_PARTIES} parties, got {n}"
             )
-        cuts = [(a, tuple(k for k in range(n) if k not in a)) for a in _bipartitions(n)]
+        cuts, groups = _gme_table(tuple(dims))
+        return (lambda w: nearest_product(w, dims, cuts, groups)), cuts
     return (lambda w: nearest_product(w, dims, cuts)), cuts
 
 
@@ -175,7 +354,11 @@ def entanglement_monotone(psi: PureState, cut: Iterable[int]) -> MonotoneResult:
 
 def gme_monotone(psi: PureState) -> MonotoneResult:
     """Genuine multipartite entanglement: ``1 - max`` of the largest Schmidt
-    probability over every nontrivial bipartition (exhaustive enumeration)."""
+    probability over every nontrivial bipartition.  Every cut is considered,
+    but only contenders are decomposed: bounds on each cut's reduced-state
+    spectrum (``nearest_product``: Gershgorin and Wolkowicz-Styan, with a
+    stated rounding margin) drop the cuts that cannot win, so the value and
+    the witness cut are bitwise those of one SVD per cut."""
     return pure_state_monotone(psi, "gme")
 
 

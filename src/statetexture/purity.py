@@ -34,6 +34,8 @@ def _texture_purity(lam: np.ndarray) -> float:
 
 
 def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
+    if not math.isfinite(alpha):
+        raise UsageError(f"alpha must be finite, got {alpha}")
     if alpha <= 0:
         raise UsageError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:

@@ -46,6 +46,18 @@ class RoofConfig:
     max_iterations: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise UsageError(f"seed must be an integer, got {self.seed!r}")
+        if self.restarts < 1:
+            raise UsageError(f"restarts must be at least 1, got {self.restarts}")
+        if self.cardinality is not None and self.cardinality < 1:
+            raise UsageError(f"cardinality must be at least 1, got {self.cardinality}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise UsageError(f"tolerance must be finite and non-negative, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise UsageError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True, eq=False)
 class ConvexRoofResult:

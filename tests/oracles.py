@@ -93,3 +93,32 @@ def random_density(d, rng):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return 0.5 * (rho + rho.conj().T)
+
+
+def gme_product_oracle(w, dims):
+    """One SVD per bipartition: for each row of ``w``, the first cut (side A
+    holding party 0 and the parties of the set bits of the cut index) with
+    the largest top singular value, that value squared and the product of
+    the leading Schmidt vectors."""
+    n, d = len(dims), int(np.prod(dims))
+    cuts = []
+    for mask in range(2 ** (n - 1) - 1):
+        side_a = [0] + [k + 1 for k in range(n - 1) if (mask >> k) & 1]
+        cuts.append((side_a, [k for k in range(n) if k not in side_a]))
+
+    def matrices(rows, side_a, side_b):
+        shaped = rows.reshape((len(rows),) + tuple(dims))
+        perm = [0] + [1 + k for k in side_a + side_b]
+        d_a = int(np.prod([dims[k] for k in side_a]))
+        return np.transpose(shaped, perm).reshape(len(rows), d_a, -1)
+
+    tops = np.array([np.linalg.svd(matrices(w, *cut), compute_uv=False)[:, 0] for cut in cuts])
+    choice = np.argmax(tops, axis=0)
+    overlap, phi = np.empty(len(w)), np.empty((len(w), d), dtype=complex)
+    for i, k in enumerate(choice):
+        side_a, side_b = cuts[k]
+        u, s, vh = np.linalg.svd(matrices(w[i:i + 1], side_a, side_b), full_matrices=False)
+        pair = np.outer(u[0, :, 0], vh[0, 0, :]).reshape([dims[j] for j in side_a + side_b])
+        overlap[i] = np.square(s[0, 0])  # as the array ** 2 of the package
+        phi[i] = np.transpose(pair, np.argsort(side_a + side_b)).ravel()
+    return overlap, phi, choice

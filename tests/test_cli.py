@@ -88,6 +88,15 @@ class TestPurityCommand:
         fields = parse_structured(out)
         assert "renyi_purity_3" in fields and "renyi_purity_0.5" in fields
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_usage_error(self, capsys, mixed_file, alpha):
+        # nan once printed "renyi_purity_nan  nan" and inf raised a math
+        # domain error; the min-entropy limit at inf is not offered
+        code, out, err = run(capsys, "purity", "--state", mixed_file, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
 
 class TestMonotoneCommand:
     def test_entangle(self, capsys, bell_file):
@@ -154,6 +163,27 @@ class TestConvexRoofCommand:
         assert float(fields["value"]) == pytest.approx(0.5, abs=1e-8)
         doc = json.loads(dump.read_text())
         assert abs(sum(doc["probabilities"]) - 1.0) < 1e-10
+
+
+    @pytest.mark.parametrize("flags", [
+        ("--restarts", "0"),
+        ("--restarts", "-3"),
+        ("--cardinality", "0"),
+        ("--tolerance", "-1", "--restarts", "1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--max-iterations", "0"),
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, bell_state, flags):
+        # each of these once ended in a traceback, or in a "converged" value
+        # that the optimizer never computed (a negative tolerance)
+        path = tmp_path / "ginibre.state"
+        save_state(path, random_state(4, "mixed", seed=5, subsystem_dims=(2, 2)))
+        code, out, err = run(capsys, "convexroof", "--state", str(path),
+                             "--theory", "entangle", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
 
 
 class TestIsingCommands:

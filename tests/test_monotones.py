@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as strat
 
-from oracles import SX, SY, SZ, haar_unitary, wootters_concurrence
+from oracles import SX, SY, SZ, gme_product_oracle, haar_unitary, wootters_concurrence
 from statetexture import (PureState, ResourceLimitError,
                           UsageError, coherence_monotone, concurrence_two_qubit,
                           entanglement_monotone, fourier_basis, gme_monotone,
                           nonstabilizerness_monotone, random_state,
                           sampled_local_texture_bound,
                           single_qubit_clifford_group, texture_in_basis)
+from statetexture.monotones import free_state_oracle
 
 STABILIZER_QUBITS = [
     np.array([1.0, 0.0]),
@@ -182,6 +184,65 @@ class TestGme:
         amp[0] = 1.0
         with pytest.raises(ResourceLimitError):
             gme_monotone(PureState(amp, (2,) * n))
+
+
+def dicke(n, k):
+    amp = np.array([bin(i).count("1") == k for i in range(2 ** n)], dtype=float)
+    return amp / np.linalg.norm(amp)
+
+
+def assert_matches_one_svd_per_cut(w, dims):
+    nearest, cuts = free_state_oracle("gme", tuple(dims))
+    overlap, phi, choice = nearest(w)
+    ref_overlap, ref_phi, ref_choice = gme_product_oracle(w, dims)
+    assert choice.tolist() == ref_choice.tolist()
+    assert overlap.tobytes() == ref_overlap.tobytes()
+    assert np.array_equal(phi, ref_phi)
+    assert len(cuts) == 2 ** (len(dims) - 1) - 1
+
+
+class TestScreenedOracle:
+    """The GME oracle's bound screen against one SVD per cut, ties included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_random_rows(self, data):
+        n = data.draw(strat.integers(3, 8))
+        dims = []
+        for _ in range(n):
+            dims.append(data.draw(strat.integers(1, min(3, 512 // math.prod(dims)))))
+        rows = data.draw(strat.integers(1, 6))
+        rng = np.random.default_rng(data.draw(strat.integers(0, 2 ** 32 - 1)))
+        d = math.prod(dims)
+        w = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        # rows the roof meets too: unused (zero) branches and scaled copies
+        kind = data.draw(strat.sampled_from(["plain", "zero row", "scaled"]))
+        if kind == "zero row":
+            w[0] = 0.0
+        elif kind == "scaled":
+            w *= 10.0 ** rng.uniform(-8, 8, size=(rows, 1))
+        assert_matches_one_svd_per_cut(w, dims)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_tie_states(self, n):
+        ghz = np.zeros(2 ** n)
+        ghz[[0, -1]] = 1.0 / math.sqrt(2.0)
+        states = [ghz, dicke(n, 1), dicke(n, n // 2), dicke(n, (n + 1) // 2)]
+        for amp in states:
+            assert_matches_one_svd_per_cut(amp[None, :].astype(complex), (2,) * n)
+        assert_matches_one_svd_per_cut(np.array(states, dtype=complex), (2,) * n)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_product_across_a_balanced_cut(self, n):
+        rng = np.random.default_rng(n)
+        half = 2 ** (n // 2)
+        a, b = (rng.standard_normal(half) + 1j * rng.standard_normal(half) for _ in range(2))
+        amp = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        scrambled = haar_unitary(2 ** n, rng) @ amp
+        assert_matches_one_svd_per_cut(np.array([amp, scrambled]), (2,) * n)
+
+    def test_ghz_witness_is_the_first_cut(self, ghz3):
+        assert gme_monotone(ghz3).witness["cut"] == ((0,), (1, 2))
 
 
 class TestSampledLocalTextureBound:

@@ -99,8 +99,20 @@ class TestResultContract:
         assert res.converged
         starved = convex_roof(werner(0.6), "entanglement_bipartite",
                               RoofConfig(cardinality=5, restarts=1, seed=5,
-                                         max_iterations=0))
+                                         max_iterations=1))
         assert not starved.converged
+
+    @pytest.mark.parametrize("fields", [
+        {"restarts": 0}, {"restarts": -3}, {"cardinality": 0},
+        {"tolerance": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
+        {"max_iterations": 0}, {"seed": 1.5}, {"seed": "3"},
+    ])
+    def test_config_fields_validated(self, fields):
+        with pytest.raises(UsageError):
+            RoofConfig(**fields)
+
+    def test_config_accepts_numpy_integers(self):
+        assert RoofConfig(seed=np.int64(3), restarts=np.int64(2)).seed == 3
 
     def test_cardinality_below_rank_rejected(self):
         rho = random_state(4, "mixed", seed=24, subsystem_dims=(2, 2))
