@@ -90,23 +90,25 @@ class _Bipartitions(Sequence):
 
     def __init__(self, n_parties: int):
         self.n_parties = n_parties
+        self.size = 2 ** (n_parties - 1) - 1
+        # kept: the convex roof asks for the same few cuts at every evaluation
         self.built: Dict[int, Cut] = {}
 
     def __len__(self) -> int:
-        return 2 ** (self.n_parties - 1) - 1
+        return self.size
 
     def __getitem__(self, k):
-        k = operator.index(k)
         cut = self.built.get(k)
         if cut is None:
-            if not 0 <= k < len(self):
+            k = operator.index(k)
+            if not 0 <= k < self.size:
                 raise IndexError(k)
             side_a = (0,) + tuple(j + 1 for j in range(self.n_parties - 1) if (k >> j) & 1)
             cut = self.built[k] = side_a, tuple(j for j in range(1, self.n_parties) if j not in side_a)
         return cut
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _digits(side: Tuple[int, ...]) -> np.ndarray:
     """Every multi-index of subsystems with dimensions ``side``, row-major,
     one per column."""
@@ -152,7 +154,10 @@ def _gme_table(dims: Tuple[int, ...]):
                            strides[parties_s[pick]], strides[parties_l[pick]],
                            _digits(key[:k]), _digits(key[k:])))
     groups.sort(key=lambda group: group[:2])
-    return cuts, [group[2:] for group in groups]
+    groups = [group[2:] for group in groups]
+    for array in (array for group in groups for array in group):
+        array.setflags(write=False)  # the table is shared by every caller
+    return cuts, groups
 
 
 def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
@@ -174,18 +179,21 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
     """For each row of ``w``, the first cut with the largest top singular
     value, as ``svd(compute_uv=False)`` computes it; see ``nearest_product``."""
     m, d = w.shape
-    tops = np.full((len(cuts), m), -1.0)  # the singular values computed
+    tops = np.empty((len(cuts), m))  # the singular values computed, else -1
     # the first chunk, of the smallest cuts, sets each row's best exactly
     first = groups[0][0][:SCREEN_CHUNK]
-    for k in first:
+    for k in first.tolist():
         tops[k] = np.linalg.svd(_cut_matrices(w, dims, cuts[k]), compute_uv=False)[:, 0]
     if len(first) == len(cuts):
         return np.argmax(tops, axis=0)
+    computed = tops[first]
+    tops.fill(-1.0)
+    tops[first] = computed
     flat = w.view(float)
     norm2 = np.einsum("ij,ij->i", flat, flat)
     margin = SCREEN_MARGIN * d * np.finfo(float).eps * norm2
     upper = np.empty((len(cuts), m))  # per cut and row, an upper bound
-    upper[first] = tops[first] ** 2
+    upper[first] = computed ** 2
     best = upper[first].max(axis=0)  # per row, the largest lower bound so far
     for g, (index, a_small, strides_s, strides_l, digits_s, digits_l) in enumerate(groups):
         size = digits_s.shape[1]

@@ -47,7 +47,7 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+        if not isinstance(self.seed, (int, np.integer)):
             raise UsageError(f"seed must be an integer, got {self.seed!r}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be at least 1, got {self.restarts}")

@@ -119,6 +119,7 @@ def gme_product_oracle(w, dims):
         side_a, side_b = cuts[k]
         u, s, vh = np.linalg.svd(matrices(w[i:i + 1], side_a, side_b), full_matrices=False)
         pair = np.outer(u[0, :, 0], vh[0, 0, :]).reshape([dims[j] for j in side_a + side_b])
-        overlap[i] = np.square(s[0, 0])  # as the array ** 2 of the package
+        # np.square, as on arrays: a NumPy scalar's ** 2 can differ in the last bit
+        overlap[i] = np.square(s[0, 0])
         phi[i] = np.transpose(pair, np.argsort(side_a + side_b)).ravel()
     return overlap, phi, choice
