@@ -168,7 +168,7 @@ def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
     for small_first in (True, False):
         pick = a_small == small_first
         if pick.any():
-            sub = mats[..., pick, :, :]
+            sub = mats if pick.all() else mats[..., pick, :, :]
             top[..., pick] = np.linalg.svd(sub if small_first else sub.swapaxes(-1, -2),
                                            compute_uv=False)[..., 0]
     return top
