@@ -25,7 +25,8 @@ amplitude sin^2(theta - phi/2) = (lam + 1 - h cos phi) / (2 lam).  Each
 numerator lam + x has lam^2 - x^2 = y^2 with y = sin phi for x = delta and
 y = h sin phi for x = 1 - h cos phi; where x < 0 it is evaluated as
 y^2 / (lam - x), which does not cancel.  The table of cos phi_p and
-sin phi_p depends on N alone and is built once per scan.
+sin phi_p depends on N alone and is built once per scan.  Fields too large
+to square are first scaled by a power of two (see :func:`_field_scale`).
 
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
@@ -35,6 +36,7 @@ g = 0 (see :func:`ed_ground`).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError
 from .states import DensityMatrix, PureState
-from .texture import computational_basis, rugosity_pure, texture_in_basis
+from .texture import rugosity_pure
 
 MAX_ED_SITES = 20
 # dense eigh beats Lanczos up to about 200 orbits (2-core machine, one BLAS
@@ -53,6 +55,7 @@ MAX_ED_SITES = 20
 MAX_DENSE_SECTOR = 256
 MAX_ANALYTIC_SITES = 10 ** 6
 DEGENERACY_GAP = 1e-8
+_UNSCALED_FIELD = 2.0 ** 256  # see _field_scale
 
 _I2 = np.eye(2)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -63,7 +66,6 @@ _Z_SUM = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
 _XX = np.kron(_SX, _SX)
 _YY = np.kron(_SY, _SY)
 _ZZ = np.kron(_SZ, _SZ)
-_PAIR_BASIS = computational_basis(4)
 
 
 @dataclass(frozen=True)
@@ -99,16 +101,31 @@ class MomentumMode:
 
 @dataclass(frozen=True, eq=False)
 class PairObservables:
-    """Nearest-neighbor reduced state and its rugosity, both from the direct
-    grand-sum evaluation and from the closed form -ln[(1 + Cxx)/4]."""
+    """Nearest-neighbor correlators and the pair rugosity.
+
+    The pair state (1 + m_z (sz 1 + 1 sz) + Cxx sx sx + Cyy sy sy + Czz sz sz)/4
+    has grand sum 1 + Cxx in the computational basis, since only the
+    identity and sx sx have a nonzero sum of entries; so its rugosity is
+    -ln[(1 + Cxx)/4] in closed form (infinite at Cxx = -1).  ``rho_pair``
+    builds and validates that state on first access only.
+    """
 
     m_z: float
     c_xx: float
     c_yy: float
     c_zz: float
-    rho_pair: DensityMatrix
     pair_rugosity: float
-    pair_rugosity_symmetric: float
+
+    @property
+    def pair_rugosity_symmetric(self) -> float:
+        """The closed form -ln[(1 + Cxx)/4]; the same value as ``pair_rugosity``."""
+        return self.pair_rugosity
+
+    @functools.cached_property
+    def rho_pair(self) -> DensityMatrix:
+        """The 4 x 4 pair state, ordered |site+1, site>."""
+        return DensityMatrix(_pair_state_matrix(self.m_z, self.c_xx, self.c_yy, self.c_zz),
+                             (2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +181,37 @@ def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.sin(k, out=k), np.sin(sin_phi, out=sin_phi)
 
 
+def _field_scale(h: float) -> float:
+    """1 for |h| <= 2^256, else the power of two s with 1 <= |h|/s < 2.
+
+    Below 2^256 no square or product in the free-fermion formulas leaves the
+    float range.  Above it they are evaluated on delta, lam and a divided by
+    s and on sin^2 phi and h^2 sin^2 phi divided by s^2: every ratio they
+    take is unchanged, nothing overflows, and since dividing by a power of
+    two is exact, the results are bitwise those of unscaled arithmetic
+    wherever that stayed in range.
+    """
+    if abs(h) <= _UNSCALED_FIELD:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(h)[1] - 1)
+
+
 def _dispersion(table: Tuple[np.ndarray, np.ndarray], h: float
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p)."""
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p),
+    divided by s, s^2 and s, and the scale s = :func:`_field_scale` (h)."""
     cos_phi, sin_phi = table
+    s = _field_scale(h)
     delta = cos_phi - h
-    sin2 = sin_phi * sin_phi
+    if s == 1.0:
+        sin2 = sin_phi * sin_phi
+    else:
+        delta /= s
+        sin2 = sin_phi / s
+        sin2 *= sin2
     lam = delta * delta
     lam += sin2
-    return delta, sin2, np.sqrt(lam, out=lam)
+    return delta, sin2, np.sqrt(lam, out=lam), s
 
 
 def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -205,13 +244,13 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     ``cos theta = -sqrt((lam - delta) / 2 lam)`` and
     ``sin theta = sqrt((lam + delta) / 2 lam)``, delta = cos phi - h."""
     _require_analytic(spec)
-    delta, sin2, lam = _dispersion(_momentum_table(spec.n), spec.h)
+    delta, sin2, lam, s = _dispersion(_momentum_table(spec.n), spec.h)
     sin_t = np.sqrt(_half_sum(lam, delta, sin2))
     cos_t = -np.sqrt(_half_sum(lam, -delta, sin2))
     theta = np.arctan2(sin_t, cos_t)
     phi = np.arange(1, spec.n, 2) * np.pi / spec.n
     return [
-        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i]), theta=float(theta[i]),
+        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i] * s), theta=float(theta[i]),
                      u=float(cos_t[i]), v_im=float(sin_t[i]))
         for i in range(phi.size)
     ]
@@ -219,10 +258,13 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
 
 def _log_pair_amplitudes(table: Tuple[np.ndarray, np.ndarray], h: float) -> np.ndarray:
     """ln sin^2(theta_p - phi_p / 2) of every mode (see :func:`analytic_rugosity`)."""
-    delta, sin2, lam = _dispersion(table, h)
-    a = np.multiply(table[0], -h, out=delta)
-    a += 1.0
-    sin2 *= h * h
+    delta, sin2, lam, s = _dispersion(table, h)
+    hs = h / s
+    a = np.multiply(table[0], -hs, out=delta)
+    a += 1.0 / s
+    if s != 1.0:
+        np.multiply(table[1], table[1], out=sin2)
+    sin2 *= hs * hs
     amp = _half_sum(lam, a, sin2)
     return np.log(amp, out=amp)
 
@@ -272,12 +314,14 @@ def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObs
     -sin theta cos theta sin phi = sin^2 phi / (2 lam).
     """
     n = 2 * table[0].size
-    delta, sin2, lam = _dispersion(table, h)
+    delta, sin2, lam, s = _dispersion(table, h)
     sin2_t = _half_sum(lam, delta, sin2)
     diagonal = float(np.sum(sin2_t))
     hopping = float(np.dot(sin2_t, table[0]))
+    if s != 1.0:
+        np.multiply(table[1], table[1], out=sin2)
     sin2 /= lam
-    pairing = 0.5 * float(np.sum(sin2))
+    pairing = 0.5 * float(np.sum(sin2)) / s
     m_z = 1.0 - 4.0 * diagonal / n
     g_plus = 4.0 * (hopping + pairing) / n
     g_minus = 4.0 * (hopping - pairing) / n
@@ -290,11 +334,9 @@ def _pair_state_matrix(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> np.
 
 
 def _pair_report(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> PairObservables:
-    rho = DensityMatrix(_pair_state_matrix(m_z, c_xx, c_yy, c_zz), (2, 2))
-    direct = texture_in_basis(rho, _PAIR_BASIS).rugosity
-    symmetric = -math.log((1.0 + c_xx) / 4.0)
-    return PairObservables(m_z=m_z, c_xx=c_xx, c_yy=c_yy, c_zz=c_zz, rho_pair=rho,
-                           pair_rugosity=direct, pair_rugosity_symmetric=symmetric)
+    grand = 1.0 + c_xx
+    rugosity = math.inf if grand <= 0.0 else -math.log(grand / 4.0)
+    return PairObservables(m_z=m_z, c_xx=c_xx, c_yy=c_yy, c_zz=c_zz, pair_rugosity=rugosity)
 
 
 def pair_observables(spec: ChainSpec) -> PairObservables:
@@ -499,7 +541,8 @@ def ed_pair_observables(spec: ChainSpec, site: int = 0) -> PairObservables:
 def dispersion_ground_energy(spec: ChainSpec) -> float:
     """Free-fermion ground energy ``-sum_p lam_p`` of the g = 0 chain."""
     _require_analytic(spec)
-    return -float(np.sum(_dispersion(_momentum_table(spec.n), spec.h)[2]))
+    _, _, lam, s = _dispersion(_momentum_table(spec.n), spec.h)
+    return -float(np.sum(lam)) * s
 
 
 # ----------------------------------------------------------------------

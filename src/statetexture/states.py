@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -82,6 +82,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
     subsystem_dims: Optional[Tuple[int, ...]] = None
+    # filled by the first spectral_decompose call (see there)
+    _spectrum: Optional["Spectrum"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -146,10 +148,23 @@ def spectral_decompose(rho: DensityMatrix) -> Spectrum:
 
     The reconstruction ``sum_i w_i |v_i><v_i|`` agrees with the input within
     1e-10 in max norm.
+
+    The spectrum is memoized on the state: the first call runs one ``eigh``
+    and keeps the result, and every later call on the same instance returns
+    that same ``Spectrum`` object, for as long as the state lives.  Its
+    arrays are read-only, so no caller can alter what the others see; copy
+    them before writing.
     """
-    w, v = np.linalg.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    return Spectrum(w[order], v[:, order])
+    spec = rho._spectrum
+    if spec is None:
+        w, v = np.linalg.eigh(rho.matrix)
+        order = np.argsort(w)[::-1]
+        w, v = w[order], v[:, order]
+        w.setflags(write=False)
+        v.setflags(write=False)
+        spec = Spectrum(w, v)
+        object.__setattr__(rho, "_spectrum", spec)
+    return spec
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -116,15 +116,22 @@ def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport
 
 
 def _unitary_mapping_uniform_to(target: np.ndarray) -> np.ndarray:
-    """Build a unitary U with U |uniform> = |target>."""
+    """Build a unitary U with U |uniform> = |target>, phase included.
+
+    With c = <uniform|target> and e^{i theta} = c / |c| (1 when c = 0), the
+    Householder reflection along w = e^{i theta} |uniform> + |target> sends
+    |uniform> to -e^{-i theta} |target>, so U = -e^{i theta} (I - 2 w w^dag
+    / |w|^2).  |w|^2 = 2 + 2|c| >= 2 for unit vectors: nothing cancels.
+    """
     d = target.size
-    stacked = np.concatenate([target[:, None], np.eye(d, dtype=complex)], axis=1)
-    q = np.linalg.qr(stacked)[0]
-    # column 0 of q is target up to a phase; rotate it back onto target
-    q[:, 0] *= np.vdot(q[:, 0], target)
-    k_grid = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(k_grid, k_grid) / d) / math.sqrt(d)
-    return q @ fourier.conj().T
+    uniform = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    # exp(i angle(c)) is c / |c| to rounding even for subnormal c, and 1 at c = 0
+    phase = np.exp(1j * np.angle(np.vdot(uniform, target)))
+    w = phase * uniform + target
+    u = np.outer(w, w.conj())
+    u *= 2.0 * phase / np.vdot(w, w).real
+    u.flat[:: d + 1] -= phase
+    return u
 
 
 def texture_extrema(state: StateLike, with_witnesses: bool = True) -> TextureExtrema:

@@ -5,6 +5,8 @@ a hand-rolled Jacobi eigensolver, a Wootters concurrence built from the
 spin-flip spectrum, and a kron-assembled Ising Hamiltonian.
 """
 
+import functools
+
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,10 +61,25 @@ def entanglement_value_of_concurrence(c):
 def _chain_op(ops, n):
     """Kronecker product with ops[site] on each listed site and the identity
     elsewhere; site j is bit j of the basis index."""
-    mat = np.array([[1.0]], dtype=complex)
+    mat = np.array([[1.0]])
     for j in range(n - 1, -1, -1):
-        mat = np.kron(mat, ops.get(j, np.eye(2, dtype=complex)))
+        mat = np.kron(mat, ops.get(j, np.eye(2)))
     return mat
+
+
+@functools.lru_cache(maxsize=2)
+def kron_ising_terms(n):
+    """The three real term matrices of the periodic chain, sum sx sx,
+    sum sz and sum sx, assembled from Kronecker products and returned
+    read-only; the last two chain lengths are kept, so a test that sweeps
+    h and g at one n builds them once."""
+    sx, sz = SX.real, SZ.real
+    terms = (sum(_chain_op({j: sx, (j + 1) % n: sx}, n) for j in range(n)),
+             sum(_chain_op({j: sz}, n) for j in range(n)),
+             sum(_chain_op({j: sx}, n) for j in range(n)))
+    for term in terms:
+        term.setflags(write=False)
+    return terms
 
 
 def kron_ising_hamiltonian(n, h, g):
@@ -72,14 +89,8 @@ def kron_ising_hamiltonian(n, h, g):
     Site j maps to bit j of the basis index (little-endian), matching the
     package's amplitude convention.
     """
-    dim = 2 ** n
-    ham = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        k = (j + 1) % n
-        ham -= 0.5 * _chain_op({j: SX, k: SX}, n)
-        ham -= (h / 2.0) * _chain_op({j: SZ}, n)
-        ham += (g / 2.0) * _chain_op({j: SX}, n)
-    return ham
+    bonds, z_sum, x_sum = kron_ising_terms(n)
+    return -0.5 * bonds - (h / 2.0) * z_sum + (g / 2.0) * x_sum
 
 
 def haar_unitary(d, rng):

@@ -199,6 +199,11 @@ def test_criterion_8_pair_curve():
             assert abs(ana.c_xx - ed.c_xx) <= 1e-8
             assert abs(ana.pair_rugosity - ana.pair_rugosity_symmetric) <= 1e-10
             assert abs(ed.pair_rugosity - ed.pair_rugosity_symmetric) <= 1e-8
+            # the closed form against the grand sum of the pair state itself
+            direct = texture_in_basis(ana.rho_pair, computational_basis(4)).rugosity
+            assert abs(ana.pair_rugosity - direct) <= 1e-10
+            direct = texture_in_basis(ed.rho_pair, computational_basis(4)).rugosity
+            assert abs(ed.pair_rugosity - direct) <= 1e-8
     grid = np.round(np.arange(0.0, 2.0 + 1e-9, 0.005), 10)
     out = scan(ChainSpec(512, 0.0), "h", grid, observable="pair", method="analytic",
                kink_window=(0.8, 1.2))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ class TestIsingCommands:
         script = plot_path.read_text()
         assert str(csv_path) in script
         compile(script, str(plot_path), "exec")
+
+    @pytest.mark.parametrize("observable", ["full", "pair"])
+    def test_point_huge_field_is_finite(self, capsys, observable):
+        # no overflow on the way: a RuntimeWarning becomes an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "ising", "point", "--n", "64", "--h", "1e160",
+                                 "--observable", observable, "--format", "structured")
+        assert code == 0
+        assert err == ""
+        fields = parse_structured(out)
+        values = [float(v) for k, v in fields.items() if k not in ("method", "observable")]
+        assert all(math.isfinite(v) for v in values)
+        if observable == "full":
+            assert float(fields["rugosity"]) == pytest.approx(64 * math.log(2), rel=1e-11)
+        else:
+            assert float(fields["pair_rugosity"]) == pytest.approx(math.log(4), rel=1e-11)
 
     def test_g_scan_requires_fixed_h(self, capsys):
         code, out, err = run(capsys, "ising", "scan", "--n", "6", "--axis", "g",

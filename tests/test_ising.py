@@ -10,12 +10,14 @@ import scipy.linalg
 
 import statetexture
 import statetexture.ising as ising
-from oracles import kron_ising_hamiltonian
+from oracles import kron_ising_hamiltonian, kron_ising_terms
 from statetexture import (ChainSpec, ResourceLimitError, UsageError,
                           analytic_rugosity, bogoliubov_modes,
-                          dispersion_ground_energy, ed_ground, ed_ground_state,
-                          ed_pair_observables, ed_rugosity, pair_observables,
-                          partial_trace, reduced_pair_state, rugosity_pure, scan)
+                          computational_basis, dispersion_ground_energy,
+                          ed_ground, ed_ground_state, ed_pair_observables,
+                          ed_rugosity, pair_observables, partial_trace,
+                          reduced_pair_state, rugosity_pure, scan,
+                          texture_in_basis)
 
 
 class TestChainSpec:
@@ -151,11 +153,64 @@ class TestPairObservables:
     def test_two_rugosity_forms_agree(self, h):
         obs = pair_observables(ChainSpec(64, h))
         assert abs(obs.pair_rugosity - obs.pair_rugosity_symmetric) < 1e-10
+        # the closed form against the grand sum of the pair state itself
+        direct = texture_in_basis(obs.rho_pair, computational_basis(4)).rugosity
+        assert abs(obs.pair_rugosity - direct) < 1e-10
+        assert obs.pair_rugosity == -math.log((1.0 + obs.c_xx) / 4.0)
+
+    @pytest.mark.parametrize("h", [0.2, 1.0, 3.0])
+    def test_closed_form_matches_ed_pair_state(self, h):
+        obs = ed_pair_observables(ChainSpec(8, h))
+        direct = texture_in_basis(obs.rho_pair, computational_basis(4)).rugosity
+        assert abs(obs.pair_rugosity - direct) < 1e-8
 
     def test_reduced_state_is_valid(self):
         obs = pair_observables(ChainSpec(16, 0.7))
         assert obs.rho_pair.subsystem_dims == (2, 2)
         assert abs(np.trace(obs.rho_pair.matrix) - 1.0) < 1e-12
+
+    def test_pair_state_is_built_on_request_only(self):
+        obs = pair_observables(ChainSpec(16, 0.7))
+        assert "rho_pair" not in vars(obs)
+        assert obs.rho_pair is obs.rho_pair
+
+
+class TestHugeFields:
+    """Fields too large to square are scaled by a power of two."""
+
+    @pytest.mark.parametrize("h", [1e160, -1e160, 1.7976931348623157e308, -2.0 ** 1000])
+    def test_every_finite_field_gives_finite_values(self, h):
+        spec = ChainSpec(64, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rugosity = analytic_rugosity(spec)
+            obs = pair_observables(spec)
+            modes = bogoliubov_modes(spec)
+        # the fully polarized limit: a computational basis state, R = N ln 2
+        assert abs(rugosity - 64 * math.log(2)) < 1e-9
+        assert abs(obs.pair_rugosity - math.log(4)) < 1e-12
+        assert abs(abs(obs.m_z) - 1.0) < 1e-12
+        assert all(math.isfinite(m.lam) and math.isfinite(m.theta) for m in modes)
+
+    def test_scaling_is_exact(self, monkeypatch):
+        # forcing the scaled path on fields the unscaled one handles gives
+        # bitwise the same numbers
+        fields = (1.5, -3.0, 50.0, 1e5, -1e40, 1e100, 1e150)
+
+        def values():
+            out = []
+            for h in fields:
+                spec = ChainSpec(256, h)
+                obs = pair_observables(spec)
+                out.append((analytic_rugosity(spec), obs.m_z, obs.c_xx, obs.c_yy, obs.c_zz,
+                            dispersion_ground_energy(spec),
+                            [(m.lam, m.theta) for m in bogoliubov_modes(spec)]))
+            return out
+
+        unscaled = values()
+        monkeypatch.setattr(ising, "_UNSCALED_FIELD", 1.0)
+        assert ising._field_scale(1e100) != 1.0
+        assert values() == unscaled
 
 
 class TestEdGroundState:
@@ -228,10 +283,9 @@ class TestSymmetrySector:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_matches_kron_oracle_grid(self, n):
-        # the Kronecker Hamiltonian is affine in h and g: build it three times
-        base = kron_ising_hamiltonian(n, 0.0, 0.0).real
-        dz = kron_ising_hamiltonian(n, 1.0, 0.0).real - base
-        dx = kron_ising_hamiltonian(n, 0.0, 1.0).real - base
+        # the Kronecker Hamiltonian is affine in h and g: its terms, built once
+        bonds, z_sum, x_sum = kron_ising_terms(n)
+        base, dz, dx = -0.5 * bonds, -0.5 * z_sum, 0.5 * x_sum
         even = np.array([bin(s).count("1") % 2 == 0 for s in range(1 << n)])
         for h in (-0.7, 0.2, 0.5, 1.0, 1.5, 3.0):
             for g in (-0.5, 0.0, 0.05, 0.3, 0.8):

@@ -77,6 +77,37 @@ class TestSpectralDecompose:
         assert abs(spec.eigenvalues.sum() - 1.0) < 1e-10
 
 
+class TestSpectrumMemo:
+    def test_repeated_calls_return_the_same_spectrum(self):
+        rho = random_state(5, "mixed", seed=3)
+        first = spectral_decompose(rho)
+        assert spectral_decompose(rho) is first
+        assert spectral_decompose(rho) is first
+
+    def test_arrays_are_read_only(self):
+        spec = spectral_decompose(random_state(4, "mixed", seed=1))
+        with pytest.raises(ValueError):
+            spec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            spec.eigenvectors[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            spec.eigenvalues.sort()
+
+    def test_each_state_keeps_its_own_spectrum(self):
+        mat = random_state(3, "mixed", seed=2).matrix
+        a, b = DensityMatrix(mat), DensityMatrix(mat)
+        assert spectral_decompose(a) is not spectral_decompose(b)
+        assert np.array_equal(spectral_decompose(a).eigenvalues, spectral_decompose(b).eigenvalues)
+
+    def test_memo_matches_a_fresh_decomposition(self):
+        rho = random_state(6, "mixed", seed=4)
+        spec = spectral_decompose(rho)
+        w, v = np.linalg.eigh(rho.matrix)
+        order = np.argsort(w)[::-1]
+        assert np.array_equal(spec.eigenvalues, w[order])
+        assert np.array_equal(spec.eigenvectors, v[:, order])
+
+
 class TestPartialTrace:
     def test_bell_marginal(self, bell_state):
         red = partial_trace(bell_state.projector(), keep=[0])

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, InvalidStateError, OrthonormalBasis,
-                          PureState, UsageError, computational_basis,
-                          fourier_basis, random_state, rugosity_pure,
+                          PureState, UsageError, check_renyi2_bound,
+                          computational_basis, fourier_basis, random_state,
+                          renyi_purity, rugosity_pure, single_shot_cost,
                           spectral_decompose, texture_extrema, texture_in_basis,
-                          texture_less_state)
+                          texture_less_state, texture_purity)
+from statetexture.texture import _unitary_mapping_uniform_to
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -127,6 +130,112 @@ class TestExtrema:
             u_max, u_min = ex.witness_unitaries
             assert abs(texture_in_basis(rho, OrthonormalBasis(u_max)).texture - ex.t_max) < 1e-10
             assert abs(texture_in_basis(rho, OrthonormalBasis(u_min)).texture - ex.t_min) < 1e-10
+
+
+class TestOneSpectrumPerState:
+    def test_every_spectral_quantity_shares_one_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rho = random_state(5, "mixed", seed=8)
+        spectral_decompose(rho)
+        texture_extrema(rho)
+        check_renyi2_bound(rho, (0.5, 2.0, 3.0))
+        texture_purity(rho)
+        renyi_purity(rho, 2.0)
+        single_shot_cost(rho)
+        assert calls == [(5, 5)]
+
+
+def _random_ket(d, rng):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+@strat.composite
+def _witness_targets(draw):
+    """A dimension and a unit target, biased to the cases where a reflection
+    onto the uniform vector u can go wrong: e^{i alpha} u, -u, kets
+    orthogonal or nearly orthogonal to u, and basis kets."""
+    d = draw(strat.integers(1, 32))
+    rng = np.random.default_rng(draw(strat.integers(0, 2 ** 32 - 1)))
+    u = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    kind = draw(strat.sampled_from(["phase", "minus", "orthogonal", "nearly orthogonal",
+                                    "basis", "haar"]))
+    if kind == "phase":
+        t = np.exp(1j * draw(strat.floats(-math.pi, math.pi))) * u
+    elif kind == "minus":
+        t = -u
+    elif kind == "basis":
+        t = np.eye(d, dtype=complex)[draw(strat.integers(0, d - 1))]
+    elif kind == "haar" or d == 1:
+        t = _random_ket(d, rng)
+    else:
+        t = _random_ket(d, rng)
+        t -= u * np.vdot(u, t)
+        t /= np.linalg.norm(t)
+        if kind == "nearly orthogonal":
+            eps = 10.0 ** -draw(strat.integers(6, 320))
+            t = t + eps * np.exp(1j * rng.uniform(0, 2 * np.pi)) * u
+            t /= np.linalg.norm(t)
+    return u, t
+
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestProperties:
+    """The witness construction and the paper's texture claims."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_witness_targets())
+    def test_witness_is_unitary_and_maps_uniform_to_target(self, case):
+        u, t = case
+        w = _unitary_mapping_uniform_to(t)
+        assert np.max(np.abs(w @ u - t)) <= 1e-12
+        assert np.max(np.abs(w.conj().T @ w - np.eye(t.size))) <= 1e-12
+
+    @_PROPERTY_SETTINGS
+    @given(strat.integers(1, 8), strat.integers(1, 8), strat.integers(0, 2 ** 32 - 1))
+    def test_texture_lies_in_unit_interval(self, d, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        kets = np.array([_random_ket(d, rng) for _ in range(rank)])
+        weights = rng.dirichlet(np.ones(rank))
+        mat = (kets.T * weights) @ kets.conj()
+        rho = DensityMatrix(0.5 * (mat + mat.conj().T) / np.trace(mat).real)
+        for u in (haar_unitary(d, rng), *texture_extrema(rho).witness_unitaries):
+            rep = texture_in_basis(rho, OrthonormalBasis(u))
+            assert 0.0 <= rep.texture <= 1.0
+            assert 0.0 <= rep.grand_sum <= d
+
+    @_PROPERTY_SETTINGS
+    @given(strat.integers(1, 8), strat.integers(0, 2 ** 32 - 1))
+    def test_extrema_are_unitarily_invariant(self, d, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(random_density(d, rng))
+        u = haar_unitary(d, rng)
+        rotated = u @ rho.matrix @ u.conj().T
+        rotated = DensityMatrix(0.5 * (rotated + rotated.conj().T))
+        ex, ex_rot = texture_extrema(rho), texture_extrema(rotated)
+        assert abs(ex.t_max - ex_rot.t_max) <= 1e-12
+        assert abs(ex.t_min - ex_rot.t_min) <= 1e-12
+
+    @_PROPERTY_SETTINGS
+    @given(strat.integers(1, 8), strat.integers(1, 6), strat.integers(0, 2 ** 32 - 1))
+    def test_texture_purity_does_not_grow_under_mixed_unitaries(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(random_density(d, rng))
+        weights = rng.dirichlet(np.ones(k))
+        out = sum(p * v @ rho.matrix @ v.conj().T
+                  for p, v in zip(weights, (haar_unitary(d, rng) for _ in range(k))))
+        out = DensityMatrix(0.5 * (out + out.conj().T))
+        assert texture_purity(out) <= texture_purity(rho) + 1e-12
 
 
 class TestRugosityPure:
