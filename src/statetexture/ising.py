@@ -312,9 +312,13 @@ def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObs
     needed at r = 0, +1 and -1 only, so three sums: of sin^2 theta =
     (lam + delta) / (2 lam), of sin^2 theta cos phi, and of
     -sin theta cos theta sin phi = sin^2 phi / (2 lam).
+
+    The correlators are even in h and m_z is odd, as the table is symmetric
+    under phi -> pi - phi, so all are taken at |h|: for h << 0 every
+    sin^2 theta is near 1 and the hopping sum would cancel to its rounding.
     """
     n = 2 * table[0].size
-    delta, sin2, lam, s = _dispersion(table, h)
+    delta, sin2, lam, s = _dispersion(table, abs(h))
     sin2_t = _half_sum(lam, delta, sin2)
     diagonal = float(np.sum(sin2_t))
     hopping = float(np.dot(sin2_t, table[0]))
@@ -325,7 +329,8 @@ def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObs
     m_z = 1.0 - 4.0 * diagonal / n
     g_plus = 4.0 * (hopping + pairing) / n
     g_minus = 4.0 * (hopping - pairing) / n
-    return _pair_report(m_z, g_plus, g_minus, m_z * m_z - g_plus * g_minus)
+    return _pair_report(-m_z if h < 0.0 else m_z, g_plus, g_minus,
+                        m_z * m_z - g_plus * g_minus)
 
 
 def _pair_state_matrix(m_z: float, c_xx: float, c_yy: float, c_zz: float) -> np.ndarray:

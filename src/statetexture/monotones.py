@@ -118,15 +118,19 @@ def _digits(side: Tuple[int, ...]) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _gme_table(dims: Tuple[int, ...]):
     """Every bipartition of subsystems ``dims`` and the GME screen's table
-    of them (about 0.2 MB at twelve qubits), built once per ``dims``.
+    of them (about 0.4 MB at twelve qubits), built once per ``dims``.
 
-    The table groups the cuts by the subsystem dimensions of their smaller
-    and larger sides, smallest side first; in a group, the cuts whose side A
-    (holding subsystem 0) is the smaller one come first.  A group holds the
-    cut positions, whether side A is the smaller one, the strides in the
-    flat state of each cut's smaller-side and larger-side subsystems, and
-    the two sides' digit tables, so that ``strides @ digits`` are a side's
-    offsets."""
+    The table has one level per number k of subsystems on a cut's smaller
+    side, k ascending.  A level holds its cut positions; for each of them,
+    the positions of the k cuts whose one side is the smaller side less one
+    of its subsystems T, and d_T (neither for k = 1); and its groups,
+    smallest side first.  A group gathers the level's cuts with the same
+    subsystem dimensions on the smaller and the larger side; in a group,
+    the cuts whose side A (holding subsystem 0) is the smaller one come
+    first.  A group holds the cut positions, whether side A is the smaller
+    one, the strides in the flat state of each cut's smaller-side and
+    larger-side subsystems, and the two sides' digit tables, so that
+    ``strides @ digits`` are a side's offsets."""
     n = len(dims)
     cuts = _Bipartitions(n)
     member = np.ones((len(cuts), n), dtype=bool)  # side A, as in _Bipartitions
@@ -137,27 +141,38 @@ def _gme_table(dims: Tuple[int, ...]):
     a_small = d_a * d_a <= math.prod(dims)
     small = member == a_small[:, None]
     n_small = small.sum(axis=1)
-    groups = []
+    # a side's cut position is the sum of its subsystems' weights if it
+    # holds subsystem 0, else len(cuts) less that sum (its complement's)
+    weight = np.concatenate([[0], 1 << np.arange(n - 1)])
+    levels = []
     for k in range(1, n):
         rows = np.flatnonzero(n_small == k)
         if not rows.size:
             continue
         parties_s = np.nonzero(small[rows])[1].reshape(len(rows), k)
         parties_l = np.nonzero(~small[rows])[1].reshape(len(rows), n - k)
+        nested = None, None  # a one-subsystem side has no smaller side
+        if k > 1:
+            subs = (small[rows] @ weight)[:, None] - weight[parties_s]
+            subs = np.where(small[rows, :1] & (parties_s != 0), subs, len(cuts) - subs)
+            nested = subs, sizes[parties_s][:, :, None].astype(float)
         members: Dict[Tuple[int, ...], List[int]] = {}
         for j, key in enumerate(np.concatenate([sizes[parties_s], sizes[parties_l]], axis=1).tolist()):
             members.setdefault(tuple(key), []).append(j)
+        groups = []
         for key, pick in members.items():
             pick = np.array(pick)
             pick = pick[np.argsort(~a_small[rows[pick]], kind="stable")]
             groups.append((math.prod(key[:k]), rows[pick].min(), rows[pick], a_small[rows[pick]],
                            strides[parties_s[pick]], strides[parties_l[pick]],
                            _digits(key[:k]), _digits(key[k:])))
-    groups.sort(key=lambda group: group[:2])
-    groups = [group[2:] for group in groups]
-    for array in (array for group in groups for array in group):
-        array.setflags(write=False)  # the table is shared by every caller
-    return cuts, groups
+        groups.sort(key=lambda group: group[:2])
+        levels.append((rows, *nested, [group[2:] for group in groups]))
+    for rows, subs, factor, groups in levels:
+        for array in (rows, subs, factor, *(array for group in groups for array in group)):
+            if array is not None:
+                array.setflags(write=False)  # the table is shared by every caller
+    return cuts, levels
 
 
 def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
@@ -174,14 +189,35 @@ def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
     return top
 
 
+def _nested_upper(upper: np.ndarray, subs: np.ndarray, factor: np.ndarray,
+                  margin: np.ndarray) -> np.ndarray:
+    """Upper bounds on lambda_1 of one level's cuts from the bounds ``upper``
+    on their sub-sides: ``lambda_1(rho_A) <= d_T lambda_1(rho_S)`` for
+    S = A less T, as rho_A <= d_T rho_S x I_T.  A bound within ``margin``
+    of lambda_1(rho_S) from below still gives one on lambda_1(rho_A), as
+    the margin is multiplied through by d_T."""
+    return (factor * (upper[subs] + margin)).min(axis=1)
+
+
+def _nested_clears(levels, upper: np.ndarray, floor: np.ndarray, margin: np.ndarray) -> bool:
+    """Whether the nested bounds, level by level, put every cut of
+    ``levels`` below ``floor`` for every row; each level's bounds are
+    written to ``upper``, up to the first level that is not cleared."""
+    for index, subs, factor, _ in levels:
+        upper[index] = _nested_upper(upper, subs, factor, margin)
+        if not (upper[index] < floor).all():
+            return False
+    return True
+
+
 def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
-                     groups) -> np.ndarray:
+                     levels) -> np.ndarray:
     """For each row of ``w``, the first cut with the largest top singular
     value, as ``svd(compute_uv=False)`` computes it; see ``nearest_product``."""
     m, d = w.shape
     tops = np.empty((len(cuts), m))  # the singular values computed, else -1
     # the first chunk, of the smallest cuts, sets each row's best exactly
-    first = groups[0][0][:SCREEN_CHUNK]
+    first = levels[0][3][0][0][:SCREEN_CHUNK]
     for k in first.tolist():
         tops[k] = np.linalg.svd(_cut_matrices(w, dims, cuts[k]), compute_uv=False)[:, 0]
     if len(first) == len(cuts):
@@ -192,43 +228,48 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
     flat = w.view(float)
     norm2 = np.einsum("ij,ij->i", flat, flat)
     margin = SCREEN_MARGIN * d * np.finfo(float).eps * norm2
-    upper = np.empty((len(cuts), m))  # per cut and row, an upper bound
+    # per cut and row, an upper bound: inf until one is known, so that a
+    # nested bound from a side not yet bounded is inf too
+    upper = np.full((len(cuts), m), np.inf)
     upper[first] = computed ** 2
     best = upper[first].max(axis=0)  # per row, the largest lower bound so far
-    for g, (index, a_small, strides_s, strides_l, digits_s, digits_l) in enumerate(groups):
-        size = digits_s.shape[1]
-        diagonal = np.arange(size)
-        root = math.sqrt(max(size - 1, 1))
-        mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
-        for start in range(SCREEN_CHUNK if g == 0 else 0, len(index), SCREEN_CHUNK):
-            part = slice(start, start + SCREEN_CHUNK)
-            cut_ids = index[part]
-            off = (strides_s[part] @ digits_s)[:, :, None] + (strides_l[part] @ digits_l)[:, None, :]
-            mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
-            # a cut whose max_i G_ii reaches the best is a contender
-            # whatever G says: it gets its singular value at once
-            flat = mats.view(float)
-            sure = np.einsum("...j,...j->...", flat, flat).max(-1) >= (best - margin)[:, None]
-            if sure.all():
-                top = _top_singular_values(mats, a_small[part])
-                tops[cut_ids] = top.T
-                upper[cut_ids] = (top * top).T
-                best = np.maximum(best, (top * top).max(-1))
-                continue
-            # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
-            gram = mats @ mats.conj().swapaxes(-1, -2)
-            gram[..., diagonal, diagonal] -= mean[:, :, None]
-            mod = np.abs(gram)
-            spread = np.sqrt(np.einsum("...ij,...ij->...", mod, mod) / size)
-            hi = np.minimum(mod.sum(-1).max(-1), spread * root) + mean
-            lo = spread / root + mean
-            if sure.any():
-                rows, cols = np.nonzero(sure)
-                top = _top_singular_values(mats[rows, cols], a_small[part][cols])
-                tops[cut_ids[cols], rows] = top
-                hi[rows, cols] = lo[rows, cols] = top * top
-            upper[cut_ids] = hi.T
-            best = np.maximum(best, lo.max(-1))
+    for level, (_, _, _, groups) in enumerate(levels):
+        if level and _nested_clears(levels[level:], upper, best - margin, margin):
+            break
+        for g, (index, a_small, strides_s, strides_l, digits_s, digits_l) in enumerate(groups):
+            size = digits_s.shape[1]
+            diagonal = np.arange(size)
+            root = math.sqrt(max(size - 1, 1))
+            mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
+            for start in range(SCREEN_CHUNK if level == g == 0 else 0, len(index), SCREEN_CHUNK):
+                part = slice(start, start + SCREEN_CHUNK)
+                cut_ids = index[part]
+                off = (strides_s[part] @ digits_s)[:, :, None] + (strides_l[part] @ digits_l)[:, None, :]
+                mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
+                # a cut whose max_i G_ii reaches the best is a contender
+                # whatever G says: it gets its singular value at once
+                flat = mats.view(float)
+                sure = np.einsum("...j,...j->...", flat, flat).max(-1) >= (best - margin)[:, None]
+                if sure.all():
+                    top = _top_singular_values(mats, a_small[part])
+                    tops[cut_ids] = top.T
+                    upper[cut_ids] = (top * top).T
+                    best = np.maximum(best, (top * top).max(-1))
+                    continue
+                # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
+                gram = mats @ mats.conj().swapaxes(-1, -2)
+                gram[..., diagonal, diagonal] -= mean[:, :, None]
+                mod = np.abs(gram)
+                spread = np.sqrt(np.einsum("...ij,...ij->...", mod, mod) / size)
+                hi = np.minimum(mod.sum(-1).max(-1), spread * root) + mean
+                lo = spread / root + mean
+                if sure.any():
+                    rows, cols = np.nonzero(sure)
+                    top = _top_singular_values(mats[rows, cols], a_small[part][cols])
+                    tops[cut_ids[cols], rows] = top
+                    hi[rows, cols] = lo[rows, cols] = top * top
+                upper[cut_ids] = hi.T
+                best = np.maximum(best, lo.max(-1))
     contenders = upper >= best - margin
     pending = contenders & (tops < 0.0)
     if pending.any():
@@ -242,26 +283,45 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
     return np.argmax(np.where(contenders, tops, -1.0), axis=0)
 
 
-def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], groups=None):
+def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], table=None):
     """Oracle over the states that are products across one of ``cuts``: for
     each row, the leading Schmidt pair of the cut with the largest Schmidt
     coefficient, the first such cut on ties.  With several cuts the winning
-    cut comes from a screen over the cut table ``groups`` (from
+    cut comes from a screen over the cut table ``table`` (from
     ``_gme_table``, required then), and Schmidt vectors are computed for the
     winning cuts only.
 
-    The screen runs the groups from the smallest side up, in chunks of
-    ``SCREEN_CHUNK`` cuts.  The first chunk gets its top singular values
-    from ``svd(compute_uv=False)``, one SVD per cut as before, which sets
-    each row's best value.  For a later cut, let M be its matrix with the
-    smaller side (size S) as rows, G = M M^+ its reduced state, m = tr G / S
-    and s^2 = |G - m I|_F^2 / S.  Then ``max_i G_ii <= lambda_1(G)``,
-    ``m + s / sqrt(S - 1) <= lambda_1(G)`` and ``lambda_1(G) <= m +
-    min(|G - m I|_inf, s sqrt(S - 1))``: Gershgorin's bound and Wolkowicz
-    and Styan's bounds, the latter exact for S = 2 and never above |G|_F.
-    A cut whose ``max_i G_ii`` already reaches the best skips G and gets its
-    singular value at once (every cut of a GHZ state does).  The others get
-    G's bounds, and the best grows with each lower bound and singular value.
+    The screen runs the levels of the table, from one subsystem on the
+    smaller side up, each group in chunks of ``SCREEN_CHUNK`` cuts.  The
+    first chunk gets its top singular values from ``svd(compute_uv=False)``,
+    one SVD per cut as before, which sets each row's best value.  For a later
+    cut, let M be its matrix with the smaller side (size S) as rows, G = M M^+
+    its reduced state, m = tr G / S and s^2 = |G - m I|_F^2 / S.  Then
+    ``max_i G_ii <= lambda_1(G)``, ``m + s / sqrt(S - 1) <= lambda_1(G)`` and
+    ``lambda_1(G) <= m + min(|G - m I|_inf, s sqrt(S - 1))``: Gershgorin's
+    bound and Wolkowicz and Styan's bounds, the latter exact for S = 2 and
+    never above |G|_F.  A cut whose ``max_i G_ii`` already reaches the best
+    skips G and gets its singular value at once (every cut of a GHZ state
+    does).  The others get G's bounds, and the best grows with each lower
+    bound and singular value.
+
+    Larger sides are bounded from smaller ones before they are gathered.
+    For a side A, a subsystem T of it and S = A less T, twirling T with its
+    Weyl operators gives rho_A <= d_T rho_S x I_T, so lambda_1(rho_A) <=
+    d_T lambda_1(rho_S) <= d_T (upper(S) + margin), the margin (below) being
+    multiplied through so that it still covers the rounding of upper(S);
+    A's nested bound is the least over its subsystems T.  Before each level
+    after the first, the nested bounds are carried level by level through
+    all the levels left, each from the bounds of the one before.  If they
+    put every cut of every level left below the best less the margin, for
+    every row, the screen stops: those cuts keep their nested bounds and are
+    never gathered.  Otherwise the level is formed in full, as its G bounds
+    are what make the next levels' nested bounds tight: skipping a level
+    doubles (for qubits) the bounds above it.  On Haar states the screen
+    stops before the 5-qubit sides at 12 qubits (40 of 40 states), before
+    the last level at 9 to 11 qubits (40 of 40) and at 8 qubits (14 of 40).
+    Ties such as GHZ, W and Dicke states never clear and form every level,
+    as before.
 
     A cut is a contender for a row when its upper bound (its squared
     singular value, where computed) is within the margin
@@ -274,7 +334,7 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], g
     included, and the outputs are bitwise those of that rule."""
     if len(cuts) == 1:
         return (*_leading_pair(w, dims, cuts[0]), np.zeros(len(w), dtype=np.intp))
-    choice = _screened_choice(w, dims, cuts, groups)
+    choice = _screened_choice(w, dims, cuts, table)
     winners = np.unique(choice)
     if len(winners) == 1:
         return (*_leading_pair(w, dims, cuts[winners[0]]), choice)
@@ -316,8 +376,8 @@ def free_state_oracle(theory: str, dims: Tuple[int, ...],
             raise ResourceLimitError(
                 f"bipartition enumeration is limited to {MAX_GME_PARTIES} parties, got {n}"
             )
-        cuts, groups = _gme_table(tuple(dims))
-        return (lambda w: nearest_product(w, dims, cuts, groups)), cuts
+        cuts, table = _gme_table(tuple(dims))
+        return (lambda w: nearest_product(w, dims, cuts, table)), cuts
     return (lambda w: nearest_product(w, dims, cuts)), cuts
 
 
@@ -366,7 +426,11 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     but only contenders are decomposed: bounds on each cut's reduced-state
     spectrum (``nearest_product``: Gershgorin and Wolkowicz-Styan, with a
     stated rounding margin) drop the cuts that cannot win, so the value and
-    the witness cut are bitwise those of one SVD per cut."""
+    the witness cut are bitwise those of one SVD per cut.  A larger side is
+    bounded by ``lambda_1(rho_A) <= d_T (upper(A less T) + margin)`` from
+    its one-subsystem-smaller sides first; once these nested bounds clear
+    every larger cut, the screen stops, so at 9 to 12 qubits the cuts with
+    the largest sides are never formed."""
     return pure_state_monotone(psi, "gme")
 
 

@@ -1,6 +1,13 @@
 import math
+import os
 
-import numpy as np
+# one BLAS thread, as in the benchmark, set before numpy loads OpenBLAS: on a
+# 2-core VM its default two threads made the suite slower (~28 s against
+# ~24.5 s), and a 0.04 s test took 1.2 s after the hypothesis screen test
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from statetexture import DensityMatrix, PureState

@@ -174,6 +174,15 @@ class TestPairObservables:
         assert "rho_pair" not in vars(obs)
         assert obs.rho_pair is obs.rho_pair
 
+    @pytest.mark.parametrize("h", [-3.0, -1e10, -1e100])
+    def test_correlators_even_and_magnetization_odd_in_h(self, h):
+        # c_xx and c_yy fall like 1/|h|: at large negative h they must not
+        # cancel to a rounding residue that +h does not show
+        neg, pos = pair_observables(ChainSpec(64, h)), pair_observables(ChainSpec(64, -h))
+        for name in ("c_xx", "c_yy", "c_zz"):
+            assert abs(getattr(neg, name) - getattr(pos, name)) <= 1e-12 * abs(getattr(pos, name))
+        assert abs(neg.m_z + pos.m_z) <= 1e-12 * abs(pos.m_z)
+
 
 class TestHugeFields:
     """Fields too large to square are scaled by a power of two."""

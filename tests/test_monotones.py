@@ -12,6 +12,7 @@ from statetexture import (PureState, ResourceLimitError,
                           nonstabilizerness_monotone, random_state,
                           sampled_local_texture_bound,
                           single_qubit_clifford_group, texture_in_basis)
+import statetexture.monotones as monotones
 from statetexture.monotones import free_state_oracle
 
 STABILIZER_QUBITS = [
@@ -24,12 +25,15 @@ STABILIZER_QUBITS = [
 ]
 
 
+CLIFFORDS = single_qubit_clifford_group()
+
+
 def clifford_magic_brute_force(psi: PureState) -> float:
     """Minimum texture over the 24 Clifford rotations, measured in the
     Fourier basis (whose texture-less state is |0>)."""
     basis = fourier_basis(2)
     best = math.inf
-    for u in single_qubit_clifford_group():
+    for u in CLIFFORDS:
         rotated = PureState(u @ psi.amplitudes)
         best = min(best, texture_in_basis(rotated, basis).texture)
     return best
@@ -191,6 +195,26 @@ def dicke(n, k):
     return amp / np.linalg.norm(amp)
 
 
+def haar_ket(d, rng):
+    amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.fixture
+def nested_stops(monkeypatch):
+    """Whether each nested-bound check of the GME screen cleared every
+    remaining cut; a screen stops at the first that did."""
+    checks = []
+    clears = monotones._nested_clears
+
+    def recording(*args):
+        checks.append(clears(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(monotones, "_nested_clears", recording)
+    return checks
+
+
 def assert_matches_one_svd_per_cut(w, dims):
     nearest, cuts = free_state_oracle("gme", tuple(dims))
     overlap, phi, choice = nearest(w)
@@ -199,6 +223,7 @@ def assert_matches_one_svd_per_cut(w, dims):
     assert overlap.tobytes() == ref_overlap.tobytes()
     assert np.array_equal(phi, ref_phi)
     assert len(cuts) == 2 ** (len(dims) - 1) - 1
+    return overlap, choice
 
 
 class TestScreenedOracle:
@@ -243,6 +268,168 @@ class TestScreenedOracle:
 
     def test_ghz_witness_is_the_first_cut(self, ghz3):
         assert gme_monotone(ghz3).witness["cut"] == ((0,), (1, 2))
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_haar_states_stop_at_nested_bounds(self, n, nested_stops):
+        amp = haar_ket(2 ** n, np.random.default_rng(100 + n))
+        assert_matches_one_svd_per_cut(amp[None, :], (2,) * n)
+        assert nested_stops[-1]
+
+    def test_product_of_two_haar_blocks(self, nested_stops):
+        # the winner is the balanced cut between the blocks, lambda_1 = 1:
+        # its nested bound is at least 1, so it is never skipped
+        rng = np.random.default_rng(6)
+        amp = np.kron(haar_ket(64, rng), haar_ket(64, rng))
+        overlap, choice = assert_matches_one_svd_per_cut(amp[None, :], (2,) * 12)
+        assert choice.tolist() == [0b11111]  # side A = parties 0..5
+        assert abs(overlap[0] - 1.0) < 1e-12
+        assert nested_stops and not any(nested_stops)
+
+    def test_ghz_times_haar(self, nested_stops):
+        ghz = np.zeros(8)
+        ghz[[0, -1]] = 1.0 / math.sqrt(2.0)
+        amp = np.kron(ghz, haar_ket(2 ** 7, np.random.default_rng(7)))
+        assert_matches_one_svd_per_cut(amp[None, :], (2,) * 10)
+        assert nested_stops[-1]
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 3, 2, 3, 2, 3), (3, 2, 1, 3, 2, 2, 1, 2, 3, 2),
+                                      (1, 3, 2, 2, 3, 1, 2, 2, 2)])
+    def test_mixed_dimensions(self, dims, nested_stops):
+        amp = haar_ket(math.prod(dims), np.random.default_rng(len(dims)))
+        assert_matches_one_svd_per_cut(amp[None, :], dims)
+        assert nested_stops[-1]
+
+    @pytest.mark.parametrize("dims, pairs", [((2,) * 6, [(0, 1), (2, 3), (4, 5)]),
+                                             ((3, 1, 3, 2, 2), [(0, 2), (3, 4)])])
+    def test_nested_bounds_hold_within_the_margin(self, dims, pairs):
+        # maximally entangled pairs make lambda_1(A) = d_T lambda_1(A less T)
+        # exact for a side A holding a pair and T one of its parties
+        amp = np.zeros(dims)
+        for idx in np.ndindex(*dims):
+            amp[idx] = all(idx[a] == idx[b] for a, b in pairs)
+        amp = amp.ravel() / np.linalg.norm(amp)
+        cuts, levels = monotones._gme_table(dims)
+        lam = []
+        for side_a, side_b in cuts:
+            mat = amp.reshape(dims).transpose(side_a + side_b).reshape(math.prod(
+                dims[k] for k in side_a), -1)
+            lam.append(np.linalg.svd(mat, compute_uv=False)[0] ** 2)
+        lam = np.array(lam)[:, None]
+        assert lam.max() == pytest.approx(1.0)
+        # each sub-side is a side of its cut with one party T less, d_T apart
+        def missing(side, part):
+            rest = set(side) - set(part)
+            return rest.pop() if set(part) < set(side) and len(rest) == 1 else None
+
+        for index, subs, factor, _ in levels[1:]:
+            for c, sub, dt in zip(index, subs, factor[:, :, 0]):
+                for s_cut, d_t in zip(sub, dt):
+                    assert any(missing(side, part) is not None and d_t == dims[missing(side, part)]
+                               for side in cuts[c] for part in cuts[s_cut])
+        # bounds that undershoot by up to the margin, as rounded ones may,
+        # still bound every larger side: the margin is carried through d_T
+        margin = np.array([1e-3])
+        upper = lam - 0.999 * margin
+        for index, subs, factor, _ in levels[1:]:
+            assert (monotones._nested_upper(upper, subs, factor, margin) >= lam[index]).all()
+
+    def test_large_cuts_are_not_gathered(self, monkeypatch):
+        # at twelve qubits the bounds from the cuts with up to 4-qubit sides
+        # clear every cut with a 5- or 6-qubit smaller side: none of their
+        # matrices is formed, by a gather or by a transpose
+        formed = []
+        take, cut_matrices = np.take, monotones._cut_matrices
+
+        def counting_take(a, indices, *args, **kwargs):
+            if np.ndim(indices) == 3:  # (cut, smaller side, larger side) offsets
+                formed.extend([np.shape(indices)[1]] * len(indices))
+            return take(a, indices, *args, **kwargs)
+
+        def counting_cut_matrices(w, dims, cut):
+            mats = cut_matrices(w, dims, cut)
+            formed.append(min(mats.shape[1:]))
+            return mats
+
+        monkeypatch.setattr(np, "take", counting_take)
+        monkeypatch.setattr(monotones, "_cut_matrices", counting_cut_matrices)
+        amp = haar_ket(2 ** 12, np.random.default_rng(2024))
+        gme_monotone(PureState(amp, (2,) * 12))
+        sizes = {size: formed.count(size) for size in set(formed)}
+        # every cut with a 1- to 4-qubit side, the winner's once more
+        assert sizes == {2: 13, 4: 66, 8: 220, 16: 495}
+
+
+def local_rotation(amp, dims, rng):
+    """``amp`` with an independent Haar unitary on each party."""
+    tensor = amp.reshape(dims)
+    for k, d in enumerate(dims):
+        tensor = np.moveaxis(np.tensordot(haar_unitary(d, rng), tensor, axes=([1], [k])), 0, k)
+    return tensor.ravel()
+
+
+def assert_gme_invariant(amp, dims, order, rng):
+    base = gme_monotone(PureState(amp, dims)).value
+    relabeled = PureState(amp.reshape(dims).transpose(order).ravel(), [dims[k] for k in order])
+    assert abs(gme_monotone(relabeled).value - base) < 1e-12
+    rotated = PureState(local_rotation(amp, dims, rng), dims)
+    assert abs(gme_monotone(rotated).value - base) < 1e-12
+
+
+class TestFreeUnitaryInvariance:
+    """Each closed-form monotone is invariant under the free unitaries of
+    its theory."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(1, 16), strat.integers(0, 2 ** 32 - 1))
+    def test_coherence_under_phased_permutations(self, d, seed):
+        rng = np.random.default_rng(seed)
+        amp = haar_ket(d, rng)
+        moved = np.exp(2j * np.pi * rng.random(d)) * amp[rng.permutation(d)]
+        base = coherence_monotone(PureState(amp)).value
+        assert abs(coherence_monotone(PureState(moved)).value - base) < 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(0, 2 ** 32 - 1))
+    def test_magic_under_cliffords(self, seed):
+        amp = haar_ket(2, np.random.default_rng(seed))
+        base = nonstabilizerness_monotone(PureState(amp)).value
+        for u in CLIFFORDS:
+            assert abs(nonstabilizerness_monotone(PureState(u @ amp)).value - base) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_entanglement_under_local_unitaries(self, data):
+        n = data.draw(strat.integers(2, 5))
+        dims = [data.draw(strat.integers(1, 4)) for _ in range(n)]
+        side_a = sorted(data.draw(strat.sets(strat.integers(0, n - 1), min_size=1,
+                                             max_size=n - 1)))
+        side_b = [k for k in range(n) if k not in side_a]
+        rng = np.random.default_rng(data.draw(strat.integers(0, 2 ** 32 - 1)))
+        amp = haar_ket(math.prod(dims), rng)
+        base = entanglement_monotone(PureState(amp, dims), side_a).value
+        # the state as its d_A x d_B matrix, and back
+        d_a = math.prod(dims[k] for k in side_a)
+        mat = amp.reshape(dims).transpose(side_a + side_b).reshape(d_a, -1)
+        shape = [dims[k] for k in side_a + side_b]
+        back = np.argsort(side_a + side_b)
+        for moved in (haar_unitary(d_a, rng) @ mat, mat @ haar_unitary(mat.shape[1], rng)):
+            rotated = PureState(moved.reshape(shape).transpose(back).ravel(), dims)
+            assert abs(entanglement_monotone(rotated, side_a).value - base) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_gme_under_local_unitaries_and_relabeling(self, data):
+        n = data.draw(strat.integers(2, 7))
+        dims = [data.draw(strat.integers(1, 3)) for _ in range(n)]
+        order = data.draw(strat.permutations(range(n)))
+        rng = np.random.default_rng(data.draw(strat.integers(0, 2 ** 32 - 1)))
+        assert_gme_invariant(haar_ket(math.prod(dims), rng), dims, order, rng)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_gme_invariance_through_nested_bounds(self, n, nested_stops):
+        rng = np.random.default_rng(n)
+        assert_gme_invariant(haar_ket(2 ** n, rng), [2] * n, rng.permutation(n), rng)
+        assert nested_stops.count(True) == 3  # each screen stopped at the bounds
 
 
 class TestSampledLocalTextureBound:
