@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from statetexture import DensityMatrix, PureState, load_state, random_state, save_state
 from statetexture.cli import MAX_SCAN_POINTS, main
+from statetexture.ising import MAX_ANALYTIC_SITES, MAX_ED_SITES
 
 
 @pytest.fixture
@@ -393,6 +397,38 @@ class TestContract:
         with pytest.raises(Allocated):
             main(["ising", "scan", "--n", "8", "--axis", "h", "--from", "0",
                   "--to", repr(1.0 - 1.0 / MAX_SCAN_POINTS), "--step", step])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_ising_point_fuzz(self, data):
+        # every outcome of `ising point` leaves through an exit code and never
+        # prints nan, over extreme and non-finite fields and sizes, and every
+        # valid chain succeeds (ED only up to 12 sites, where a solve is cheap)
+        method = data.draw(strat.sampled_from(["analytic", "ed"]))
+        n = 2 * data.draw(strat.integers(-2, 10 ** 6 if method == "analytic" else 6))
+        n += data.draw(strat.booleans())
+        field = strat.one_of(
+            strat.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                                1.7976931348623157e308, 5e-324, -5e-324, 0.0, 1.0]),
+            strat.floats())
+        h = data.draw(field)
+        g = data.draw(field) if data.draw(strat.booleans()) else 0.0
+        observable = data.draw(strat.sampled_from(["full", "pair"]))
+        argv = ["ising", "point", f"--n={n}", f"--h={h!r}", f"--g={g!r}",
+                "--method", method, "--observable", observable]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+        limit = MAX_ANALYTIC_SITES if method == "analytic" else MAX_ED_SITES
+        valid = (2 <= n <= limit and n % 2 == 0 and math.isfinite(h) and math.isfinite(g)
+                 and (method == "ed" or g == 0.0))
+        if valid:
+            assert code == 0, (argv, err.getvalue())
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "texture", "--state", str(tmp_path / "nope.state"))

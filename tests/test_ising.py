@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,6 +222,117 @@ class TestHugeFields:
         assert ising._field_scale(1e100) != 1.0
         assert values() == unscaled
 
+    @pytest.mark.parametrize("h, g", [(1.7976931348623157e308, 0.0), (-1e308, 0.0),
+                                      (1e300, 5e-324), (0.5, -1.7976931348623157e308)])
+    def test_ed_every_finite_field_gives_finite_values(self, h, g):
+        spec = ChainSpec(8, h, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ed_ground(spec)
+            obs = ed_pair_observables(spec)
+        # polarized along z (a basis state) or, for g << 0, along +x (uniform)
+        want, pair = (0.0, math.log(2)) if g < 0.0 else (8 * math.log(2), math.log(4))
+        assert abs(rugosity_pure(res.state) - want) < 1e-9
+        assert abs(obs.pair_rugosity - pair) < 1e-12
+        assert not res.degenerate
+
+    def test_ed_scaling_matches_unscaled(self, monkeypatch):
+        specs = [ChainSpec(8, 0.7, 0.3), ChainSpec(8, 1.5), ChainSpec(8, -3.0, -0.2)]
+        unscaled = [ed_ground(spec) for spec in specs]
+        monkeypatch.setattr(ising, "_UNSCALED_FIELD", 0.25)
+        for spec, want in zip(specs, unscaled):
+            got = ed_ground(spec)
+            assert abs(got.energy - want.energy) <= 1e-12 * abs(want.energy)
+            assert abs(got.gap - want.gap) <= 1e-10 * want.gap
+            assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) < 1e-12
+
+
+def _mode_terms(n, h):
+    """The per-mode arrays the analytic kernels sum, for |h| <= 2^256: ln of
+    the pair amplitudes, then at |h| sin^2 theta, cos phi and sin^2 phi / lam,
+    then lam at h."""
+    table = ising._momentum_table(n)
+    log_amp = ising._log_pair_amplitudes(table, h)
+    delta, sin2, lam, s = ising._dispersion(table, abs(h))
+    assert s == 1.0
+    return (log_amp, ising._half_sum(lam, delta, sin2), table[0], sin2 / lam,
+            ising._dispersion(table, h)[2])
+
+
+def _kernels_from_modes(n, h, total, inner):
+    """Rugosity, m_z, c_xx, c_yy, c_zz and ground energy from the per-mode
+    arrays of the whole chain, summed by ``total`` and ``inner``."""
+    log_amp, sin2_t, cos_phi, pairing, lam = _mode_terms(n, h)
+    diagonal, hopping = float(total(sin2_t)), float(inner(sin2_t, cos_phi))
+    pairing = 0.5 * float(total(pairing))
+    m_z = 1.0 - 4.0 * diagonal / n
+    g_plus, g_minus = 4.0 * (hopping + pairing) / n, 4.0 * (hopping - pairing) / n
+    return (float(math.log(2.0) - total(log_amp)), -m_z if h < 0.0 else m_z, g_plus, g_minus,
+            m_z * m_z - g_plus * g_minus, -float(total(lam)))
+
+
+def _kernel_values(n, h):
+    spec = ChainSpec(n, h)
+    obs = pair_observables(spec)
+    return (analytic_rugosity(spec), obs.m_z, obs.c_xx, obs.c_yy, obs.c_zz,
+            dispersion_ground_energy(spec))
+
+
+class TestBlockedKernels:
+    """The analytic kernels run on blocks of ``ising._MODE_BLOCK`` modes of a
+    momentum table cached per chain length."""
+
+    @pytest.mark.parametrize("n", [2, 64, 2 * ising._MODE_BLOCK])
+    def test_one_block_is_bitwise_one_slice(self, n):
+        for h in (0.0, 0.3, 1.0, -1.2, 50.0):
+            assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, np.dot)
+
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.5, -1.2, 50.0])
+    def test_many_blocks_match_fsum(self, h):
+        n = 10 ** 6
+        want = _kernels_from_modes(n, h, math.fsum, lambda x, y: math.fsum(x * y))
+        for got, ref in zip(_kernel_values(n, h), want):
+            assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref))
+
+    def test_multi_block_scan_equals_point_values(self):
+        n = 65540
+        grid = np.linspace(0.6, 1.4, 5)
+        full = scan(ChainSpec(n, 0.0), "h", grid, method="analytic")
+        pair = scan(ChainSpec(n, 0.0), "h", grid, observable="pair", method="analytic")
+        for k, h in enumerate(grid):
+            assert full.rugosity[k] == analytic_rugosity(ChainSpec(n, h))
+            assert pair.rugosity[k] == pair_observables(ChainSpec(n, h)).pair_rugosity
+
+    def test_table_is_cached_and_read_only(self):
+        table = ising._momentum_table(64)
+        assert ising._momentum_table(64) is table
+        for column in table:
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_scan_and_points_build_one_table(self):
+        ising._momentum_table.cache_clear()
+        n = 4096
+        scan(ChainSpec(n, 0.0), "h", np.linspace(0.5, 1.5, 5), method="analytic")
+        spec = ChainSpec(n, 0.7)
+        analytic_rugosity(spec)
+        pair_observables(spec)
+        dispersion_ground_energy(spec)
+        assert ising._momentum_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("kernel", [analytic_rugosity, pair_observables,
+                                        dispersion_ground_energy])
+    def test_peak_memory_is_a_few_blocks(self, kernel):
+        spec = ChainSpec(10 ** 6, 0.7)
+        kernel(spec)  # the table is built here, outside the measurement
+        tracemalloc.start()
+        try:
+            kernel(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
 
 class TestEdGroundState:
     def test_two_site_ground_space(self):
@@ -408,6 +520,20 @@ class TestScan:
         grid = np.linspace(0.0, 2.0, 21)
         with pytest.raises(UsageError):
             scan(ChainSpec(64, 0.0), "h", grid, method="analytic", kink_window=(5.0, 6.0))
+
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.2, math.inf), (0.8, 0.2),
+                                        (5.0, 6.0)])
+    @pytest.mark.parametrize("method", ["analytic", "ed"])
+    def test_bad_kink_window_rejected_before_any_point(self, monkeypatch, window, method):
+        calls = []
+        for name in ("_rugosity", "_ed_ground"):
+            kernel = getattr(ising, name)
+            monkeypatch.setattr(ising, name,
+                                lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+        with pytest.raises(UsageError):
+            scan(ChainSpec(8, 0.0), "h", np.linspace(0.0, 1.0, 11), method=method,
+                 kink_window=window)
+        assert calls == []
 
     def test_kink_stable_under_refinement(self):
         coarse = scan(ChainSpec(128, 0.0), "h", np.arange(0.0, 2.0 + 1e-12, 0.02),
