@@ -123,14 +123,12 @@ def _gme_table(dims: Tuple[int, ...]):
     The table has one level per number k of subsystems on a cut's smaller
     side, k ascending.  A level holds its cut positions; for each of them,
     the positions of the k cuts whose one side is the smaller side less one
-    of its subsystems T, and d_T (neither for k = 1); and its groups,
-    smallest side first.  A group gathers the level's cuts with the same
-    subsystem dimensions on the smaller and the larger side; in a group,
-    the cuts whose side A (holding subsystem 0) is the smaller one come
-    first.  A group holds the cut positions, whether side A is the smaller
-    one, the strides in the flat state of each cut's smaller-side and
-    larger-side subsystems, and the two sides' digit tables, so that
-    ``strides @ digits`` are a side's offsets."""
+    of its subsystems T, and d_T (neither for k = 1); and its groups.  A
+    group gathers the level's cuts with the same subsystem dimensions on the
+    smaller and the larger side.  It holds the cut positions, the strides in
+    the flat state of each cut's smaller-side and larger-side subsystems,
+    and the two sides' digit tables, so that ``strides @ digits`` are a
+    side's offsets."""
     n = len(dims)
     cuts = _Bipartitions(n)
     member = np.ones((len(cuts), n), dtype=bool)  # side A, as in _Bipartitions
@@ -138,8 +136,7 @@ def _gme_table(dims: Tuple[int, ...]):
     sizes = np.array(dims)
     strides = np.array([math.prod(dims[k + 1:]) for k in range(n)])
     d_a = np.where(member, sizes, 1).prod(axis=1)
-    a_small = d_a * d_a <= math.prod(dims)
-    small = member == a_small[:, None]
+    small = member == (d_a * d_a <= math.prod(dims))[:, None]
     n_small = small.sum(axis=1)
     # a side's cut position is the sum of its subsystems' weights if it
     # holds subsystem 0, else len(cuts) less that sum (its complement's)
@@ -156,37 +153,19 @@ def _gme_table(dims: Tuple[int, ...]):
             subs = (small[rows] @ weight)[:, None] - weight[parties_s]
             subs = np.where(small[rows, :1] & (parties_s != 0), subs, len(cuts) - subs)
             nested = subs, sizes[parties_s][:, :, None].astype(float)
-        members: Dict[Tuple[int, ...], List[int]] = {}
-        for j, key in enumerate(np.concatenate([sizes[parties_s], sizes[parties_l]], axis=1).tolist()):
-            members.setdefault(tuple(key), []).append(j)
+        keys, group = np.unique(np.concatenate([sizes[parties_s], sizes[parties_l]], axis=1),
+                                axis=0, return_inverse=True)
         groups = []
-        for key, pick in members.items():
-            pick = np.array(pick)
-            pick = pick[np.argsort(~a_small[rows[pick]], kind="stable")]
-            groups.append((math.prod(key[:k]), rows[pick].min(), rows[pick], a_small[rows[pick]],
-                           strides[parties_s[pick]], strides[parties_l[pick]],
-                           _digits(key[:k]), _digits(key[k:])))
-        groups.sort(key=lambda group: group[:2])
-        levels.append((rows, *nested, [group[2:] for group in groups]))
+        for g, key in enumerate(keys.tolist()):
+            pick = group.ravel() == g
+            groups.append((rows[pick], strides[parties_s[pick]], strides[parties_l[pick]],
+                           _digits(tuple(key[:k])), _digits(tuple(key[k:]))))
+        levels.append((rows, *nested, groups))
     for rows, subs, factor, groups in levels:
         for array in (rows, subs, factor, *(array for group in groups for array in group)):
             if array is not None:
                 array.setflags(write=False)  # the table is shared by every caller
     return cuts, levels
-
-
-def _top_singular_values(mats: np.ndarray, a_small: np.ndarray) -> np.ndarray:
-    """``svd(compute_uv=False)[0]`` of smaller-side-first cut matrices
-    ``mats[..., S, L]``, each taken side A first as one SVD per cut takes it;
-    ``a_small`` says, along the last batch axis, where side A is side S."""
-    top = np.empty(mats.shape[:-2])
-    for small_first in (True, False):
-        pick = a_small == small_first
-        if pick.any():
-            sub = mats if pick.all() else mats[..., pick, :, :]
-            top[..., pick] = np.linalg.svd(sub if small_first else sub.swapaxes(-1, -2),
-                                           compute_uv=False)[..., 0]
-    return top
 
 
 def _nested_upper(upper: np.ndarray, subs: np.ndarray, factor: np.ndarray,
@@ -214,73 +193,45 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
                      levels) -> np.ndarray:
     """For each row of ``w``, the first cut with the largest top singular
     value, as ``svd(compute_uv=False)`` computes it; see ``nearest_product``."""
+    if len(cuts) <= SCREEN_CHUNK:
+        return np.argmax([np.linalg.svd(_cut_matrices(w, dims, cut), compute_uv=False)[:, 0]
+                          for cut in cuts], axis=0)
     m, d = w.shape
-    tops = np.empty((len(cuts), m))  # the singular values computed, else -1
-    # the first chunk, of the smallest cuts, sets each row's best exactly
-    first = levels[0][3][0][0][:SCREEN_CHUNK]
-    for k in first.tolist():
-        tops[k] = np.linalg.svd(_cut_matrices(w, dims, cuts[k]), compute_uv=False)[:, 0]
-    if len(first) == len(cuts):
-        return np.argmax(tops, axis=0)
-    computed = tops[first]
-    tops.fill(-1.0)
-    tops[first] = computed
     flat = w.view(float)
     norm2 = np.einsum("ij,ij->i", flat, flat)
     margin = SCREEN_MARGIN * d * np.finfo(float).eps * norm2
     # per cut and row, an upper bound: inf until one is known, so that a
     # nested bound from a side not yet bounded is inf too
     upper = np.full((len(cuts), m), np.inf)
-    upper[first] = computed ** 2
-    best = upper[first].max(axis=0)  # per row, the largest lower bound so far
+    best = np.zeros(m)  # per row, the largest lower bound so far
     for level, (_, _, _, groups) in enumerate(levels):
         if level and _nested_clears(levels[level:], upper, best - margin, margin):
             break
-        for g, (index, a_small, strides_s, strides_l, digits_s, digits_l) in enumerate(groups):
+        for index, strides_s, strides_l, digits_s, digits_l in groups:
             size = digits_s.shape[1]
             diagonal = np.arange(size)
             root = math.sqrt(max(size - 1, 1))
             mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
-            for start in range(SCREEN_CHUNK if level == g == 0 else 0, len(index), SCREEN_CHUNK):
+            for start in range(0, len(index), SCREEN_CHUNK):
                 part = slice(start, start + SCREEN_CHUNK)
-                cut_ids = index[part]
                 off = (strides_s[part] @ digits_s)[:, :, None] + (strides_l[part] @ digits_l)[:, None, :]
                 mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
-                # a cut whose max_i G_ii reaches the best is a contender
-                # whatever G says: it gets its singular value at once
-                flat = mats.view(float)
-                sure = np.einsum("...j,...j->...", flat, flat).max(-1) >= (best - margin)[:, None]
-                if sure.all():
-                    top = _top_singular_values(mats, a_small[part])
-                    tops[cut_ids] = top.T
-                    upper[cut_ids] = (top * top).T
-                    best = np.maximum(best, (top * top).max(-1))
-                    continue
                 # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
                 gram = mats @ mats.conj().swapaxes(-1, -2)
                 gram[..., diagonal, diagonal] -= mean[:, :, None]
                 mod = np.abs(gram)
                 spread = np.sqrt(np.einsum("...ij,...ij->...", mod, mod) / size)
-                hi = np.minimum(mod.sum(-1).max(-1), spread * root) + mean
-                lo = spread / root + mean
-                if sure.any():
-                    rows, cols = np.nonzero(sure)
-                    top = _top_singular_values(mats[rows, cols], a_small[part][cols])
-                    tops[cut_ids[cols], rows] = top
-                    hi[rows, cols] = lo[rows, cols] = top * top
-                upper[cut_ids] = hi.T
-                best = np.maximum(best, lo.max(-1))
+                upper[index[part]] = (np.minimum(mod.sum(-1).max(-1), spread * root) + mean).T
+                best = np.maximum(best, (spread / root + mean).max(-1))
     contenders = upper >= best - margin
-    pending = contenders & (tops < 0.0)
-    if pending.any():
-        several = contenders.sum(axis=0) > 1
-        for k in np.flatnonzero((pending & several).any(axis=1)):
-            rows = np.flatnonzero(pending[k] & several)
-            tops[k, rows] = np.linalg.svd(_cut_matrices(w[rows], dims, cuts[k]),
-                                          compute_uv=False)[:, 0]
-        # a row's lone contender wins without its singular value
-        tops[contenders & (tops < 0.0)] = np.inf
-    return np.argmax(np.where(contenders, tops, -1.0), axis=0)
+    several = contenders & (contenders.sum(axis=0) > 1)
+    # a row's lone contender wins without its singular value
+    tops = np.where(contenders, np.inf, -1.0)
+    for k in np.flatnonzero(several.any(axis=1)):
+        rows = np.flatnonzero(several[k])
+        tops[k, rows] = np.linalg.svd(_cut_matrices(w[rows], dims, cuts[k]),
+                                      compute_uv=False)[:, 0]
+    return np.argmax(tops, axis=0)
 
 
 def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], table=None):
@@ -291,19 +242,16 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], t
     ``_gme_table``, required then), and Schmidt vectors are computed for the
     winning cuts only.
 
-    The screen runs the levels of the table, from one subsystem on the
-    smaller side up, each group in chunks of ``SCREEN_CHUNK`` cuts.  The
-    first chunk gets its top singular values from ``svd(compute_uv=False)``,
-    one SVD per cut as before, which sets each row's best value.  For a later
-    cut, let M be its matrix with the smaller side (size S) as rows, G = M M^+
-    its reduced state, m = tr G / S and s^2 = |G - m I|_F^2 / S.  Then
-    ``max_i G_ii <= lambda_1(G)``, ``m + s / sqrt(S - 1) <= lambda_1(G)`` and
-    ``lambda_1(G) <= m + min(|G - m I|_inf, s sqrt(S - 1))``: Gershgorin's
-    bound and Wolkowicz and Styan's bounds, the latter exact for S = 2 and
-    never above |G|_F.  A cut whose ``max_i G_ii`` already reaches the best
-    skips G and gets its singular value at once (every cut of a GHZ state
-    does).  The others get G's bounds, and the best grows with each lower
-    bound and singular value.
+    A table of at most ``SCREEN_CHUNK`` cuts (three parties) gets one
+    ``svd(compute_uv=False)`` per cut.  A larger one is screened level by
+    level, from one subsystem on the smaller side up, each group in chunks
+    of ``SCREEN_CHUNK`` cuts gathered with one ``np.take``.  For a cut, let
+    M be its matrix with the smaller side (size S) as rows, G = M M^+ its
+    reduced state, m = tr G / S and s^2 = |G - m I|_F^2 / S.  Then ``m + s /
+    sqrt(S - 1) <= lambda_1(G) <= m + min(|G - m I|_inf, s sqrt(S - 1))``:
+    Wolkowicz and Styan's bounds, exact for S = 2 and the upper one never
+    above |G|_F, and Gershgorin's.  Each row's best starts at 0 and grows
+    with each lower bound.
 
     Larger sides are bounded from smaller ones before they are gathered.
     For a side A, a subsystem T of it and S = A less T, twirling T with its
@@ -320,18 +268,17 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], t
     doubles (for qubits) the bounds above it.  On Haar states the screen
     stops before the 5-qubit sides at 12 qubits (40 of 40 states), before
     the last level at 9 to 11 qubits (40 of 40) and at 8 qubits (14 of 40).
-    Ties such as GHZ, W and Dicke states never clear and form every level,
-    as before.
+    Ties such as GHZ, W and Dicke states never clear and form every level.
 
-    A cut is a contender for a row when its upper bound (its squared
-    singular value, where computed) is within the margin
-    ``SCREEN_MARGIN * d * eps * |w|^2`` of the row's best.  A lone
+    A cut is a contender for a row when its upper bound is within the
+    margin ``SCREEN_MARGIN * d * eps * |w|^2`` of the row's best.  A lone
     contender wins.  Where there are several, each gets its singular value,
-    and the first largest wins.  The margin exceeds the rounding of the
-    bounds and of the SVD, each a few ``d * eps * |w|^2``, so a cut that is
-    not a contender has a singular value strictly below a contender's.  The
-    choice is therefore the argmax that one SVD per cut gives, ties
-    included, and the outputs are bitwise those of that rule."""
+    taken side A first as one SVD per cut takes it, and the first largest
+    wins.  The margin exceeds the rounding of the bounds and of the SVD,
+    each a few ``d * eps * |w|^2``, so a cut that is not a contender has a
+    singular value strictly below a contender's.  The choice is therefore
+    the argmax that one SVD per cut gives, ties included, and the outputs
+    are bitwise those of that rule."""
     if len(cuts) == 1:
         return (*_leading_pair(w, dims, cuts[0]), np.zeros(len(w), dtype=np.intp))
     choice = _screened_choice(w, dims, cuts, table)

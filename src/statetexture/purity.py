@@ -43,8 +43,12 @@ def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
     d = lam.size
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 0.0] if alpha < 1 else lam
-    s_alpha = math.log2(float(np.sum(lam ** alpha))) / (1.0 - alpha)
-    return math.log2(d) - s_alpha
+    # lam_max factored out: S_alpha = -log2 lam_max + log2 t / (1 - alpha) with
+    # t = lam_max sum (lam / lam_max)^alpha in [lam_max, d lam_max], so no power
+    # underflows the sum to 0 (alpha = 1e308 gives log2(d lam_max), the limit)
+    top = float(lam[0])  # eigenvalues are descending
+    t = top * float(np.sum((lam / top) ** alpha))
+    return math.log2(d * top) - math.log2(t) / (1.0 - alpha)
 
 
 def _single_shot_cost(lam: np.ndarray) -> Optional[int]:

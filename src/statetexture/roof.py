@@ -47,8 +47,8 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise UsageError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be at least 1, got {self.restarts}")
         if self.cardinality is not None and self.cardinality < 1:
@@ -103,7 +103,8 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
     step = 1.0
     for _ in range(int(cfg.max_iterations)):
         slope = float(np.vdot(xi, xi).real)
-        if slope < cfg.tolerance ** 2:
+        # a huge tolerance squares to inf here, where tolerance ** 2 raises OverflowError
+        if slope < cfg.tolerance * cfg.tolerance:
             return value, w, True
         while step > MIN_STEP:
             trial = _retract(iso - step * xi)

@@ -110,9 +110,15 @@ def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport
     if e < -GRAND_SUM_SLACK or e > d + GRAND_SUM_SLACK:
         raise InvalidStateError(f"grand sum {e!r} outside [0, {d}] beyond tolerance")
     e = min(max(e, 0.0), float(d))
-    texture = 1.0 - e / d
-    rugosity = math.inf if e == 0.0 else -math.log(e / d)
-    return TextureReport(e, texture, rugosity, imag_residual)
+    return TextureReport(e, 1.0 - e / d, _rugosity(e / d), imag_residual)
+
+
+def _rugosity(overlap: float) -> float:
+    """``-ln`` of an overlap with the uniform superposition, the overlap
+    clamped to [0, 1]: ``inf`` at 0 and ``+0.0`` at 1, so an overlap that
+    rounds above 1 never gives a negative rugosity."""
+    overlap = min(max(overlap, 0.0), 1.0)
+    return math.inf if overlap == 0.0 else abs(math.log(overlap))
 
 
 def _unitary_mapping_uniform_to(target: np.ndarray) -> np.ndarray:
@@ -163,5 +169,4 @@ def rugosity_pure(psi: PureState) -> float:
     if overlap == 0.0:
         warnings.warn("state is orthogonal to the uniform superposition; rugosity is infinite",
                       RuntimeWarning, stacklevel=2)
-        return math.inf
-    return -math.log(overlap)
+    return _rugosity(overlap)

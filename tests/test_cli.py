@@ -34,6 +34,36 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(scope="module")
+def fuzz_states(tmp_path_factory):
+    """State files for the fuzz tests, which cannot take per-test fixtures."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ghz = np.zeros(8)
+    ghz[[0, -1]] = 1.0 / math.sqrt(2.0)
+    states = {"qubit": random_state(2, "mixed", seed=3),
+              "rank2": DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex), (2, 2)),
+              "pure": random_state(4, "pure", seed=4),
+              "ghz3": PureState(ghz, (2, 2, 2))}
+    for name, state in states.items():
+        save_state(root / name, state)
+    return {name: str(root / name) for name in states}
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its output captured and warnings silenced; checks
+    the contract that every fuzzed command keeps: an exit code of 0, 1 or 2,
+    no traceback and no nan."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
 def parse_structured(text):
     fields = {}
     for line in text.strip().splitlines():
@@ -67,6 +97,13 @@ class TestTextureCommand:
         assert code == 0
         # Bell state in the Hadamard-pair basis keeps grand sum 2
         assert float(parse_structured(out)["grand_sum"]) == pytest.approx(2.0, abs=1e-10)
+
+    def test_one_dimensional_state_rugosity_is_not_negative(self, capsys, tmp_path):
+        path = tmp_path / "one.state"
+        save_state(path, PureState(np.ones(1), (1,)))
+        code, out, _ = run(capsys, "texture", "--state", str(path), "--format", "structured")
+        assert code == 0
+        assert parse_structured(out)["rugosity"] == "0"
 
     def test_extrema_subcommand(self, capsys, bell_file):
         code, out, _ = run(capsys, "texture", "extrema", "--state", bell_file,
@@ -178,6 +215,7 @@ class TestConvexRoofCommand:
         ("--tolerance", "nan"),
         ("--tolerance", "inf"),
         ("--max-iterations", "0"),
+        ("--seed", "-1"),
     ])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bell_state, flags):
         # each of these once ended in a traceback, or in a "converged" value
@@ -266,6 +304,19 @@ class TestIsingCommands:
             assert float(fields["rugosity"]) == pytest.approx(64 * math.log(2), rel=1e-11)
         else:
             assert float(fields["pair_rugosity"]) == pytest.approx(math.log(4), rel=1e-11)
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "12", "--h=1", "--g=-1e300", "--method", "ed"),
+        ("--n", "8", "--h=1e200", "--g=-1e308", "--method", "ed"),
+    ])
+    def test_polarized_point_rugosity_is_zero(self, capsys, argv):
+        # the all-+x state, exact rugosity 0: its overlap rounded above 1
+        # and printed -8.881784197e-16 and -0
+        code, out, _ = run(capsys, "ising", "point", *argv, "--format", "structured")
+        assert code == 0
+        fields = parse_structured(out)
+        for key in ("rugosity", "normalized_rugosity"):
+            assert not fields[key].startswith("-") and float(fields[key]) < 1e-15
 
     def test_g_scan_requires_fixed_h(self, capsys):
         code, out, err = run(capsys, "ising", "scan", "--n", "6", "--axis", "g",
@@ -416,19 +467,56 @@ class TestContract:
         observable = data.draw(strat.sampled_from(["full", "pair"]))
         argv = ["ising", "point", f"--n={n}", f"--h={h!r}", f"--g={g!r}",
                 "--method", method, "--observable", observable]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
-            code = main(argv)
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue(), argv
-        assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+        code, out, err = run_quietly(argv)
+        assert not any(line.split()[1].startswith("-") for line in out.splitlines()
+                       if "rugosity" in line), (argv, out)
         limit = MAX_ANALYTIC_SITES if method == "analytic" else MAX_ED_SITES
         valid = (2 <= n <= limit and n % 2 == 0 and math.isfinite(h) and math.isfinite(g)
                  and (method == "ed" or g == 0.0))
         if valid:
-            assert code == 0, (argv, err.getvalue())
+            assert code == 0, (argv, err)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_purity_fuzz(self, fuzz_states, data):
+        # every --alpha list leaves through an exit code and never prints nan;
+        # a list of finite positive orders other than 1 succeeds
+        order = strat.one_of(
+            strat.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1", "1.0",
+                                "1e308", "5e-324", "0.5", "2", "3"]),
+            strat.floats().map(repr))
+        alphas = data.draw(strat.lists(order, min_size=1, max_size=3))
+        state = data.draw(strat.sampled_from(["qubit", "rank2", "pure"]))
+        argv = ["purity", "--state", fuzz_states[state], "--alpha", ",".join(alphas)]
+        code, out, err = run_quietly(argv)
+        values = [float(a) for a in alphas]
+        if all(math.isfinite(a) and a > 0.0 and a != 1.0 for a in values):
+            assert code == 0, (argv, err)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_convexroof_fuzz(self, fuzz_states, data):
+        # optimizer settings at and past their limits leave through an exit
+        # code and never print nan, and valid ones succeed; a huge cardinality
+        # is not tried, since it is a real allocation
+        theory, state, rank = data.draw(strat.sampled_from(
+            [("entangle", "rank2", 2), ("coherence", "qubit", 2), ("magic", "qubit", 2),
+             ("ggm", "ghz3", 1)]))
+        seed = data.draw(strat.sampled_from([-1, 0, 2 ** 64]))
+        tolerance = data.draw(strat.sampled_from(
+            [math.nan, math.inf, -1.0, 0.0, 5e-324, 1e308, 1e-6]))
+        restarts, iterations = data.draw(strat.integers(-1, 3)), data.draw(strat.integers(-1, 3))
+        cardinality = data.draw(strat.one_of(strat.none(), strat.integers(-1, 8)))
+        argv = ["convexroof", "--state", fuzz_states[state], "--theory", theory,
+                "--seed", str(seed), "--tolerance", repr(tolerance), "--restarts", str(restarts),
+                "--max-iterations", str(iterations)]
+        if cardinality is not None:
+            argv += ["--cardinality", str(cardinality)]
+        code, _, err = run_quietly(argv)
+        valid = (seed >= 0 and 0.0 <= tolerance < math.inf and restarts >= 1 and iterations >= 1
+                 and (cardinality is None or cardinality >= rank))
+        if valid:
+            assert code == 0, (argv, err)
 
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "texture", "--state", str(tmp_path / "nope.state"))

@@ -6,7 +6,7 @@ import pytest
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, UsageError, check_renyi2_bound,
                           random_state, renyi_purity, single_shot_cost,
-                          texture_purity)
+                          spectral_decompose, texture_purity)
 
 
 class TestTexturePurity:
@@ -78,6 +78,18 @@ class TestRenyiPurity:
     def test_qubit_example_alpha2(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         assert abs(renyi_purity(rho, 2.0) - math.log2(1.16)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_huge_alpha_is_the_min_entropy_limit(self, seed):
+        # every lambda ** 1e308 underflowed to 0 and log2 of the sum raised
+        # a math domain error; S_alpha tends to -log2 lambda_max
+        rho = random_state(4, "mixed", seed=seed)
+        lam_max = spectral_decompose(rho).eigenvalues[0]
+        assert abs(renyi_purity(rho, 1e308) - math.log2(4 * lam_max)) < 1e-12
+
+    def test_tiny_alpha_is_finite(self):
+        for rho in (random_state(4, "mixed", seed=1), random_state(4, "pure", seed=1).projector()):
+            assert math.isfinite(renyi_purity(rho, 5e-324))
 
     def test_alpha_one_rejected(self):
         with pytest.raises(UsageError):

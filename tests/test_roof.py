@@ -105,11 +105,22 @@ class TestResultContract:
     @pytest.mark.parametrize("fields", [
         {"restarts": 0}, {"restarts": -3}, {"cardinality": 0},
         {"tolerance": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
-        {"max_iterations": 0}, {"seed": 1.5}, {"seed": "3"},
+        {"max_iterations": 0}, {"seed": 1.5}, {"seed": "3"}, {"seed": -1},
     ])
     def test_config_fields_validated(self, fields):
         with pytest.raises(UsageError):
             RoofConfig(**fields)
+
+    def test_huge_tolerance_stops_at_once(self):
+        # tolerance ** 2 once overflowed; tolerance * tolerance is inf, so
+        # the first gradient test stops every restart
+        rho = werner(0.6)
+        res = convex_roof(rho, "entanglement_bipartite",
+                          RoofConfig(cardinality=5, restarts=1, seed=5, tolerance=1e308))
+        start = convex_roof(rho, "entanglement_bipartite",
+                            RoofConfig(cardinality=5, restarts=1, seed=5, max_iterations=1,
+                                       tolerance=1e308))
+        assert res.converged and res.value == start.value
 
     def test_config_accepts_numpy_integers(self):
         assert RoofConfig(seed=np.int64(3), restarts=np.int64(2)).seed == 3

@@ -256,6 +256,16 @@ class TestRugosityPure:
         with pytest.warns(RuntimeWarning):
             assert rugosity_pure(minus) == math.inf
 
+    def test_overlap_rounding_above_one_is_zero_not_negative(self):
+        # |sum|^2 / d of (1/2, 1/2, 1/2, 1/2) rounds to 1: -ln of it was -0.0,
+        # and a sum just above sqrt(d) gave -8.9e-16
+        rugosity = rugosity_pure(PureState(np.ones(4) / 2))
+        assert rugosity == 0.0 and math.copysign(1.0, rugosity) == 1.0
+
+    def test_one_dimensional_state_has_positive_zero_rugosity(self):
+        rugosity = texture_in_basis(PureState(np.ones(1), (1,)), computational_basis(1)).rugosity
+        assert rugosity == 0.0 and math.copysign(1.0, rugosity) == 1.0
+
     def test_matches_grand_sum_form(self):
         for seed in range(5):
             psi = random_state(8, "pure", seed=seed, subsystem_dims=(2, 2, 2))
