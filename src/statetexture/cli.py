@@ -12,14 +12,18 @@ One executable with subcommands::
     statetexture selftest
 
 Exit codes: 0 success, 1 numerical failure (invalid state file,
-non-convergence), 2 usage error.  Numeric output uses 12 significant digits.
+non-convergence), 2 usage error, an unwritable output path included: every
+path a command writes is checked before anything is computed.  Numeric
+output uses 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +31,6 @@ import numpy as np
 from .errors import StateTextureError, UsageError
 from . import ising, monotones, purity, roof, stateio, texture
 from .states import PureState, density_of
-from .selftest import run_selftest
 
 _THEORY_BY_FLAG = {
     "coherence": "coherence",
@@ -64,28 +67,18 @@ def _emit(pairs, human: bool) -> None:
             print(f"{key} {_fmt(value)}")
 
 
-def _parse_cut(text: str, n_parties: int) -> Tuple[int, ...]:
+def _parse_cut(text: Optional[str], dims: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    if text is None:
+        return None
     left, _, right = text.partition(":")
     try:
-        side_a = tuple(sorted(int(tok) for tok in left.split(",") if tok != ""))
+        side_a, side_b = (tuple(sorted(int(tok) for tok in side.split(",") if tok != ""))
+                          for side in (left, right))
     except ValueError as exc:
         raise UsageError(f"malformed cut {text!r}") from exc
-    if right:
-        try:
-            side_b = tuple(sorted(int(tok) for tok in right.split(",") if tok != ""))
-        except ValueError as exc:
-            raise UsageError(f"malformed cut {text!r}") from exc
-        expected = tuple(k for k in range(n_parties) if k not in side_a)
-        if side_b != expected:
-            raise UsageError(f"cut sides {side_a}:{side_b} do not partition {n_parties} parties")
+    if right and side_b != tuple(k for k in range(len(dims)) if k not in side_a):
+        raise UsageError(f"cut sides {side_a}:{side_b} do not partition {len(dims)} parties")
     return side_a
-
-
-def _load_pure(path) -> PureState:
-    state = stateio.load_state(path)
-    if not isinstance(state, PureState):
-        raise UsageError("this command needs a pure state file (kind = 'pure')")
-    return state
 
 
 def _resolve_basis(name: str, dim: int) -> texture.OrthonormalBasis:
@@ -96,24 +89,20 @@ def _resolve_basis(name: str, dim: int) -> texture.OrthonormalBasis:
     return texture.OrthonormalBasis(stateio.load_unitary(name))
 
 
-def _cmd_texture(args) -> int:
+def _cmd_texture(args) -> list:
     state = stateio.load_state(args.state)
     basis = _resolve_basis(args.basis, density_of(state).dim)
     rep = texture.texture_in_basis(state, basis)
-    _emit([("grand_sum", rep.grand_sum), ("texture", rep.texture),
-           ("rugosity", rep.rugosity), ("imag_residual", rep.imag_residual)],
-          args.format == "human")
-    return 0
+    return [("grand_sum", rep.grand_sum), ("texture", rep.texture),
+            ("rugosity", rep.rugosity), ("imag_residual", rep.imag_residual)]
 
 
-def _cmd_texture_extrema(args) -> int:
-    state = stateio.load_state(args.state)
-    ex = texture.texture_extrema(state)
-    _emit([("t_max", ex.t_max), ("t_min", ex.t_min)], args.format == "human")
-    return 0
+def _cmd_texture_extrema(args) -> list:
+    ex = texture.texture_extrema(stateio.load_state(args.state))
+    return [("t_max", ex.t_max), ("t_min", ex.t_min)]
 
 
-def _cmd_purity(args) -> int:
+def _cmd_purity(args) -> list:
     state = density_of(stateio.load_state(args.state))
     try:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok != ""]
@@ -128,45 +117,33 @@ def _cmd_purity(args) -> int:
               ("single_shot_cost", report.single_shot_cost)]
     if report.single_shot_cost is not None:
         pairs.append(("rank_tolerance", purity.RANK_TOL))
-    _emit(pairs, args.format == "human")
-    return 0
+    return pairs
 
 
-def _cmd_monotone(args) -> int:
-    psi = _load_pure(args.state)
-    theory = _THEORY_BY_FLAG[args.theory]
-    cut = None
-    if args.cut is not None:
-        if psi.subsystem_dims is None:
-            raise UsageError("--cut requires a state file with more than one subsystem")
-        cut = _parse_cut(args.cut, len(psi.subsystem_dims))
-    result = monotones.pure_state_monotone(psi, theory, cut=cut)
-    pairs = [("theory", result.theory), ("value", result.value)]
-    pairs += [(f"witness_{k}", v) for k, v in sorted(result.witness.items())]
-    _emit(pairs, args.format == "human")
-    return 0
+def _cmd_monotone(args) -> list:
+    psi = stateio.load_state(args.state)
+    if not isinstance(psi, PureState):
+        raise UsageError("this command needs a pure state file (kind = 'pure')")
+    result = monotones.pure_state_monotone(psi, _THEORY_BY_FLAG[args.theory],
+                                           cut=_parse_cut(args.cut, psi.subsystem_dims))
+    return ([("theory", result.theory), ("value", result.value)]
+            + [(f"witness_{k}", v) for k, v in sorted(result.witness.items())])
 
 
-def _cmd_convexroof(args) -> int:
+def _cmd_convexroof(args) -> list:
     state = density_of(stateio.load_state(args.state))
     theory = _THEORY_BY_FLAG[args.theory]
-    cut = None
-    if args.cut is not None:
-        if state.subsystem_dims is None:
-            raise UsageError("--cut requires a state file with more than one subsystem")
-        cut = _parse_cut(args.cut, len(state.subsystem_dims))
-    cfg = roof.RoofConfig(cardinality=args.cardinality, restarts=args.restarts,
-                          tolerance=args.tolerance, max_iterations=args.max_iterations,
-                          seed=args.seed)
+    cut = _parse_cut(args.cut, state.subsystem_dims)
+    # optimizer flags left out are absent from args, so RoofConfig's defaults apply
+    cfg = roof.RoofConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(roof.RoofConfig) if hasattr(args, f.name)})
     result = roof.convex_roof(state, theory, cfg, cut=cut)
     if args.dump_decomposition:
         stateio.save_decomposition(args.dump_decomposition, result.decomposition)
-    _emit([("theory", theory), ("value", result.value),
-           ("restarts_used", result.restarts_used), ("converged", result.converged),
-           ("gap_to_oracle", result.gap_to_oracle),
-           ("decomposition_size", len(result.decomposition))],
-          args.format == "human")
-    return 0
+    return [("theory", theory), ("value", result.value),
+            ("restarts_used", result.restarts_used), ("converged", result.converged),
+            ("gap_to_oracle", result.gap_to_oracle),
+            ("decomposition_size", len(result.decomposition))]
 
 
 def _default_method(args, axis: str = "h") -> str:
@@ -177,7 +154,7 @@ def _default_method(args, axis: str = "h") -> str:
     return "analytic"
 
 
-def _cmd_ising_point(args) -> int:
+def _cmd_ising_point(args) -> list:
     spec = ising.ChainSpec(args.n, args.h, args.g)
     method = _default_method(args)
     pairs = [("n", args.n), ("h", args.h), ("g", args.g), ("method", method),
@@ -185,16 +162,13 @@ def _cmd_ising_point(args) -> int:
     if args.observable == "full":
         value = (ising.analytic_rugosity(spec) if method == "analytic"
                  else ising.ed_rugosity(spec))
-        pairs += [("rugosity", value), ("normalized_rugosity", value / args.n)]
-    else:
-        obs = (ising.pair_observables(spec) if method == "analytic"
-               else ising.ed_pair_observables(spec))
-        pairs += [("m_z", obs.m_z), ("c_xx", obs.c_xx), ("c_yy", obs.c_yy),
-                  ("c_zz", obs.c_zz), ("pair_rugosity", obs.pair_rugosity),
-                  ("pair_rugosity_symmetric", obs.pair_rugosity_symmetric),
-                  ("pair_rugosity_normalized", obs.pair_rugosity / args.n)]
-    _emit(pairs, args.format == "human")
-    return 0
+        return pairs + [("rugosity", value), ("normalized_rugosity", value / args.n)]
+    obs = (ising.pair_observables(spec) if method == "analytic"
+           else ising.ed_pair_observables(spec))
+    return pairs + [("m_z", obs.m_z), ("c_xx", obs.c_xx), ("c_yy", obs.c_yy),
+                    ("c_zz", obs.c_zz), ("pair_rugosity", obs.pair_rugosity),
+                    ("pair_rugosity_symmetric", obs.pair_rugosity_symmetric),
+                    ("pair_rugosity_normalized", obs.pair_rugosity / args.n)]
 
 
 def _scan_csv_lines(grid: ising.ScanGrid) -> List[str]:
@@ -233,7 +207,7 @@ plt.show()
 """
 
 
-def _cmd_ising_scan(args) -> int:
+def _cmd_ising_scan(args) -> list:
     if args.axis == "h":
         spec = ising.ChainSpec(args.n, h=0.0, g=args.g)
     else:
@@ -244,6 +218,8 @@ def _cmd_ising_scan(args) -> int:
         raise UsageError("--from, --to and --step must be finite")
     if args.step <= 0:
         raise UsageError("--step must be positive")
+    if args.stop < args.start:
+        raise UsageError("--to must not be below --from")
     span = (args.stop - args.start) / args.step
     if not span < MAX_SCAN_POINTS - 0.5:
         raise UsageError(f"the scan grid exceeds {MAX_SCAN_POINTS} points; use a larger --step")
@@ -260,25 +236,24 @@ def _cmd_ising_scan(args) -> int:
     method = _default_method(args, args.axis)
     grid = ising.scan(spec, args.axis, pts, observable=args.observable,
                       method=method, kink_window=window)
-    csv_lines = _scan_csv_lines(grid)
+    csv = "\n".join(_scan_csv_lines(grid))
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write("\n".join(csv_lines) + "\n")
+            handle.write(csv + "\n")
     else:
-        print("\n".join(csv_lines))
+        print(csv)
     if args.emit_plot:
         xlabel = "transverse field h" if args.axis == "h" else "longitudinal field g"
         with open(args.emit_plot, "w") as handle:
             handle.write(_PLOT_TEMPLATE.format(csv=str(args.out or "scan.csv"),
                                                xlabel=xlabel))
-    _emit([("axis", grid.axis), ("n", grid.n_sites), ("points", grid.points.size),
-           ("observable", grid.observable), ("method", grid.method),
-           ("kink_estimate", grid.kink_estimate),
-           ("out", args.out or "-")], args.format == "human")
-    return 0
+    return [("axis", grid.axis), ("n", grid.n_sites), ("points", grid.points.size),
+            ("observable", grid.observable), ("method", grid.method),
+            ("kink_estimate", grid.kink_estimate), ("out", args.out or "-")]
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     return 1 if run_selftest() else 0
 
 
@@ -288,59 +263,53 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum state texture measures, monotones and Ising scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("human", "structured"), default="human")
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--n", type=int, required=True)
+    chain.add_argument("--method", choices=("analytic", "ed"))
+    chain.add_argument("--observable", choices=("full", "pair"), default="full")
 
-    def common(p):
-        p.add_argument("--format", choices=("human", "structured"), default="human")
+    def command(name, func, help, parents=(), writes=()):
+        """A subcommand; ``writes`` names the destinations of its output-path flags."""
+        p = sub.add_parser(name, help=help, parents=[fmt, *parents])
+        p.set_defaults(func=func, writes=writes)
+        return p
 
-    p = sub.add_parser("texture", help="texture report of a state in a basis")
+    p = command("texture", _cmd_texture, "texture report of a state in a basis")
     p.add_argument("--state", required=True)
     p.add_argument("--basis", default="computational",
                    help="computational, fourier, or a unitary file path")
-    common(p)
-    p.set_defaults(func=_cmd_texture)
 
-    p = sub.add_parser("texture-extrema", help="extremal textures over all bases")
+    p = command("texture-extrema", _cmd_texture_extrema, "extremal textures over all bases")
     p.add_argument("--state", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_texture_extrema)
 
-    p = sub.add_parser("purity", help="texture purity and Renyi purities")
+    p = command("purity", _cmd_purity, "texture purity and Renyi purities")
     p.add_argument("--state", required=True)
     p.add_argument("--alpha", default="2", help="comma list of Renyi orders")
-    common(p)
-    p.set_defaults(func=_cmd_purity)
 
-    p = sub.add_parser("monotone", help="closed-form pure-state monotones")
+    p = command("monotone", _cmd_monotone, "closed-form pure-state monotones")
     p.add_argument("theory", choices=sorted(_THEORY_BY_FLAG))
     p.add_argument("--state", required=True)
     p.add_argument("--cut", help="bipartition such as 0,1:2,3")
-    common(p)
-    p.set_defaults(func=_cmd_monotone)
 
-    p = sub.add_parser("convexroof", help="convex-roof upper bound for mixed states")
+    p = command("convexroof", _cmd_convexroof, "convex-roof upper bound for mixed states",
+                writes=("dump_decomposition",))
     p.add_argument("--state", required=True)
     p.add_argument("--theory", choices=sorted(_THEORY_BY_FLAG), required=True)
     p.add_argument("--cut", help="bipartition such as 0:1")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--cardinality", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, kind in (("--restarts", int), ("--cardinality", int), ("--tolerance", float),
+                       ("--max-iterations", int), ("--seed", int)):
+        p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
     p.add_argument("--dump-decomposition", help="write the decomposition to this file")
-    common(p)
-    p.set_defaults(func=_cmd_convexroof)
 
-    p = sub.add_parser("ising-point", help="rugosity observables at one parameter point")
-    p.add_argument("--n", type=int, required=True)
+    p = command("ising-point", _cmd_ising_point, "rugosity observables at one parameter point",
+                parents=[chain])
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--g", type=float, default=0.0)
-    p.add_argument("--method", choices=("analytic", "ed"))
-    p.add_argument("--observable", choices=("full", "pair"), default="full")
-    common(p)
-    p.set_defaults(func=_cmd_ising_point)
 
-    p = sub.add_parser("ising-scan", help="rugosity scan over h or g with derivatives")
-    p.add_argument("--n", type=int, required=True)
+    p = command("ising-scan", _cmd_ising_scan, "rugosity scan over h or g with derivatives",
+                parents=[chain], writes=("out", "emit_plot"))
     p.add_argument("--axis", choices=("h", "g"), required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
@@ -348,18 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, help="fixed transverse field for g-axis scans")
     p.add_argument("--g", type=float, default=0.0,
                    help="fixed longitudinal field for h-axis scans")
-    p.add_argument("--method", choices=("analytic", "ed"))
-    p.add_argument("--observable", choices=("full", "pair"), default="full")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.add_argument("--kink-window", help="window LO,HI for the curvature extremum")
     p.add_argument("--emit-plot", help="write a plotting script referencing the CSV")
-    common(p)
-    p.set_defaults(func=_cmd_ising_scan)
 
-    p = sub.add_parser("selftest", help="run the fast release-gate checks")
-    common(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    command("selftest", _cmd_selftest, "run the fast release-gate checks")
     return parser
 
 
@@ -367,19 +329,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) >= 2 and (argv[0], argv[1]) in _ALIAS:
         argv = [_ALIAS[(argv[0], argv[1])]] + argv[2:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        for path in filter(None, (getattr(args, dest) for dest in args.writes)):
+            folder = os.path.dirname(os.path.abspath(path))
+            if (os.path.isdir(path) or not os.path.isdir(folder)
+                    or not os.access(path if os.path.exists(path) else folder, os.W_OK)):
+                raise UsageError(f"cannot write {path}")
+        result = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except StateTextureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if isinstance(result, int):  # selftest's own exit code
+        return result
+    _emit(result, args.format == "human")
+    return 0
 
 
 if __name__ == "__main__":

@@ -42,6 +42,17 @@ def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
         raise UsageError("alpha = 1 (von Neumann limit) is not supported")
     d = lam.size
     lam = np.clip(lam, 0.0, None)
+    eps = alpha - 1.0
+    if abs(eps) < 0.5:
+        # near alpha = 1 the form below cancels (-0.37 for 0.428 at 1 + 2**-52).
+        # With delta = sum p - 1 and x = sum p expm1(eps ln p), sum p^alpha is
+        # 1 + delta + x, so S_alpha of p / (1 + delta) takes no difference of
+        # nearly equal terms; the renormalization matters once |eps| ~ 1e-16
+        p = lam[lam > 0.0]
+        delta = math.fsum(p) - 1.0
+        x = float(np.sum(p * np.expm1(eps * np.log(p))))
+        entropy = -(math.log1p(delta + x) - alpha * math.log1p(delta)) / eps
+        return math.log2(d) - entropy / math.log(2.0)
     lam = lam[lam > 0.0] if alpha < 1 else lam
     # lam_max factored out: S_alpha = -log2 lam_max + log2 t / (1 - alpha) with
     # t = lam_max sum (lam / lam_max)^alpha in [lam_max, d lam_max], so no power

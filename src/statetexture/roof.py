@@ -135,7 +135,10 @@ def convex_roof(rho: DensityMatrix, theory: str,
         One of ``coherence``, ``nonstabilizerness``,
         ``entanglement_bipartite``, ``gme``.
     config : RoofConfig, optional
-        Optimizer parameters; defaults per RoofConfig.
+        Optimizer parameters; defaults per RoofConfig.  The cardinality m
+        must lie in [r, 2 d r] for rank r and dimension d: the roof needs at
+        most r^2 + 1 <= 2 d r branches (Caratheodory), the default is r^2,
+        and the cap keeps the m x d branch matrix within 2 d^2 r entries.
     cut : iterable of int, optional
         Bipartition for ``entanglement_bipartite``; defaults to the first
         subsystem versus the rest when exactly two subsystems are present.
@@ -157,6 +160,9 @@ def convex_roof(rho: DensityMatrix, theory: str,
     m = cfg.cardinality if cfg.cardinality is not None else r * r
     if m < r:
         raise UsageError(f"cardinality {m} is below the state rank {r}")
+    if m > 2 * rho.dim * r:
+        raise UsageError(f"cardinality {m} exceeds 2 d r = {2 * rho.dim * r} "
+                         f"(dimension {rho.dim}, rank {r})")
 
     base = (vecs * np.sqrt(mu)).T  # r x d rows: sqrt(mu_j) e_j^T
 

@@ -210,12 +210,9 @@ def _checks() -> List[Check]:
     return checks
 
 
-def run_selftest(stream=None) -> int:
+def run_selftest() -> int:
     """Run every check, print one PASS/FAIL line each, return the number of
     failures."""
-    import sys
-
-    out = stream or sys.stdout
     checks = _checks()
     failures = 0
     for name, fn in checks:
@@ -223,8 +220,8 @@ def run_selftest(stream=None) -> int:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            print(f"FAIL  {name}: {exc}", file=out)
+            print(f"FAIL  {name}: {exc}")
         else:
-            print(f"PASS  {name}", file=out)
-    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
+            print(f"PASS  {name}")
+    print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return failures

@@ -113,7 +113,10 @@ def load_unitary(path) -> np.ndarray:
     if not isinstance(re, list) or not re:
         raise InvalidStateError(f"unitary file {path}: field 're' must be a nested list")
     dim = len(re)
-    return _matrix(doc, "re", dim, path) + 1j * _matrix(doc, "im", dim, path)
+    u = _matrix(doc, "re", dim, path) + 1j * _matrix(doc, "im", dim, path)
+    if not np.isfinite(u).all():
+        raise InvalidStateError(f"unitary file {path} contains non-finite entries")
+    return u
 
 
 def save_decomposition(path, decomposition: List[Tuple[float, PureState]]) -> None:

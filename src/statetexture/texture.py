@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,8 +33,12 @@ class OrthonormalBasis:
         u = np.array(self.unitary, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise UsageError(f"basis unitary must be square, got shape {u.shape}")
+        # an entry above modulus 1 (or nan) is rejected before U^dag U can overflow
+        top = np.max(np.abs(u))
+        if not top <= 1.0 + 1e-10:
+            raise UsageError(f"basis columns are not orthonormal: entry of modulus {top:.3e}")
         resid = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise UsageError(f"basis columns are not orthonormal: residual {resid:.3e}")
         object.__setattr__(self, "unitary", u)
         u.setflags(write=False)
@@ -60,7 +64,7 @@ class TextureExtrema:
 
     t_max: float
     t_min: float
-    witness_unitaries: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    witness_unitaries: Tuple[np.ndarray, np.ndarray]
 
 
 def computational_basis(d: int) -> OrthonormalBasis:
@@ -140,21 +144,16 @@ def _unitary_mapping_uniform_to(target: np.ndarray) -> np.ndarray:
     return u
 
 
-def texture_extrema(state: StateLike, with_witnesses: bool = True) -> TextureExtrema:
+def texture_extrema(state: StateLike) -> TextureExtrema:
     """Extremal textures over all bases: ``1 - smallest`` and ``1 - largest``
     eigenvalue of the state, with witness bases mapping the matching
     eigenvector onto the uniform superposition."""
     rho = density_of(state)
     spec = spectral_decompose(rho)
     lam = spec.eigenvalues
-    t_max = 1.0 - float(lam[-1])
-    t_min = 1.0 - float(lam[0])
-    witnesses = None
-    if with_witnesses:
-        u_for_max = _unitary_mapping_uniform_to(spec.eigenvectors[:, -1])
-        u_for_min = _unitary_mapping_uniform_to(spec.eigenvectors[:, 0])
-        witnesses = (u_for_max, u_for_min)
-    return TextureExtrema(t_max, t_min, witnesses)
+    witnesses = (_unitary_mapping_uniform_to(spec.eigenvectors[:, -1]),
+                 _unitary_mapping_uniform_to(spec.eigenvectors[:, 0]))
+    return TextureExtrema(1.0 - float(lam[-1]), 1.0 - float(lam[0]), witnesses)
 
 
 def rugosity_pure(psi: PureState) -> float:

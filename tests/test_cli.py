@@ -4,12 +4,14 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from statetexture import DensityMatrix, PureState, load_state, random_state, save_state
+from statetexture import (DensityMatrix, PureState, ising, load_state, random_state, roof,
+                          save_state)
 from statetexture.cli import MAX_SCAN_POINTS, main
 from statetexture.ising import MAX_ANALYTIC_SITES, MAX_ED_SITES
 
@@ -97,6 +99,21 @@ class TestTextureCommand:
         assert code == 0
         # Bell state in the Hadamard-pair basis keeps grand sum 2
         assert float(parse_structured(out)["grand_sum"]) == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("entry, code, prefix", [
+        (math.nan, 1, "error:"), (-math.inf, 1, "error:"), (1e308, 2, "usage error:")])
+    def test_bad_unitary_file_entry(self, capsys, tmp_path, bell_file, entry, code, prefix):
+        # one nan entry printed "texture nan" and exited 0; a 1e308 entry
+        # printed RuntimeWarnings from U^dag U before its usage error
+        u = np.eye(4)
+        u[2, 1] = entry
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"re": u.tolist(), "im": np.zeros((4, 4)).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, out, err = run(capsys, "texture", "--state", bell_file, "--basis", str(path))
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix)
 
     def test_one_dimensional_state_rugosity_is_not_negative(self, capsys, tmp_path):
         path = tmp_path / "one.state"
@@ -339,6 +356,27 @@ class TestContract:
         assert code == 2
         assert not target.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-plot", "--dump-decomposition"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, monkeypatch, tmp_path, bell_file,
+                                              flag, target):
+        # each once computed everything, then ended in a FileNotFoundError
+        # traceback (--emit-plot after printing the CSV)
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr(ising, "scan", computed)
+        monkeypatch.setattr(roof, "convex_roof", computed)
+        path = str(tmp_path / "nonexistent" / "x" if target == "missing directory" else tmp_path)
+        if flag == "--dump-decomposition":
+            argv = ["convexroof", "--state", bell_file, "--theory", "entangle"]
+        else:
+            argv = ["ising", "scan", "--n", "8", "--axis", "h", "--from", "0", "--to", "1",
+                    "--step", "0.25"]
+        code, out, err = run(capsys, *argv, flag, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write {path}")
+
     def test_scan_csv_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -404,7 +442,8 @@ class TestContract:
         assert loaded.subsystem_dims == (2, 2)
 
     @pytest.mark.parametrize("flag, value", [("--from", "nan"), ("--to", "inf"),
-                                             ("--step", "nan"), ("--step", "1e-300")])
+                                             ("--step", "nan"), ("--step", "1e-300"),
+                                             ("--from", "1e300")])
     def test_unbounded_scan_grid_is_usage_error(self, capsys, flag, value):
         argv = {"--from": "0", "--to": "2", "--step": "0.5"}
         argv[flag] = value
@@ -483,12 +522,16 @@ class TestContract:
         # a list of finite positive orders other than 1 succeeds
         order = strat.one_of(
             strat.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1", "1.0",
-                                "1e308", "5e-324", "0.5", "2", "3"]),
+                                "1e308", "5e-324", "0.5", "2", "3", repr(1 + 2 ** -52),
+                                repr(1 - 2 ** -53), "1.000000000001", "0.999999999999"]),
             strat.floats().map(repr))
         alphas = data.draw(strat.lists(order, min_size=1, max_size=3))
         state = data.draw(strat.sampled_from(["qubit", "rank2", "pure"]))
         argv = ["purity", "--state", fuzz_states[state], "--alpha", ",".join(alphas)]
         code, out, err = run_quietly(argv)
+        # orders near 1 once printed negative purities
+        assert not any(line.split()[1].startswith("-") for line in out.splitlines()
+                       if line.startswith("renyi_purity")), (argv, out)
         values = [float(a) for a in alphas]
         if all(math.isfinite(a) and a > 0.0 and a != 1.0 for a in values):
             assert code == 0, (argv, err)
@@ -497,16 +540,16 @@ class TestContract:
     @given(strat.data())
     def test_convexroof_fuzz(self, fuzz_states, data):
         # optimizer settings at and past their limits leave through an exit
-        # code and never print nan, and valid ones succeed; a huge cardinality
-        # is not tried, since it is a real allocation
-        theory, state, rank = data.draw(strat.sampled_from(
-            [("entangle", "rank2", 2), ("coherence", "qubit", 2), ("magic", "qubit", 2),
-             ("ggm", "ghz3", 1)]))
+        # code and never print nan, and valid ones succeed
+        theory, state, dim, rank = data.draw(strat.sampled_from(
+            [("entangle", "rank2", 4, 2), ("coherence", "qubit", 2, 2), ("magic", "qubit", 2, 2),
+             ("ggm", "ghz3", 8, 1)]))
         seed = data.draw(strat.sampled_from([-1, 0, 2 ** 64]))
         tolerance = data.draw(strat.sampled_from(
             [math.nan, math.inf, -1.0, 0.0, 5e-324, 1e308, 1e-6]))
         restarts, iterations = data.draw(strat.integers(-1, 3)), data.draw(strat.integers(-1, 3))
-        cardinality = data.draw(strat.one_of(strat.none(), strat.integers(-1, 8)))
+        cardinality = data.draw(strat.one_of(strat.none(), strat.integers(-1, 8),
+                                             strat.just(10 ** 8)))
         argv = ["convexroof", "--state", fuzz_states[state], "--theory", theory,
                 "--seed", str(seed), "--tolerance", repr(tolerance), "--restarts", str(restarts),
                 "--max-iterations", str(iterations)]
@@ -514,8 +557,91 @@ class TestContract:
             argv += ["--cardinality", str(cardinality)]
         code, _, err = run_quietly(argv)
         valid = (seed >= 0 and 0.0 <= tolerance < math.inf and restarts >= 1 and iterations >= 1
-                 and (cardinality is None or cardinality >= rank))
+                 and (cardinality is None or rank <= cardinality <= 2 * dim * rank))
         if valid:
+            assert code == 0, (argv, err)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_texture_fuzz(self, fuzz_states, data):
+        # every --basis leaves through an exit code and never prints nan: a
+        # unitary file with a non-finite entry is a bad file, one of another
+        # dimension a usage error, and an untouched one succeeds
+        state, dim = data.draw(strat.sampled_from(
+            [("qubit", 2), ("rank2", 4), ("pure", 4), ("ghz3", 8)]))
+        basis = data.draw(strat.sampled_from(["computational", "fourier", "file"]))
+        size = data.draw(strat.sampled_from([2, 4, 8]))
+        entry = data.draw(strat.one_of(
+            strat.none(),
+            strat.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1.0]),
+            strat.floats()))
+        if basis == "file":
+            k = np.arange(size)
+            u = np.exp(2j * np.pi * np.outer(k, k) / size) / math.sqrt(size)
+            doc = {"re": u.real.tolist(), "im": u.imag.tolist()}
+            if entry is not None:
+                part = data.draw(strat.sampled_from(["re", "im"]))
+                i, j = (data.draw(strat.integers(0, size - 1)) for _ in range(2))
+                doc[part][i][j] = entry
+            basis = Path(fuzz_states["pure"]).parent / "basis.json"
+            basis.write_text(json.dumps(doc))
+        else:
+            size, entry = dim, None
+        code, _, err = run_quietly(["texture", "--state", fuzz_states[state],
+                                    "--basis", str(basis)])
+        if entry is not None and not math.isfinite(entry):
+            assert code == 1, err
+        elif size != dim:
+            assert code == 2, err
+        elif entry is None:
+            assert code == 0, err
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_ising_scan_fuzz(self, fuzz_states, data):
+        # every outcome of `ising scan` leaves through an exit code and never
+        # prints nan; an unwritable --out or --emit-plot is a usage error that
+        # prints and writes nothing, and a valid scan succeeds
+        root = Path(fuzz_states["pure"]).parent
+        targets = {"fresh": None, "missing": root / "missing" / "x", "directory": root}
+        # at most one part is corrupted, so each bad part meets otherwise valid scans
+        bad = data.draw(strat.sampled_from([None, "n", "grid", "field", "path"]))
+        n = data.draw(strat.sampled_from([-2, 3, 10 ** 6 + 2] if bad == "n" else [8, 64]))
+        axis = data.draw(strat.sampled_from(["h", "g"]))
+        method = data.draw(strat.sampled_from([None, "analytic", "ed"]))
+        observable = data.draw(strat.sampled_from(["full", "pair"]))
+        odd = strat.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.1, 1e-300])
+        start, stop, step = data.draw(strat.tuples(odd, odd, odd) if bad == "grid" else
+                                      strat.sampled_from([(0.0, 1.0, 0.25), (-1.0, 2.0, 0.5)]))
+        field = data.draw(strat.sampled_from(
+            [1e308, math.nan, -math.inf] if bad == "field" else [None, 0.0, 0.5]))
+        argv = ["ising", "scan", f"--n={n}", "--axis", axis, f"--from={start!r}",
+                f"--to={stop!r}", f"--step={step!r}", "--observable", observable]
+        if method is not None:
+            argv += ["--method", method]
+        if field is not None:
+            argv.append(f"--{'g' if axis == 'h' else 'h'}={field!r}")
+        paths = {}
+        for flag, name in (("--out", "scan.csv"), ("--emit-plot", "plot.py")):
+            kind = data.draw(strat.sampled_from(
+                [None, "fresh"] + (["missing", "directory"] if bad == "path" else [])))
+            if kind is not None:
+                paths[kind] = path = targets[kind] or root / name
+                argv += [flag, str(path)]
+                if kind == "fresh" and path.exists():
+                    path.unlink()
+        code, out, err = run_quietly(argv)
+        if "missing" in paths or "directory" in paths:
+            assert (code, out) == (2, ""), (argv, err)
+            assert "fresh" not in paths or not paths["fresh"].exists()
+            return
+        g = field or 0.0 if axis == "h" else 0.0
+        resolved = method or ("ed" if axis == "g" or g != 0.0 else "analytic")
+        fixed = math.isfinite(g) if axis == "h" else field is not None and math.isfinite(field)
+        grid = (math.isfinite(start) and math.isfinite(stop) and step > 0
+                and 4 <= (stop - start) / step < MAX_SCAN_POINTS - 1)
+        if grid and fixed and (resolved == "ed" and n == 8 or resolved == "analytic"
+                               and n in (8, 64) and axis == "h" and g == 0.0):
             assert code == 0, (argv, err)
 
     def test_missing_file_exit_code(self, capsys, tmp_path):

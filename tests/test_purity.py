@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,25 @@ class TestRenyiPurity:
     def test_tiny_alpha_is_finite(self):
         for rho in (random_state(4, "mixed", seed=1), random_state(4, "pure", seed=1).projector()):
             assert math.isfinite(renyi_purity(rho, 5e-324))
+
+    @pytest.mark.parametrize("alpha", [1 + 2 ** -52, 1 - 2 ** -52, 1 - 2 ** -53,
+                                       1 + 1e-12, 1 - 1e-12, 1 + 1e-6, 0.9, 1.4])
+    def test_orders_near_one_match_mpmath(self, alpha):
+        # the lambda_max-factored form cancelled here: diag(0.7, 0.2, 0.1) gave
+        # -0.372 at 1 + 2**-52 and -1.815 at 1 - 2**-53, for a limit of 0.428
+        rhos = [DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))]
+        rhos += [random_state(d, "mixed", seed=d) for d in (2, 5, 16)]
+        rhos.append(DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)))
+        mpmath.mp.dps = 50
+        for rho in rhos:
+            lam = spectral_decompose(rho).eigenvalues
+            # the reference renormalizes: float eigenvalues do not sum to 1
+            p = [mpmath.mpf(float(x)) for x in lam if x > 0]
+            q = [x / mpmath.fsum(p) for x in p]
+            a = mpmath.mpf(alpha)
+            want = (mpmath.log(lam.size, 2)
+                    - mpmath.log(mpmath.fsum(x ** a for x in q), 2) / (1 - a))
+            assert abs(renyi_purity(rho, alpha) - float(want)) < 1e-14
 
     def test_alpha_one_rejected(self):
         with pytest.raises(UsageError):

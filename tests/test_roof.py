@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as strat
 from oracles import (SX, SY, SZ, entanglement_value_of_concurrence, random_density,
                      wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
-                          convex_roof, pure_state_monotone, random_state)
+                          convex_roof, pure_state_monotone, random_state, roof)
 
 FAST = RoofConfig(cardinality=5, restarts=2, tolerance=1e-7, seed=7)
 
@@ -130,6 +130,23 @@ class TestResultContract:
         with pytest.raises(UsageError):
             convex_roof(rho, "entanglement_bipartite",
                         RoofConfig(cardinality=2, restarts=1))
+
+    def test_cardinality_cap_checked_before_allocation(self, monkeypatch):
+        # cardinality 10**8 once asked np.eye(m, r) for gigabytes and ended in
+        # an _ArrayMemoryError; the cap is 2 d r (8 for a full-rank qubit)
+        class Allocated(Exception):
+            pass
+
+        def eye(*args, **kwargs):
+            raise Allocated
+
+        rho = random_state(2, "mixed", seed=27)
+        monkeypatch.setattr(roof.np, "eye", eye)
+        for m in (9, 10 ** 8):
+            with pytest.raises(UsageError, match="exceeds"):
+                convex_roof(rho, "coherence", RoofConfig(cardinality=m, restarts=1))
+        with pytest.raises(Allocated):
+            convex_roof(rho, "coherence", RoofConfig(cardinality=8, restarts=1))
 
     def test_unknown_theory_rejected(self):
         rho = random_state(4, "mixed", seed=25, subsystem_dims=(2, 2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ class TestValidation:
     def test_basis_must_be_unitary(self):
         with pytest.raises(UsageError):
             OrthonormalBasis(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308, 1 + 1e-9])
+    def test_non_finite_or_huge_basis_entry_rejected(self, entry):
+        # nan passed the orthonormality test (resid > tol is false for nan),
+        # and 1e308 overflowed in U^dag U with a RuntimeWarning
+        u = np.eye(2, dtype=complex)
+        u[1, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UsageError):
+                OrthonormalBasis(u)
 
     def test_corrupted_grand_sum_rejected(self):
         # bypass the DensityMatrix validator to hit the texture-level guard
