@@ -299,7 +299,12 @@ def free_state_oracle(theory: str, dims: Tuple[int, ...],
     indexes (none for coherence and non-stabilizerness).
 
     ``cut`` is the bipartition of ``entanglement_bipartite``; it defaults to
-    the first subsystem versus the second when there are exactly two."""
+    the first subsystem versus the second when there are exactly two.  The
+    other theories take no cut, and giving one is a usage error."""
+    if theory not in THEORIES:
+        raise UsageError(f"unknown theory {theory!r}; pick one of {THEORIES}")
+    if cut is not None and theory != "entanglement_bipartite":
+        raise UsageError(f"theory {theory!r} takes no cut")
     if theory == "coherence":
         return nearest_basis_ket, []
     if theory == "nonstabilizerness":
@@ -307,8 +312,6 @@ def free_state_oracle(theory: str, dims: Tuple[int, ...],
         if d != 2:
             raise UsageError(f"non-stabilizerness covers single qubits only, got dimension {d}")
         return nearest_stabilizer, []
-    if theory not in THEORIES:
-        raise UsageError(f"unknown theory {theory!r}; pick one of {THEORIES}")
     n = len(dims)
     if n < 2:
         raise UsageError(f"theory {theory!r} requires at least two subsystems")

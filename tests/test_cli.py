@@ -400,6 +400,23 @@ class TestContract:
         assert out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("monotone", "coherence", "--state", "bell", "--cut", "5"),
+        ("monotone", "ggm", "--state", "ghz3", "--cut", "5"),
+        ("convexroof", "--theory", "coherence", "--state", "bell_mixed", "--cut", "0:1"),
+    ])
+    def test_cut_for_a_theory_without_cuts_is_usage_error(self, capsys, tmp_path, bell_state,
+                                                          ghz3, argv):
+        # a cut that the theory would ignore is rejected, not dropped
+        states = {"bell": bell_state, "ghz3": ghz3, "bell_mixed": bell_state.projector()}
+        for name, state in states.items():
+            save_state(tmp_path / name, state)
+        argv = [str(tmp_path / arg) if arg in states else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_invalid_state_file_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.state"
         bad.write_text('{"dims": [2], "kind": "pure", "re": [1.0], "im": [0.0, 0.0]}')
@@ -430,16 +447,22 @@ class TestContract:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
-    def test_valid_state_file_round_trips_exactly(self, tmp_path, kind):
-        state = random_state(4, kind, seed=31, subsystem_dims=(2, 2))
-        first, second = tmp_path / "a.state", tmp_path / "b.state"
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(strat.lists(strat.integers(1, 4), min_size=1, max_size=4),
+           strat.integers(0, 2 ** 32 - 1))
+    def test_valid_state_file_round_trips_exactly(self, tmp_path_factory, kind, dims, seed):
+        # any dims, one-party states and dimension-1 parties included
+        dims = tuple(dims)
+        state = random_state(math.prod(dims), kind, seed=seed, subsystem_dims=dims)
+        root = tmp_path_factory.mktemp("roundtrip")
+        first, second = root / "a.state", root / "b.state"
         save_state(first, state)
         loaded = load_state(first)
         save_state(second, loaded)
         assert first.read_bytes() == second.read_bytes()
         data = state.amplitudes if kind == "pure" else state.matrix
         assert np.array_equal(loaded.amplitudes if kind == "pure" else loaded.matrix, data)
-        assert loaded.subsystem_dims == (2, 2)
+        assert loaded.subsystem_dims == dims
 
     @pytest.mark.parametrize("flag, value", [("--from", "nan"), ("--to", "inf"),
                                              ("--step", "nan"), ("--step", "1e-300"),

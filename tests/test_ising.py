@@ -26,10 +26,6 @@ class TestChainSpec:
         with pytest.raises(UsageError):
             ChainSpec(5, 1.0)
 
-    def test_open_boundary_rejected(self):
-        with pytest.raises(UsageError):
-            ChainSpec(4, 1.0, boundary="open")
-
     def test_analytic_requires_zero_g(self):
         with pytest.raises(UsageError):
             analytic_rugosity(ChainSpec(4, 1.0, g=0.5))
@@ -526,7 +522,7 @@ class TestScan:
     @pytest.mark.parametrize("method", ["analytic", "ed"])
     def test_bad_kink_window_rejected_before_any_point(self, monkeypatch, window, method):
         calls = []
-        for name in ("_rugosity", "_ed_ground"):
+        for name in ("_rugosity", "ed_ground"):
             kernel = getattr(ising, name)
             monkeypatch.setattr(ising, name,
                                 lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
@@ -563,14 +559,12 @@ class TestScan:
             assert full.rugosity[k] == analytic_rugosity(ChainSpec(256, h))
             assert pair.rugosity[k] == pair_observables(ChainSpec(256, h)).pair_rugosity
 
-    def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self, monkeypatch):
-        built = []
-        orbits = ising._dihedral_orbits
-        monkeypatch.setattr(ising, "_dihedral_orbits", lambda n: built.append(n) or orbits(n))
+    def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self):
+        ising._dihedral_orbits.cache_clear()
         grid = np.linspace(-0.3, 0.3, 7)
         full = scan(ChainSpec(8, 0.5), "g", grid, method="ed")
         pair = scan(ChainSpec(8, 0.5), "g", grid, observable="pair", method="ed")
-        assert built == [8, 8]
+        assert ising._dihedral_orbits.cache_info().misses == 1
         for k, g in enumerate(grid):
             assert full.rugosity[k] == ed_rugosity(ChainSpec(8, 0.5, g))
             assert pair.rugosity[k] == ed_pair_observables(ChainSpec(8, 0.5, g)).pair_rugosity

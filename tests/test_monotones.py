@@ -9,7 +9,7 @@ from oracles import SX, SY, SZ, gme_product_oracle, haar_unitary, wootters_concu
 from statetexture import (PureState, ResourceLimitError,
                           UsageError, coherence_monotone, concurrence_two_qubit,
                           entanglement_monotone, fourier_basis, gme_monotone,
-                          nonstabilizerness_monotone, random_state,
+                          nonstabilizerness_monotone, pure_state_monotone, random_state,
                           sampled_local_texture_bound,
                           single_qubit_clifford_group, texture_in_basis)
 import statetexture.monotones as monotones
@@ -138,6 +138,27 @@ class TestEntanglement:
         with pytest.raises(UsageError):
             entanglement_monotone(bell_state, [0, 1])
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(2, 4), strat.integers(2, 4), strat.integers(2, 4),
+           strat.integers(0, 1), strat.integers(0, 2 ** 32 - 1))
+    def test_not_increased_by_local_measurement_on_average(self, d_a, d_b, branches, side,
+                                                           seed):
+        # one party applies Kraus operators K_i, the d x d blocks of a random
+        # isometry, so sum_i K_i^dag K_i = I; the branch average of the
+        # monotone over the outcomes cannot exceed its value before
+        rng = np.random.default_rng(seed)
+        mat = haar_ket(d_a * d_b, rng).reshape(d_a, d_b)
+        d = (d_a, d_b)[side]
+        isometry = haar_unitary(branches * d, rng)[:, :d]
+        average = 0.0
+        for kraus in isometry.reshape(branches, d, d):
+            branch = (kraus @ mat if side == 0 else mat @ kraus.T).ravel()
+            p = np.vdot(branch, branch).real
+            branch = PureState(branch / math.sqrt(p), (d_a, d_b))
+            average += p * entanglement_monotone(branch, [0]).value
+        before = entanglement_monotone(PureState(mat.ravel(), (d_a, d_b)), [0]).value
+        assert average <= before + 1e-12
+
 
 class TestGme:
     def test_ghz(self, ghz3):
@@ -181,6 +202,11 @@ class TestGme:
                     haar_unitary(2, rng))
         rotated = PureState(u @ w3.amplitudes, (2, 2, 2))
         assert abs(gme_monotone(rotated).value - base) < 1e-10
+
+    def test_cut_is_usage_error(self, ghz3):
+        # GME ranges over every bipartition and takes no cut
+        with pytest.raises(UsageError):
+            pure_state_monotone(ghz3, "gme", cut=(0,))
 
     def test_party_limit(self):
         n = 13

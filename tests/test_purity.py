@@ -3,11 +3,29 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, UsageError, check_renyi2_bound,
                           random_state, renyi_purity, single_shot_cost,
                           spectral_decompose, texture_purity)
+from statetexture.purity import BOUND_SLACK
+
+# orders across (0, 1e308], the ones next to 1 included, in increasing order
+ORDERS = (1e-300, 1e-3, 0.5, 0.9, 1 - 1e-12, 1 - 2 ** -52, 1 - 2 ** -53, 1 + 2 ** -52,
+          1 + 1e-12, 1 + 1e-6, 1.4, 2.0, 3.0, 10.0, 1e3, 1e308)
+
+
+@strat.composite
+def spectra(draw):
+    """Density matrices of dimension 2..16, about a third of them rank-deficient."""
+    d = draw(strat.integers(2, 16))
+    rank = draw(strat.sampled_from([d, d, draw(strat.integers(1, d))]))
+    rng = np.random.default_rng(draw(strat.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 class TestTexturePurity:
@@ -92,23 +110,28 @@ class TestRenyiPurity:
         for rho in (random_state(4, "mixed", seed=1), random_state(4, "pure", seed=1).projector()):
             assert math.isfinite(renyi_purity(rho, 5e-324))
 
-    @pytest.mark.parametrize("alpha", [1 + 2 ** -52, 1 - 2 ** -52, 1 - 2 ** -53,
-                                       1 + 1e-12, 1 - 1e-12, 1 + 1e-6, 0.9, 1.4])
-    def test_orders_near_one_match_mpmath(self, alpha):
-        # the lambda_max-factored form cancelled here: diag(0.7, 0.2, 0.1) gave
-        # -0.372 at 1 + 2**-52 and -1.815 at 1 - 2**-53, for a limit of 0.428
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(spectra())
+    def test_orders_near_one_match_mpmath(self, alpha, drawn):
+        # the lambda_max-factored form cancelled near 1: diag(0.7, 0.2, 0.1) gave
+        # -0.372 at 1 + 2**-52 and -1.815 at 1 - 2**-53, for a limit of 0.428;
+        # every order in (0, 1e308] is checked, on fixed and on drawn spectra
         rhos = [DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))]
         rhos += [random_state(d, "mixed", seed=d) for d in (2, 5, 16)]
         rhos.append(DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)))
+        rhos.append(drawn)
         mpmath.mp.dps = 50
         for rho in rhos:
             lam = spectral_decompose(rho).eigenvalues
             # the reference renormalizes: float eigenvalues do not sum to 1
             p = [mpmath.mpf(float(x)) for x in lam if x > 0]
-            q = [x / mpmath.fsum(p) for x in p]
-            a = mpmath.mpf(alpha)
-            want = (mpmath.log(lam.size, 2)
-                    - mpmath.log(mpmath.fsum(x ** a for x in q), 2) / (1 - a))
+            logs = [mpmath.log(x / mpmath.fsum(p)) for x in p]
+            a, top = mpmath.mpf(alpha), max(logs)
+            # ln sum q^alpha = alpha ln q_max + ln sum exp(alpha (ln q - ln q_max)):
+            # q ** 1e308 is exact too, but takes mpmath ~10 ms per power
+            log_sum = a * top + mpmath.log(mpmath.fsum(mpmath.exp(a * (x - top)) for x in logs))
+            want = mpmath.log(lam.size, 2) - log_sum / mpmath.log(2) / (1 - a)
             assert abs(renyi_purity(rho, alpha) - float(want)) < 1e-14
 
     def test_alpha_one_rejected(self):
@@ -133,12 +156,19 @@ class TestRenyi2Bound:
             assert abs(report.renyi_purities[2.0]) < 1e-12
             assert abs(report.renyi2_bound_rhs) < 1e-12
 
-    def test_bound_holds_on_random_states(self):
-        rng = np.random.default_rng(12)
-        for seed in range(100):
-            d = int(rng.integers(2, 9))
-            report = check_renyi2_bound(DensityMatrix(random_density(d, rng)))
-            assert report.bound_satisfied
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(spectra())
+    def test_bound_holds_on_random_states(self, rho):
+        # P_alpha is non-decreasing in alpha, so the paper's bound
+        # P_2 >= log2(1 + P^2 / 2d) holds at every alpha >= 2; qubits attain it
+        report = check_renyi2_bound(rho, ORDERS)
+        assert report.bound_satisfied
+        values = [report.renyi_purities[a] for a in ORDERS]
+        assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
+        rhs = report.renyi2_bound_rhs
+        assert all(report.renyi_purities[a] >= rhs - BOUND_SLACK for a in ORDERS if a >= 2)
+        if rho.dim == 2:
+            assert abs(report.renyi_purities[2.0] - rhs) < 1e-14
 
     def test_qubit_equality_on_random_states(self):
         rng = np.random.default_rng(14)
