@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ResourceLimitError, UsageError
+from .errors import ConvergenceError, ResourceLimitError, UsageError, warn_caller
 from .states import DensityMatrix, PureState, _cut_matrices
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
@@ -124,11 +123,6 @@ class PairObservables:
     @property
     def pair_rugosity(self) -> float:
         return _overlap_rugosity((1.0 + self.c_xx) / 4.0)
-
-    @property
-    def pair_rugosity_symmetric(self) -> float:
-        """The closed form -ln[(1 + Cxx)/4]; the same value as ``pair_rugosity``."""
-        return self.pair_rugosity
 
     @functools.cached_property
     def rho_pair(self) -> DensityMatrix:
@@ -513,10 +507,7 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     e0, gap = e0 * s, gap * s
     degenerate = gap < DEGENERACY_GAP
     if degenerate:
-        warnings.warn(
-            f"near-degenerate ground space (gap {gap:.3e}) for {spec}",
-            RuntimeWarning, stacklevel=2,
-        )
+        warn_caller(f"near-degenerate ground space (gap {gap:.3e}) for {spec}")
     vec = _canonical_sign((coef / np.sqrt(size))[orbit])
     state = PureState(vec / np.linalg.norm(vec), (2,) * spec.n)
     return EDGroundState(state=state, energy=e0, gap=gap, degenerate=degenerate)

@@ -38,8 +38,6 @@ def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
         raise UsageError(f"alpha must be finite, got {alpha}")
     if alpha <= 0:
         raise UsageError(f"alpha must be positive, got {alpha}")
-    if alpha == 1.0:
-        raise UsageError("alpha = 1 (von Neumann limit) is not supported")
     d = lam.size
     lam = np.clip(lam, 0.0, None)
     eps = alpha - 1.0
@@ -50,8 +48,12 @@ def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
         # nearly equal terms; the renormalization matters once |eps| ~ 1e-16
         p = lam[lam > 0.0]
         delta = math.fsum(p) - 1.0
-        x = float(np.sum(p * np.expm1(eps * np.log(p))))
-        entropy = -(math.log1p(delta + x) - alpha * math.log1p(delta)) / eps
+        logs = np.log(p)
+        if eps == 0.0:  # the von Neumann limit of the form below
+            entropy = -float(np.sum(p * logs)) / (1.0 + delta) + math.log1p(delta)
+        else:
+            x = float(np.sum(p * np.expm1(eps * logs)))
+            entropy = -(math.log1p(delta + x) - alpha * math.log1p(delta)) / eps
         return math.log2(d) - entropy / math.log(2.0)
     lam = lam[lam > 0.0] if alpha < 1 else lam
     # lam_max factored out: S_alpha = -log2 lam_max + log2 t / (1 - alpha) with
@@ -75,7 +77,7 @@ def texture_purity(rho: DensityMatrix) -> float:
 
 def renyi_purity(rho: DensityMatrix, alpha: float) -> float:
     """Renyi purity ``log2(d) - S_alpha`` in bits, for ``alpha`` in
-    (0, 1) or (1, inf)."""
+    (0, inf); ``alpha = 1`` gives the von Neumann limit ``log2(d) - S``."""
     return _renyi_purity(spectral_decompose(rho).eigenvalues, alpha)
 
 

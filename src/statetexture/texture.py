@@ -10,13 +10,12 @@ the logarithmic form of the same quantity.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidStateError, UsageError
+from .errors import InvalidStateError, UsageError, warn_caller
 from .states import PureState, StateLike, density_of, spectral_decompose
 
 IMAG_RESIDUAL_LIMIT = 1e-8
@@ -166,6 +165,5 @@ def rugosity_pure(psi: PureState) -> float:
     d = psi.dim
     overlap = abs(np.sum(psi.amplitudes)) ** 2 / d
     if overlap == 0.0:
-        warnings.warn("state is orthogonal to the uniform superposition; rugosity is infinite",
-                      RuntimeWarning, stacklevel=2)
+        warn_caller("state is orthogonal to the uniform superposition; rugosity is infinite")
     return _rugosity(overlap)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from statetexture import (DensityMatrix, PureState, ising, load_state, random_state, roof,
-                          save_state)
+from statetexture import (DensityMatrix, PureState, ising, load_state, purity, random_state,
+                          roof, save_state)
 from statetexture.cli import MAX_SCAN_POINTS, main
 from statetexture.ising import MAX_ANALYTIC_SITES, MAX_ED_SITES
 
@@ -542,7 +543,7 @@ class TestContract:
     @given(strat.data())
     def test_purity_fuzz(self, fuzz_states, data):
         # every --alpha list leaves through an exit code and never prints nan;
-        # a list of finite positive orders other than 1 succeeds
+        # a list of finite positive orders succeeds, alpha = 1 included
         order = strat.one_of(
             strat.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1", "1.0",
                                 "1e308", "5e-324", "0.5", "2", "3", repr(1 + 2 ** -52),
@@ -556,7 +557,7 @@ class TestContract:
         assert not any(line.split()[1].startswith("-") for line in out.splitlines()
                        if line.startswith("renyi_purity")), (argv, out)
         values = [float(a) for a in alphas]
-        if all(math.isfinite(a) and a > 0.0 and a != 1.0 for a in values):
+        if all(math.isfinite(a) and a > 0.0 for a in values):
             assert code == 0, (argv, err)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -676,22 +677,41 @@ class TestContract:
         assert code == 2
 
 
+def _shifted(f):
+    return lambda spec: f(spec) + 1e-6
+
+
+def _shifted_c_xx(f):
+    return lambda spec: dataclasses.replace(f(spec), c_xx=f(spec).c_xx + 1e-6)
+
+
+def _other_qubit(f):
+    return lambda rho: f(DensityMatrix(np.diag([0.6, 0.4]).astype(complex)))
+
+
 class TestSelftest:
     def test_passes_and_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "selftest")
         code2, out2, _ = run(capsys, "selftest")
         assert code1 == 0 and code2 == 0
         assert out1 == out2
-        assert "FAIL" not in out1
+        lines = out1.splitlines()
+        assert len(lines) == 5 and lines[-1] == "4/4 checks passed"
+        assert all(line.startswith("PASS  ") for line in lines[:-1])
 
-    def test_detects_corruption(self, monkeypatch, capsys):
-        # break one primitive; at least one named check must fail
-        from statetexture import selftest as st_mod
-
-        def broken(rho):
-            raise AssertionError("corrupted")
-
-        monkeypatch.setattr(st_mod.states, "spectral_decompose", broken)
+    @pytest.mark.parametrize("module, name, corrupt, check", [
+        (purity, "spectral_decompose", _other_qubit,
+         "purity: Renyi values and qubit bound equality"),
+        (ising, "analytic_rugosity", _shifted, "ising: analytic vs ED at N=8"),
+        (ising, "pair_observables", _shifted_c_xx, "ising: pair forms agree at N=8"),
+        (ising, "dispersion_ground_energy", _shifted, "ising: ED energy vs dispersion sum at N=8"),
+    ], ids=["purity.spectral_decompose", "ising.analytic_rugosity", "ising.pair_observables",
+            "ising.dispersion_ground_energy"])
+    def test_detects_corruption(self, monkeypatch, capsys, module, name, corrupt, check):
+        # a wrong number on one check's path fails that check and only it
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
         code, out, _ = run(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL  {check}: ")
+        assert out.splitlines()[-1] == "3/4 checks passed"

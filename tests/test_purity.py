@@ -12,7 +12,7 @@ from statetexture import (DensityMatrix, UsageError, check_renyi2_bound,
 from statetexture.purity import BOUND_SLACK
 
 # orders across (0, 1e308], the ones next to 1 included, in increasing order
-ORDERS = (1e-300, 1e-3, 0.5, 0.9, 1 - 1e-12, 1 - 2 ** -52, 1 - 2 ** -53, 1 + 2 ** -52,
+ORDERS = (1e-300, 1e-3, 0.5, 0.9, 1 - 1e-12, 1 - 2 ** -52, 1 - 2 ** -53, 1.0, 1 + 2 ** -52,
           1 + 1e-12, 1 + 1e-6, 1.4, 2.0, 3.0, 10.0, 1e3, 1e308)
 
 
@@ -116,7 +116,8 @@ class TestRenyiPurity:
     def test_orders_near_one_match_mpmath(self, alpha, drawn):
         # the lambda_max-factored form cancelled near 1: diag(0.7, 0.2, 0.1) gave
         # -0.372 at 1 + 2**-52 and -1.815 at 1 - 2**-53, for a limit of 0.428;
-        # every order in (0, 1e308] is checked, on fixed and on drawn spectra
+        # every order in (0, 1e308] is checked, on fixed and on drawn spectra,
+        # and alpha = 1 against the von Neumann entropy
         rhos = [DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))]
         rhos += [random_state(d, "mixed", seed=d) for d in (2, 5, 16)]
         rhos.append(DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)))
@@ -128,17 +129,20 @@ class TestRenyiPurity:
             p = [mpmath.mpf(float(x)) for x in lam if x > 0]
             logs = [mpmath.log(x / mpmath.fsum(p)) for x in p]
             a, top = mpmath.mpf(alpha), max(logs)
-            # ln sum q^alpha = alpha ln q_max + ln sum exp(alpha (ln q - ln q_max)):
-            # q ** 1e308 is exact too, but takes mpmath ~10 ms per power
-            log_sum = a * top + mpmath.log(mpmath.fsum(mpmath.exp(a * (x - top)) for x in logs))
-            want = mpmath.log(lam.size, 2) - log_sum / mpmath.log(2) / (1 - a)
+            if alpha == 1.0:
+                entropy = -mpmath.fsum(mpmath.exp(x) * x for x in logs)
+            else:
+                # ln sum q^alpha = alpha ln q_max + ln sum exp(alpha (ln q - ln q_max)):
+                # q ** 1e308 is exact too, but takes mpmath ~10 ms per power
+                entropy = (a * top + mpmath.log(mpmath.fsum(mpmath.exp(a * (x - top))
+                                                            for x in logs))) / (1 - a)
+            want = mpmath.log(lam.size, 2) - entropy / mpmath.log(2)
             assert abs(renyi_purity(rho, alpha) - float(want)) < 1e-14
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(UsageError):
-            renyi_purity(random_state(2, "mixed", seed=0), 1.0)
-        with pytest.raises(UsageError):
-            renyi_purity(random_state(2, "mixed", seed=0), -1.0)
+    def test_nonpositive_alpha_rejected(self):
+        for alpha in (-1.0, 0.0):
+            with pytest.raises(UsageError):
+                renyi_purity(random_state(2, "mixed", seed=0), alpha)
 
 
 class TestRenyi2Bound:

@@ -25,7 +25,7 @@ class TestExamples:
         mat[0, 0] = mat[3, 3] = 0.5
         rho = DensityMatrix(mat, (2, 2))
         res = convex_roof(rho, "entanglement_bipartite", FAST)
-        assert res.value < 1e-6
+        assert abs(res.value) < 1e-6
 
     def test_pure_bell(self, bell_state):
         res = convex_roof(bell_state.projector(), "entanglement_bipartite",

@@ -51,11 +51,11 @@ class TestInvariants:
 class TestSpectralDecompose:
     def test_diagonal(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        assert np.allclose(spectral_decompose(rho).eigenvalues, [0.7, 0.3], atol=1e-14)
+        assert np.allclose(spectral_decompose(rho).eigenvalues, [0.7, 0.3], rtol=0, atol=1e-14)
 
     def test_degenerate(self, maximally_mixed):
         spec = spectral_decompose(maximally_mixed(2))
-        assert np.allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(spec.eigenvalues, [0.5, 0.5], rtol=0, atol=1e-14)
         overlap = spec.eigenvectors.conj().T @ spec.eigenvectors
         assert np.allclose(overlap, np.eye(2), atol=1e-10)
 
@@ -111,7 +111,7 @@ class TestSpectrumMemo:
 class TestPartialTrace:
     def test_bell_marginal(self, bell_state):
         red = partial_trace(bell_state.projector(), keep=[0])
-        assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(red.matrix, np.eye(2) / 2, rtol=0, atol=1e-14)
 
     def test_product_state_marginal(self):
         rng = np.random.default_rng(5)
@@ -125,7 +125,7 @@ class TestPartialTrace:
         red = partial_trace(ghz3.projector(), keep=[0, 1])
         want = np.zeros((4, 4))
         want[0, 0] = want[3, 3] = 0.5
-        assert np.allclose(red.matrix, want, atol=1e-14)
+        assert np.allclose(red.matrix, want, rtol=0, atol=1e-14)
 
     def test_requires_dims(self):
         rho = random_state(4, "mixed", seed=0)
@@ -148,12 +148,12 @@ class TestPartialTrace:
 class TestSchmidt:
     def test_bell(self, bell_state):
         data = schmidt_decompose(bell_state, [0])
-        assert np.allclose(data.coefficients, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(data.coefficients, [0.5, 0.5], rtol=0, atol=1e-12)
 
     def test_product(self):
         psi = PureState(np.eye(4)[0], (2, 2))
         assert np.allclose(schmidt_decompose(psi, [0]).coefficients, [1.0, 0.0],
-                           atol=1e-12)
+                           rtol=0, atol=1e-12)
 
     def test_schmidt_form_input(self):
         v = np.zeros(4)

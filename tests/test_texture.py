@@ -18,7 +18,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 class TestTextureInBasis:
-    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_texture_less_projector_is_free(self, d):
         basis = computational_basis(d)
         rep = texture_in_basis(texture_less_state(basis), basis)
@@ -31,12 +31,17 @@ class TestTextureInBasis:
         assert abs(rep.grand_sum - 1.0) < 1e-12
         assert abs(rep.texture - (1.0 - 1.0 / d)) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("d", [2, 3, 5, 6])
     def test_fourier_states_maximal(self, d):
         f = fourier_basis(d)
         for j in range(1, d):
             rep = texture_in_basis(PureState(f.unitary[:, j]), computational_basis(d))
             assert abs(rep.texture - 1.0) < 1e-12
+
+    def test_bell_state(self, bell_state):
+        rep = texture_in_basis(bell_state, computational_basis(4))
+        assert abs(rep.grand_sum - 2.0) < 1e-12
+        assert abs(rep.texture - 0.5) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
@@ -240,7 +245,7 @@ class TestProperties:
 
 
 class TestRugosityPure:
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_uniform_superposition(self, n):
         d = 2 ** n
         psi = PureState(np.full(d, 1 / math.sqrt(d)), (2,) * n)
@@ -254,8 +259,9 @@ class TestRugosityPure:
 
     def test_orthogonal_state_is_infinite(self):
         minus = PureState(np.array([1.0, -1.0]) / math.sqrt(2.0))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as records:
             assert rugosity_pure(minus) == math.inf
+        assert all(record.filename == __file__ for record in records)
 
     def test_overlap_rounding_above_one_is_zero_not_negative(self):
         # |sum|^2 / d of (1/2, 1/2, 1/2, 1/2) rounds to 1: -ln of it was -0.0,
