@@ -30,6 +30,22 @@ the kernels run on consecutive blocks of it (see :data:`_MODE_BLOCK`).
 Fields too large to square are first scaled by a power of two (see
 :func:`_field_scale`).
 
+Away from h = +-1 the sums need not visit all N/2 modes.  Every summand is
+2 pi-periodic in phi and analytic in the strip |Im phi| < |ln|h||, as
+lam^2 = (1 - h e^{i phi})(1 - h e^{-i phi}), so the trapezoidal rule
+converges exponentially: the N/2-mode sum is N/M times the sum over the
+K = M/2 modes of an antiperiodic grid of M sites, with K the smallest
+power of two >= max(8, 60 / |ln|h||) and an aliasing error of order
+N exp(-2K |ln|h||) <= N e^-120, far below rounding.  Wherever K >= N/2,
+which covers h = +-1, |h -+ 1| below about 120/N and every chain of up to
+16 sites, the full sum is kept (see :func:`_grid_modes`).  At |h| > 1 the
+pair amplitude of the rugosity has a double zero at phi = 0 (h > 1) or
+phi = pi (h < -1); the reduced rugosity, taken at |h|, subtracts
+ln(4 sin^2(phi/2)), tabulated from sin(phi/2) itself, whose N/2-mode sum
+is exactly ln 2, and sums the analytic remainder.  The reduced terms are
+relatively accurate, ln(1 - q) being taken as log1p(-q), since the N/M
+factor would amplify an absolute error.
+
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
@@ -172,6 +188,7 @@ def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
     This is the only part of the free-fermion formulas that depends on N
     alone.  It is cached for two lengths, one scan's and one point's, at
     most 16 MB at ``MAX_ANALYTIC_SITES``, and its arrays are read-only.
+    Only the points that keep the full sum ask for it (see :func:`_grid_modes`).
     """
     # both as sines of exact multiples of pi / 2N in [-pi/2, pi/2]:
     # cos phi = sin(pi/2 - phi) is exactly odd and sin phi exactly even under
@@ -189,12 +206,66 @@ def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _blocks(table: Tuple[np.ndarray, np.ndarray]):
+def _grid_modes(n: int, h: float) -> int:
+    """Modes K of the reduced grid for field h, or N/2 where the full sum is kept.
+
+    K is the smallest power of two >= max(8, 60 / |ln|h||), so that the
+    aliasing error of the trapezoidal rule, of order N exp(-2K |ln|h||) <=
+    N e^-120, is far below rounding.  Wherever K >= N/2 the full sum is
+    kept; that covers h = +-1 and every chain of up to 16 sites.
+    """
+    gap = abs(math.log(abs(h))) if h else math.inf
+    modes = 8
+    while modes < n // 2 and modes * gap < 60.0:
+        modes *= 2
+    return min(modes, n // 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_table(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The momentum table of a reduced grid of m sites and
+    ln(4 sin^2(phi_p / 2)) of its modes, the term that
+    :func:`_log_pair_remainders` subtracts.
+
+    Kept apart from :func:`_momentum_table`, whose two entries stay the
+    caller's chain lengths.  A chain of up to ``MAX_ANALYTIC_SITES`` sites
+    asks for at most the 16 powers of two from 16 to 2^19 sites, 12 MiB in
+    all; its arrays are read-only.
+    """
+    chord = np.arange(1.0, m, 2.0)
+    chord *= np.pi / (2 * m)
+    np.sin(chord, out=chord)
+    chord *= 2.0
+    log_chord2 = np.log(chord, out=chord)
+    log_chord2 *= 2.0
+    log_chord2.flags.writeable = False
+    return (*_momentum_table.__wrapped__(m), log_chord2)
+
+
+def _sum_grid(n: int, h: float) -> Tuple[tuple, float]:
+    """The table whose modes the kernels sum for a chain of n sites at field
+    h, and the weight N/M of each of its terms: the full table and 1, or a
+    reduced grid of M sites and N/M (see :func:`_grid_modes`)."""
+    modes = _grid_modes(n, h)
+    if modes == n // 2:
+        return _momentum_table(n), 1.0
+    return _grid_table(2 * modes), n / (2 * modes)
+
+
+def _blocks(table: tuple):
     """Consecutive slices of at most ``_MODE_BLOCK`` modes of a momentum table."""
-    cos_phi, sin_phi = table
-    for start in range(0, cos_phi.size, _MODE_BLOCK):
-        stop = start + _MODE_BLOCK
-        yield cos_phi[start:stop], sin_phi[start:stop]
+    for start in range(0, table[0].size, _MODE_BLOCK):
+        yield tuple(column[start:start + _MODE_BLOCK] for column in table)
+
+
+def _table_sum(terms, table: tuple, h: float) -> float:
+    """Sum of ``terms(block, h)`` over the blocks of a table."""
+    # the block sums accumulate from -0.0, the exact identity of +, so one
+    # block gives bitwise the unblocked sum
+    total = -0.0
+    for block in _blocks(table):
+        total += np.sum(terms(block, h))
+    return float(total)
 
 
 def _field_scale(h: float) -> float:
@@ -212,11 +283,10 @@ def _field_scale(h: float) -> float:
     return math.ldexp(1.0, math.frexp(h)[1] - 1)
 
 
-def _dispersion(table: Tuple[np.ndarray, np.ndarray], h: float
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _dispersion(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p),
     divided by s, s^2 and s, and the scale s = :func:`_field_scale` (h)."""
-    cos_phi, sin_phi = table
+    cos_phi, sin_phi = table[0], table[1]
     s = _field_scale(h)
     delta = cos_phi - h
     if s == 1.0:
@@ -230,20 +300,40 @@ def _dispersion(table: Tuple[np.ndarray, np.ndarray], h: float
     return delta, sin2, np.sqrt(lam, out=lam), s
 
 
-def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """(lam + x) / (2 lam) for lam = sqrt(x^2 + y2), without cancellation.
+def _ratio(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> Tuple[np.ndarray, slice, slice]:
+    """r = y2 / (2 lam (lam + |x|)) and the slices of the modes with x < 0
+    and with x >= 0.
 
-    Since lam^2 - x^2 = y2, it equals r = y2 / (2 lam (lam + |x|)) where
-    x < 0, the modes on which lam + x cancels, and 1 - r elsewhere.
+    x is cos phi - h or 1 - h cos phi, monotone along the table, so the
+    modes with x < 0 are a prefix or a suffix of it, found by bisection.
     """
-    r = np.abs(x)
-    r += lam
+    if x[0] <= x[-1]:
+        split = int(np.searchsorted(x, 0.0))
+        negative, rest = slice(0, split), slice(split, None)
+    else:
+        split = x.size - int(np.searchsorted(x[::-1], 0.0))
+        negative, rest = slice(split, None), slice(0, split)
+    r = np.add(lam, x)
+    np.subtract(lam[negative], x[negative], out=r[negative])
     r *= lam
     r *= 2.0
     np.divide(y2, r, out=r)
-    # (x >= 0) - copysign(r, x): r where x < 0, 1 - r elsewhere
-    np.copysign(r, x, out=r)
-    return np.subtract(~np.signbit(x), r, out=r)
+    return r, negative, rest
+
+
+def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray, minus: bool = False
+              ) -> np.ndarray:
+    """(lam + x) / (2 lam), or (lam - x) / (2 lam) if ``minus``, for
+    lam = sqrt(x^2 + y2), without cancellation.
+
+    Since lam^2 - x^2 = y2, each equals r = y2 / (2 lam (lam + |x|)) on the
+    modes on which it cancels, x < 0 for lam + x and x >= 0 for lam - x,
+    and 1 - r on the others.
+    """
+    r, negative, rest = _ratio(lam, x, y2)
+    other = negative if minus else rest
+    np.subtract(1.0, r[other], out=r[other])
+    return r
 
 
 def _require_analytic(spec: ChainSpec) -> None:
@@ -262,7 +352,7 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     _require_analytic(spec)
     delta, sin2, lam, s = _dispersion(_momentum_table(spec.n), spec.h)
     sin_t = np.sqrt(_half_sum(lam, delta, sin2))
-    cos_t = -np.sqrt(_half_sum(lam, -delta, sin2))
+    cos_t = -np.sqrt(_half_sum(lam, delta, sin2, minus=True))
     theta = np.arctan2(sin_t, cos_t)
     phi = np.arange(1, spec.n, 2) * np.pi / spec.n
     return [
@@ -272,8 +362,9 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     ]
 
 
-def _log_pair_amplitudes(table: Tuple[np.ndarray, np.ndarray], h: float) -> np.ndarray:
-    """ln sin^2(theta_p - phi_p / 2) of every mode (see :func:`analytic_rugosity`)."""
+def _pair_terms(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lam, a = 1 - h cos phi and h^2 sin^2 phi of every mode, divided by s,
+    s and s^2 (see :func:`analytic_rugosity`)."""
     delta, sin2, lam, s = _dispersion(table, h)
     hs = h / s
     a = np.multiply(table[0], -hs, out=delta)
@@ -281,17 +372,43 @@ def _log_pair_amplitudes(table: Tuple[np.ndarray, np.ndarray], h: float) -> np.n
     if s != 1.0:
         np.multiply(table[1], table[1], out=sin2)
     sin2 *= hs * hs
-    amp = _half_sum(lam, a, sin2)
+    return lam, a, sin2
+
+
+def _log_pair_amplitudes(table: tuple, h: float) -> np.ndarray:
+    """ln sin^2(theta_p - phi_p / 2) of every mode (see :func:`analytic_rugosity`)."""
+    amp = _half_sum(*_pair_terms(table, h))
     return np.log(amp, out=amp)
 
 
-def _rugosity(table: Tuple[np.ndarray, np.ndarray], h: float) -> float:
-    # the block sums accumulate from -0.0, the exact identity of +, so one
-    # block gives bitwise the unblocked sum
-    total = -0.0
-    for block in _blocks(table):
-        total += np.sum(_log_pair_amplitudes(block, h))
-    return float(math.log(2.0) - total)
+def _log_pair_remainders(table: tuple, h: float) -> np.ndarray:
+    """ln sin^2(theta_p - phi_p / 2), less ln(4 sin^2(phi_p / 2)) if h > 1,
+    of every mode of a reduced-grid table, at h >= 0.
+
+    At h > 1 the pair amplitude has a double zero at phi = 0, which the
+    subtracted term removes; what is left is analytic in the strip
+    |Im phi| < ln h.  Each logarithm is relatively accurate, as the reduced
+    sum is scaled by N/M: ln(1 - q) is taken as log1p(-q).
+    """
+    q, negative, rest = _ratio(*_pair_terms(table, h))
+    np.log(q[negative], out=q[negative])
+    far = np.negative(q[rest], out=q[rest])
+    np.log1p(far, out=far)
+    if h > 1.0:
+        q -= table[2]
+    return q
+
+
+def _rugosity(n: int, h: float) -> float:
+    table, weight = _sum_grid(n, h)
+    if weight == 1.0:  # the full sum
+        return float(math.log(2.0) - _table_sum(_log_pair_amplitudes, table, h))
+    # the amplitudes are even in h; at |h| > 1 the reduced terms leave out
+    # ln(4 sin^2(phi_p / 2)), whose sum over the N/2 modes is ln 2, as
+    # prod_p 2 sin((2p - 1) pi / 2N) = sqrt(2); that leaves no large term to
+    # cancel against the sum
+    base = math.log(2.0) if abs(h) < 1.0 else 0.0
+    return float(base - weight * _table_sum(_log_pair_remainders, table, abs(h)))
 
 
 def analytic_rugosity(spec: ChainSpec) -> float:
@@ -317,13 +434,14 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     Since lam^2 - a^2 = h^2 sin^2 phi, the amplitude is
     q = h^2 sin^2 phi / (2 lam (lam + |a|)) where a < 0, the modes on which
     lam + a cancels (|h| > 1), and 1 - q elsewhere.  At h = 0 every q is
-    exactly 0 and R = ln 2.
+    exactly 0 and R = ln 2.  Away from h = +-1 the sum is taken on a reduced
+    grid (see :func:`_grid_modes`).
     """
     _require_analytic(spec)
-    return _rugosity(_momentum_table(spec.n), spec.h)
+    return _rugosity(spec.n, spec.h)
 
 
-def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObservables:
+def _pair_observables(n: int, h: float) -> PairObservables:
     """Magnetization and nearest-neighbor correlators from the two-point
     contractions of the even-sector ground state,
 
@@ -332,15 +450,18 @@ def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObs
 
     needed at r = 0, +1 and -1 only, so three sums: of sin^2 theta =
     (lam + delta) / (2 lam), of sin^2 theta cos phi, and of
-    -sin theta cos theta sin phi = sin^2 phi / (2 lam).
+    -sin theta cos theta sin phi = sin^2 phi / (2 lam).  Each sum over a
+    reduced grid of M sites is M/N times the chain's, so the same formulas
+    with M for N give the chain's values.
 
     The correlators are even in h and m_z is odd, as the table is symmetric
     under phi -> pi - phi, so all are taken at |h|: for h << 0 every
     sin^2 theta is near 1 and the hopping sum would cancel to its rounding.
     """
-    n = 2 * table[0].size
+    table, _ = _sum_grid(n, h)
+    sites = 2 * table[0].size
     diagonal = hopping = pairing = -0.0
-    for cos_phi, sin_phi in _blocks(table):
+    for cos_phi, sin_phi in _blocks(table[:2]):
         delta, sin2, lam, s = _dispersion((cos_phi, sin_phi), abs(h))
         sin2_t = _half_sum(lam, delta, sin2)
         diagonal += np.sum(sin2_t)
@@ -351,9 +472,9 @@ def _pair_observables(table: Tuple[np.ndarray, np.ndarray], h: float) -> PairObs
         pairing += np.sum(sin2)
     diagonal, hopping = float(diagonal), float(hopping)
     pairing = 0.5 * float(pairing) / s
-    m_z = 1.0 - 4.0 * diagonal / n
-    g_plus = 4.0 * (hopping + pairing) / n
-    g_minus = 4.0 * (hopping - pairing) / n
+    m_z = 1.0 - 4.0 * diagonal / sites
+    g_plus = 4.0 * (hopping + pairing) / sites
+    g_minus = 4.0 * (hopping - pairing) / sites
     return PairObservables(-m_z if h < 0.0 else m_z, g_plus, g_minus,
                            m_z * m_z - g_plus * g_minus)
 
@@ -362,7 +483,7 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
     """Magnetization, nearest-neighbor correlators and pair rugosity of the
     g = 0 ground state, from the fermionic two-point contractions."""
     _require_analytic(spec)
-    return _pair_observables(_momentum_table(spec.n), spec.h)
+    return _pair_observables(spec.n, spec.h)
 
 
 # ----------------------------------------------------------------------
@@ -553,11 +674,9 @@ def ed_pair_observables(spec: ChainSpec) -> PairObservables:
 def dispersion_ground_energy(spec: ChainSpec) -> float:
     """Free-fermion ground energy ``-sum_p lam_p`` of the g = 0 chain."""
     _require_analytic(spec)
-    total = -0.0
-    for block in _blocks(_momentum_table(spec.n)):
-        _, _, lam, s = _dispersion(block, spec.h)
-        total += np.sum(lam)
-    return -float(total) * s
+    table, weight = _sum_grid(spec.n, spec.h)
+    total = _table_sum(lambda block, h: _dispersion(block, h)[2], table, spec.h)
+    return -total * _field_scale(spec.h) * weight
 
 
 # ----------------------------------------------------------------------
@@ -615,11 +734,9 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         if axis == "g" or spec.g != 0.0:
             raise UsageError("the analytic method requires g = 0 and an h-axis scan")
         _require_analytic(spec)
-        # hoisted: one analytic_rugosity per point cost +25 % at n = 512, +2 % at 16 384
-        table = _momentum_table(spec.n)
         for k, x in enumerate(pts):
-            values[k] = (_rugosity(table, x) if observable == "full"
-                         else _pair_observables(table, x).pair_rugosity)
+            values[k] = (_rugosity(spec.n, x) if observable == "full"
+                         else _pair_observables(spec.n, x).pair_rugosity)
     else:
         for k, x in enumerate(pts):
             point = ChainSpec(spec.n, h=x if axis == "h" else spec.h,

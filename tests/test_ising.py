@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as strat
 
 import statetexture
 import statetexture.ising as ising
@@ -44,7 +46,7 @@ class TestChainSpec:
 class TestBogoliubovModes:
     def test_momenta_and_flat_dispersion_at_zero_field(self):
         modes = bogoliubov_modes(ChainSpec(4, 0.0))
-        assert np.allclose([m.phi for m in modes], [np.pi / 4, 3 * np.pi / 4], atol=1e-15)
+        assert np.allclose([m.phi for m in modes], [np.pi / 4, 3 * np.pi / 4], rtol=0, atol=1e-15)
         assert np.allclose([m.lam for m in modes], [1.0, 1.0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("h", [0.0, 0.2, 1.0, 1.5, 3.0, 50.0])
@@ -242,22 +244,32 @@ class TestHugeFields:
             assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) < 1e-12
 
 
-def _mode_terms(n, h):
-    """The per-mode arrays the analytic kernels sum, for |h| <= 2^256: ln of
+def _mode_terms(n, h, accurate=False):
+    """The per-mode arrays the analytic kernels sum over the whole chain: ln of
     the pair amplitudes, then at |h| sin^2 theta, cos phi and sin^2 phi / lam,
-    then lam at h."""
+    then lam at h, the last two with the field scale undone.
+
+    With ``accurate``, ln(1 - q) is log1p(-q) where the pair amplitude is
+    1 - q, so that every term is relatively accurate; the kernels take the
+    log of the rounded 1 - q on the full sum."""
     table = ising._momentum_table(n)
-    log_amp = ising._log_pair_amplitudes(table, h)
+    if accurate:
+        lam, a, y2 = ising._pair_terms(table, h)
+        q = y2 / (2.0 * lam * (lam + np.abs(a)))
+        log_amp = np.log1p(-q)
+        cancels = a < 0.0
+        log_amp[cancels] = np.log(q[cancels])
+    else:
+        log_amp = ising._log_pair_amplitudes(table, h)
     delta, sin2, lam, s = ising._dispersion(table, abs(h))
-    assert s == 1.0
-    return (log_amp, ising._half_sum(lam, delta, sin2), table[0], sin2 / lam,
-            ising._dispersion(table, h)[2])
+    return (log_amp, ising._half_sum(lam, delta, sin2), table[0], table[1] ** 2 / lam / s,
+            ising._dispersion(table, h)[2] * ising._field_scale(h))
 
 
-def _kernels_from_modes(n, h, total, inner):
+def _kernels_from_modes(n, h, total, inner, accurate=False):
     """Rugosity, m_z, c_xx, c_yy, c_zz and ground energy from the per-mode
     arrays of the whole chain, summed by ``total`` and ``inner``."""
-    log_amp, sin2_t, cos_phi, pairing, lam = _mode_terms(n, h)
+    log_amp, sin2_t, cos_phi, pairing, lam = _mode_terms(n, h, accurate)
     diagonal, hopping = float(total(sin2_t)), float(inner(sin2_t, cos_phi))
     pairing = 0.5 * float(total(pairing))
     m_z = 1.0 - 4.0 * diagonal / n
@@ -279,7 +291,11 @@ class TestBlockedKernels:
 
     @pytest.mark.parametrize("n", [2, 64, 2 * ising._MODE_BLOCK])
     def test_one_block_is_bitwise_one_slice(self, n):
-        for h in (0.0, 0.3, 1.0, -1.2, 50.0):
+        # the fields at which the chain keeps the full N/2-mode sum
+        fields = {2: (0.0, 0.3, 1.0, -1.2, 50.0), 64: (0.3, 1.0, -1.2),
+                  2 * ising._MODE_BLOCK: (1.0, 0.996, -1.004)}[n]
+        for h in fields:
+            assert ising._grid_modes(n, h) == n // 2
             assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, np.dot)
 
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.5, -1.2, 50.0])
@@ -306,19 +322,22 @@ class TestBlockedKernels:
                 column[0] = 0.0
 
     def test_scan_and_points_build_one_table(self):
+        # only h = 1 keeps the full sum here; the other fields, on reduced
+        # grids, never ask for the chain's table
         ising._momentum_table.cache_clear()
         n = 4096
         scan(ChainSpec(n, 0.0), "h", np.linspace(0.5, 1.5, 5), method="analytic")
-        spec = ChainSpec(n, 0.7)
-        analytic_rugosity(spec)
-        pair_observables(spec)
-        dispersion_ground_energy(spec)
+        for h in (1.0, 0.7):
+            spec = ChainSpec(n, h)
+            analytic_rugosity(spec)
+            pair_observables(spec)
+            dispersion_ground_energy(spec)
         assert ising._momentum_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("kernel", [analytic_rugosity, pair_observables,
                                         dispersion_ground_energy])
     def test_peak_memory_is_a_few_blocks(self, kernel):
-        spec = ChainSpec(10 ** 6, 0.7)
+        spec = ChainSpec(10 ** 6, 1.0)  # the full sum, over 31 blocks
         kernel(spec)  # the table is built here, outside the measurement
         tracemalloc.start()
         try:
@@ -327,6 +346,87 @@ class TestBlockedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+def _fsum(x):
+    return math.fsum(x.tolist())
+
+
+def _fsum_dot(x, y):
+    return math.fsum((x * y).tolist())
+
+
+@functools.lru_cache(maxsize=1)
+def _mp_modes(n):
+    """cos phi_p and sin^2 phi_p of the N/2 momenta, at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        phis = [(2 * p - 1) * mpmath.pi / n for p in range(1, n // 2 + 1)]
+        return [(mpmath.cos(phi), mpmath.sin(phi) ** 2) for phi in phis]
+
+
+# near +-1 (either route), near 0, negative, and up to 1e300
+_GRID_FIELDS = strat.one_of(strat.floats(0.98, 1.02), strat.floats(-1.02, -0.98),
+                            strat.floats(-1e-3, 1e-3), strat.floats(-1e3, -1e-3),
+                            strat.floats(1e-3, 1e300))
+
+
+class TestReducedGrid:
+    """Away from h = +-1 the kernels sum a reduced grid of M sites, scaled by N/M."""
+
+    def test_grid_rule(self):
+        n = 10 ** 6
+        assert ising._grid_modes(n, 0.0) == 8
+        assert ising._grid_modes(n, 1e300) == 8
+        # 60 / |ln 0.7| = 168.2, the same for -0.7 and +-1/0.7
+        for h in (0.7, -0.7, 1 / 0.7, -1 / 0.7):
+            assert ising._grid_modes(n, h) == 256
+        for h in (1.0, -1.0, 1.0 + 2 ** -52, 1.0001):
+            assert ising._grid_modes(n, h) == n // 2
+        # every chain of up to 16 sites keeps the full sum
+        assert all(ising._grid_modes(m, 0.0) == m // 2 for m in range(2, 18, 2))
+
+    @pytest.mark.parametrize("n", [2, 6, 100, 16458, 2 ** 19])
+    def test_chord_sum(self, n):
+        # sum_p ln(4 sin^2(phi_p / 2)) = ln 2 over the N/2 modes, which the
+        # reduced rugosity adds back at |h| > 1; to the rounding of its terms
+        half = np.arange(1, n, 2) * np.pi / (2 * n)
+        terms = 2.0 * np.log(2.0 * np.sin(half))
+        if n == 2 ** 19:
+            assert np.array_equal(ising._grid_table(n)[2], terms)
+        tol = 4 * np.finfo(float).eps * _fsum(np.abs(terms))
+        assert abs(_fsum(terms) - math.log(2.0)) <= tol
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(k=strat.integers(1, 5 * 10 ** 5), h=_GRID_FIELDS)
+    def test_matches_fsum_over_every_mode(self, k, h):
+        n = 2 * k
+        want = _kernels_from_modes(n, h, _fsum, _fsum_dot, accurate=True)
+        for got, ref in zip(_kernel_values(n, h), want):
+            assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("h", [0.01, 0.1, 0.3, 0.6, 0.9, 1.03, 1.2, 1.5, 2.0, 3.0, 50.0,
+                                   -3.0])
+    def test_rugosity_matches_mpmath(self, h):
+        mpmath = pytest.importorskip("mpmath")
+        n = 4000
+        with mpmath.workdps(40):
+            product = mpmath.mpf(1)
+            for cos_phi, sin2 in _mp_modes(n):
+                lam = mpmath.sqrt((h - cos_phi) ** 2 + sin2)
+                product *= (lam + 1 - h * cos_phi) / (2 * lam)
+            want = float(mpmath.log(2) - mpmath.log(product))
+        assert abs(analytic_rugosity(ChainSpec(n, h)) - want) <= 1e-15 * want
+
+    def test_reduced_tables_are_cached_apart_and_read_only(self):
+        ising._momentum_table.cache_clear()
+        analytic_rugosity(ChainSpec(10 ** 6, 0.7))
+        assert ising._momentum_table.cache_info().currsize == 0
+        table = ising._grid_table(512)
+        assert ising._grid_table(512) is table
+        for column in table:
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
 
 class TestEdGroundState:

@@ -57,7 +57,7 @@ class TestSpectralDecompose:
         spec = spectral_decompose(maximally_mixed(2))
         assert np.allclose(spec.eigenvalues, [0.5, 0.5], rtol=0, atol=1e-14)
         overlap = spec.eigenvectors.conj().T @ spec.eigenvectors
-        assert np.allclose(overlap, np.eye(2), atol=1e-10)
+        assert np.allclose(overlap, np.eye(2), rtol=0, atol=1e-10)
 
     def test_random_4x4_against_jacobi_oracle(self):
         rng = np.random.default_rng(42)
@@ -159,7 +159,7 @@ class TestSchmidt:
         v = np.zeros(4)
         v[0], v[3] = math.sqrt(0.9), math.sqrt(0.1)
         data = schmidt_decompose(PureState(v, (2, 2)), [0])
-        assert np.allclose(data.coefficients, [0.9, 0.1], atol=1e-12)
+        assert np.allclose(data.coefficients, [0.9, 0.1], rtol=0, atol=1e-12)
 
     def test_invalid_cut(self, bell_state):
         with pytest.raises(UsageError):

@@ -75,27 +75,27 @@ class TestTextureInBasis:
 class TestTextureLessState:
     def test_computational_d2(self):
         s1 = texture_less_state(computational_basis(2))
-        assert np.allclose(s1.amplitudes, np.full(2, 1 / math.sqrt(2)), atol=1e-15)
+        assert np.allclose(s1.amplitudes, np.full(2, 1 / math.sqrt(2)), rtol=0, atol=1e-15)
 
     def test_computational_d4(self):
         s1 = texture_less_state(computational_basis(4))
-        assert np.allclose(s1.amplitudes, np.full(4, 0.5), atol=1e-15)
+        assert np.allclose(s1.amplitudes, np.full(4, 0.5), rtol=0, atol=1e-15)
 
     def test_hadamard_basis(self):
         s1 = texture_less_state(OrthonormalBasis(HADAMARD))
-        assert np.allclose(s1.amplitudes, [1.0, 0.0], atol=1e-15)
+        assert np.allclose(s1.amplitudes, [1.0, 0.0], rtol=0, atol=1e-15)
 
 
 class TestFourierBasis:
     def test_d2_columns(self):
         f = fourier_basis(2).unitary
-        assert np.allclose(f[:, 0], np.full(2, 1 / math.sqrt(2)), atol=1e-15)
-        assert np.allclose(f[:, 1], np.array([1, -1]) / math.sqrt(2), atol=1e-12)
+        assert np.allclose(f[:, 0], np.full(2, 1 / math.sqrt(2)), rtol=0, atol=1e-15)
+        assert np.allclose(f[:, 1], np.array([1, -1]) / math.sqrt(2), rtol=0, atol=1e-12)
 
     def test_d3_second_column(self):
         f = fourier_basis(3).unitary
         w = np.exp(2j * np.pi / 3)
-        assert np.allclose(f[:, 1], np.array([1, w, w ** 2]) / math.sqrt(3), atol=1e-12)
+        assert np.allclose(f[:, 1], np.array([1, w, w ** 2]) / math.sqrt(3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 5, 16, 32])
     def test_unitarity(self, d):
