@@ -167,7 +167,6 @@ def _cmd_ising_point(args) -> list:
            else ising.ed_pair_observables(spec))
     return pairs + [("m_z", obs.m_z), ("c_xx", obs.c_xx), ("c_yy", obs.c_yy),
                     ("c_zz", obs.c_zz), ("pair_rugosity", obs.pair_rugosity),
-                    ("pair_rugosity_symmetric", obs.pair_rugosity),
                     ("pair_rugosity_normalized", obs.pair_rugosity / args.n)]
 
 

@@ -24,27 +24,26 @@ cos 2theta = -delta / lam and sin 2theta = -sin phi / lam, the rugosity
 amplitude sin^2(theta - phi/2) = (lam + 1 - h cos phi) / (2 lam).  Each
 numerator lam + x has lam^2 - x^2 = y^2 with y = sin phi for x = delta and
 y = h sin phi for x = 1 - h cos phi; where x < 0 it is evaluated as
-y^2 / (lam - x), which does not cancel.  The table of cos phi_p and
-sin phi_p depends on N alone and is kept for the last two chain lengths;
-the kernels run on consecutive blocks of it (see :data:`_MODE_BLOCK`).
-Fields too large to square are first scaled by a power of two (see
-:func:`_field_scale`).
+y^2 / (lam - x), which does not cancel.
 
-Away from h = +-1 the sums need not visit all N/2 modes.  Every summand is
-2 pi-periodic in phi and analytic in the strip |Im phi| < |ln|h||, as
-lam^2 = (1 - h e^{i phi})(1 - h e^{-i phi}), so the trapezoidal rule
-converges exponentially: the N/2-mode sum is N/M times the sum over the
-K = M/2 modes of an antiperiodic grid of M sites, with K the smallest
-power of two >= max(8, 60 / |ln|h||) and an aliasing error of order
-N exp(-2K |ln|h||) <= N e^-120, far below rounding.  Wherever K >= N/2,
-which covers h = +-1, |h -+ 1| below about 120/N and every chain of up to
-16 sites, the full sum is kept (see :func:`_grid_modes`).  At |h| > 1 the
-pair amplitude of the rugosity has a double zero at phi = 0 (h > 1) or
-phi = pi (h < -1); the reduced rugosity, taken at |h|, subtracts
-ln(4 sin^2(phi/2)), tabulated from sin(phi/2) itself, whose N/2-mode sum
-is exactly ln 2, and sums the analytic remainder.  The reduced terms are
+Every summand is 2 pi-periodic in phi and analytic in the strip
+|Im phi| < |ln|h||, as lam^2 = (1 - h e^{i phi})(1 - h e^{-i phi}), so the
+trapezoidal rule converges exponentially: the N/2-mode sum is N/M times
+the sum over the K = M/2 modes of an antiperiodic grid of M sites, with K
+the smallest power of two >= max(8, 60 / |ln|h||), at most N/2, and an
+aliasing error of order N exp(-2K |ln|h||) <= N e^-120, far below
+rounding.  The full sum is the grid with M = N and weight 1; it is the
+one taken at h = +-1, for |h -+ 1| below about 120/N and for every chain of
+up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached,
+read-only table of cos phi_p and sin phi_p per grid, in consecutive
+blocks (see :data:`_MODE_BLOCK`).  The rugosity is even in h and is
+taken at |h|.  At |h| > 1 its pair amplitude has a double zero at phi = 0,
+so its terms subtract ln(4 sin^2(phi/2)), tabulated from sin(phi/2)
+itself and built only for those fields, whose N/2-mode sum is ln 2 in
+exact arithmetic, and sum the analytic remainder.  Every term is
 relatively accurate, ln(1 - q) being taken as log1p(-q), since the N/M
-factor would amplify an absolute error.
+factor would amplify an absolute error.  Fields too large to square are
+first scaled by a power of two (see :func:`_field_scale`).
 
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
@@ -71,11 +70,13 @@ MAX_ED_SITES = 20
 # import scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
 MAX_ANALYTIC_SITES = 10 ** 6
+# momentum tables (and chord columns) kept, one per grid; see _momentum_table
+_GRID_CACHE = 16
 # the free-fermion kernels stream their temporaries through blocks of this
 # many modes, 128 KiB per float64 array, which stay in L2; blocks of 8192,
 # 16384 and 32768 modes took 7.5, 5.9 and 9.8 ms per analytic_rugosity at
 # n = 1e6 (2-core VM, table cached) against 13.9 ms on the whole arrays.
-# Chains of up to 2 * _MODE_BLOCK sites are one block and sum exactly as
+# Grids of up to 2 * _MODE_BLOCK sites are one block and sum exactly as
 # unblocked code
 _MODE_BLOCK = 16384
 DEGENERACY_GAP = 1e-8
@@ -181,23 +182,30 @@ class ScanGrid:
 # Analytic (free-fermion) branch, g = 0
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=2)
-def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / N, p = 1..N/2.
+@functools.lru_cache(maxsize=_GRID_CACHE)
+def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
+    of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
+    one (see :func:`_grid_modes`).
 
-    This is the only part of the free-fermion formulas that depends on N
-    alone.  It is cached for two lengths, one scan's and one point's, at
-    most 16 MB at ``MAX_ANALYTIC_SITES``, and its arrays are read-only.
-    Only the points that keep the full sum ask for it (see :func:`_grid_modes`).
+    This is the only part of the free-fermion formulas that depends on the
+    grid alone.  Its arrays are read-only and take 8M bytes.  The cache
+    holds ``_GRID_CACHE`` grids: a 401-point h-scan over [0, 2] at
+    N ~ 16 384 asks for at most 12 (every power of two from 16 to 16 384
+    sites, and N), and points at a second length N' ~ 10^6 for two more
+    (one reduced grid and N').  The reduced grids are powers of two of at
+    most 2^19 sites, 8 MiB for all of them; a full sum at
+    ``MAX_ANALYTIC_SITES`` holds 8 MB, so the worst case, 16 full sums at
+    distinct lengths near it, holds 128 MB.
     """
-    # both as sines of exact multiples of pi / 2N in [-pi/2, pi/2]:
+    # both as sines of exact multiples of pi / 2M in [-pi/2, pi/2]:
     # cos phi = sin(pi/2 - phi) is exactly odd and sin phi exactly even under
     # phi -> pi - phi, the image of h -> -h, and both keep their relative
     # accuracy where they are small (phi near pi/2, and near 0 or pi)
-    k = np.arange(n - 2.0, -n, -4.0)  # N - 2(2p - 1), so that pi/2 - phi_p = k pi / 2N
-    scale = np.pi / (2 * n)
+    k = np.arange(m - 2.0, -m, -4.0)  # M - 2(2p - 1), so that pi/2 - phi_p = k pi / 2M
+    scale = np.pi / (2 * m)
     sin_phi = np.abs(k)
-    np.subtract(n, sin_phi, out=sin_phi)
+    np.subtract(m, sin_phi, out=sin_phi)
     sin_phi *= scale
     k *= scale
     table = np.sin(k, out=k), np.sin(sin_phi, out=sin_phi)
@@ -206,31 +214,14 @@ def _momentum_table(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _grid_modes(n: int, h: float) -> int:
-    """Modes K of the reduced grid for field h, or N/2 where the full sum is kept.
+@functools.lru_cache(maxsize=_GRID_CACHE)
+def _chord_terms(m: int) -> np.ndarray:
+    """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
+    that :func:`_log_pair_remainders` subtracts at |h| > 1.
 
-    K is the smallest power of two >= max(8, 60 / |ln|h||), so that the
-    aliasing error of the trapezoidal rule, of order N exp(-2K |ln|h||) <=
-    N e^-120, is far below rounding.  Wherever K >= N/2 the full sum is
-    kept; that covers h = +-1 and every chain of up to 16 sites.
-    """
-    gap = abs(math.log(abs(h))) if h else math.inf
-    modes = 8
-    while modes < n // 2 and modes * gap < 60.0:
-        modes *= 2
-    return min(modes, n // 2)
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_table(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The momentum table of a reduced grid of m sites and
-    ln(4 sin^2(phi_p / 2)) of its modes, the term that
-    :func:`_log_pair_remainders` subtracts.
-
-    Kept apart from :func:`_momentum_table`, whose two entries stay the
-    caller's chain lengths.  A chain of up to ``MAX_ANALYTIC_SITES`` sites
-    asks for at most the 16 powers of two from 16 to 2^19 sites, 12 MiB in
-    all; its arrays are read-only.
+    Built only for those fields, as no other sum reads it.  Read-only,
+    4M bytes, and cached for ``_GRID_CACHE`` grids like the table: at most
+    64 MB at ``MAX_ANALYTIC_SITES``.
     """
     chord = np.arange(1.0, m, 2.0)
     chord *= np.pi / (2 * m)
@@ -239,17 +230,31 @@ def _grid_table(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_chord2 = np.log(chord, out=chord)
     log_chord2 *= 2.0
     log_chord2.flags.writeable = False
-    return (*_momentum_table.__wrapped__(m), log_chord2)
+    return log_chord2
+
+
+def _grid_modes(n: int, h: float) -> int:
+    """Modes K = M/2 of the grid the kernels sum for field h: at most N/2,
+    where the grid is the chain's own and the sum the full one.
+
+    K is the smallest power of two >= max(8, 60 / |ln|h||), so that the
+    aliasing error of the trapezoidal rule, of order N exp(-2K |ln|h||) <=
+    N e^-120, is far below rounding.  K = N/2 covers h = +-1 and every
+    chain of up to 16 sites.
+    """
+    gap = abs(math.log(abs(h))) if h else math.inf
+    modes = 8
+    while modes < n // 2 and modes * gap < 60.0:
+        modes *= 2
+    return min(modes, n // 2)
 
 
 def _sum_grid(n: int, h: float) -> Tuple[tuple, float]:
-    """The table whose modes the kernels sum for a chain of n sites at field
-    h, and the weight N/M of each of its terms: the full table and 1, or a
-    reduced grid of M sites and N/M (see :func:`_grid_modes`)."""
-    modes = _grid_modes(n, h)
-    if modes == n // 2:
-        return _momentum_table(n), 1.0
-    return _grid_table(2 * modes), n / (2 * modes)
+    """The momentum table of the grid of M sites whose modes the kernels sum
+    for a chain of n sites at field h, and the weight N/M of each of its
+    terms, 1 for the full sum (see :func:`_grid_modes`)."""
+    m = 2 * _grid_modes(n, h)
+    return _momentum_table(m), n / m
 
 
 def _blocks(table: tuple):
@@ -375,19 +380,13 @@ def _pair_terms(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return lam, a, sin2
 
 
-def _log_pair_amplitudes(table: tuple, h: float) -> np.ndarray:
-    """ln sin^2(theta_p - phi_p / 2) of every mode (see :func:`analytic_rugosity`)."""
-    amp = _half_sum(*_pair_terms(table, h))
-    return np.log(amp, out=amp)
-
-
 def _log_pair_remainders(table: tuple, h: float) -> np.ndarray:
-    """ln sin^2(theta_p - phi_p / 2), less ln(4 sin^2(phi_p / 2)) if h > 1,
-    of every mode of a reduced-grid table, at h >= 0.
+    """ln sin^2(theta_p - phi_p / 2) of every mode of a table, at h >= 0,
+    less its third column, ln(4 sin^2(phi_p / 2)), if h > 1.
 
     At h > 1 the pair amplitude has a double zero at phi = 0, which the
     subtracted term removes; what is left is analytic in the strip
-    |Im phi| < ln h.  Each logarithm is relatively accurate, as the reduced
+    |Im phi| < ln h.  Each logarithm is relatively accurate, as a reduced
     sum is scaled by N/M: ln(1 - q) is taken as log1p(-q).
     """
     q, negative, rest = _ratio(*_pair_terms(table, h))
@@ -400,15 +399,17 @@ def _log_pair_remainders(table: tuple, h: float) -> np.ndarray:
 
 
 def _rugosity(n: int, h: float) -> float:
-    table, weight = _sum_grid(n, h)
-    if weight == 1.0:  # the full sum
-        return float(math.log(2.0) - _table_sum(_log_pair_amplitudes, table, h))
-    # the amplitudes are even in h; at |h| > 1 the reduced terms leave out
+    # the amplitudes are even in h; at |h| > 1 the terms leave out
     # ln(4 sin^2(phi_p / 2)), whose sum over the N/2 modes is ln 2, as
     # prod_p 2 sin((2p - 1) pi / 2N) = sqrt(2); that leaves no large term to
     # cancel against the sum
-    base = math.log(2.0) if abs(h) < 1.0 else 0.0
-    return float(base - weight * _table_sum(_log_pair_remainders, table, abs(h)))
+    table, weight = _sum_grid(n, h)
+    h = abs(h)
+    base = math.log(2.0)
+    if h > 1.0:
+        table += (_chord_terms(2 * table[0].size),)
+        base = 0.0
+    return float(base - weight * _table_sum(_log_pair_remainders, table, h))
 
 
 def analytic_rugosity(spec: ChainSpec) -> float:
@@ -434,8 +435,8 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     Since lam^2 - a^2 = h^2 sin^2 phi, the amplitude is
     q = h^2 sin^2 phi / (2 lam (lam + |a|)) where a < 0, the modes on which
     lam + a cancels (|h| > 1), and 1 - q elsewhere.  At h = 0 every q is
-    exactly 0 and R = ln 2.  Away from h = +-1 the sum is taken on a reduced
-    grid (see :func:`_grid_modes`).
+    exactly 0 and R = ln 2.  The sum is taken at |h| on the grid of
+    :func:`_grid_modes`, a reduced one away from h = +-1.
     """
     _require_analytic(spec)
     return _rugosity(spec.n, spec.h)
@@ -461,7 +462,7 @@ def _pair_observables(n: int, h: float) -> PairObservables:
     table, _ = _sum_grid(n, h)
     sites = 2 * table[0].size
     diagonal = hopping = pairing = -0.0
-    for cos_phi, sin_phi in _blocks(table[:2]):
+    for cos_phi, sin_phi in _blocks(table):
         delta, sin2, lam, s = _dispersion((cos_phi, sin_phi), abs(h))
         sin2_t = _half_sum(lam, delta, sin2)
         diagonal += np.sum(sin2_t)

@@ -15,6 +15,7 @@ booleans, null) are rejected rather than coerced.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import List, Tuple
 
@@ -78,7 +79,7 @@ def load_state(path) -> StateLike:
     if (not isinstance(dims, list) or not dims
             or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
         raise InvalidStateError(f"state file {path}: dims must be a list of positive integers")
-    total = int(np.prod(dims))
+    total = math.prod(dims)  # exact; a numpy product wraps modulo 2^64
     kind = doc["kind"]
     if kind == "pure":
         amp = _vector(doc, "re", total, path) + 1j * _vector(doc, "im", total, path)

@@ -27,7 +27,7 @@ def _as_dims(dim: int, subsystem_dims: Optional[Sequence[int]]) -> Optional[Tupl
     dims = tuple(int(k) for k in subsystem_dims)
     if any(k < 1 for k in dims):
         raise UsageError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != dim:
+    if math.prod(dims) != dim:  # exact; a numpy product wraps modulo 2^64
         raise UsageError(
             f"product of subsystem dimensions {dims} does not equal the total dimension {dim}"
         )

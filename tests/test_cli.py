@@ -425,6 +425,19 @@ class TestContract:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("texture",), ("monotone", "entangle", "--cut", "0:1,2,3"),
+                                      ("monotone", "ggm"), ("convexroof", "--theory", "entangle",
+                                                            "--cut", "0:1,2,3")])
+    def test_wrapping_dims_product_rejected(self, capsys, tmp_path, argv):
+        # (2^32 + 1)(2^32 - 1) = 2^64 - 1, whose square is 1 modulo 2^64, so a
+        # product taken modulo 2^64 accepts this file as a 4-party state
+        bad = tmp_path / "wrap.state"
+        bad.write_text(json.dumps({"dims": [2 ** 32 + 1, 2 ** 32 - 1] * 2, "kind": "pure",
+                                   "re": [1], "im": [0]}))
+        code, out, err = run(capsys, *argv, "--state", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("field, value", [
         ("re", ["1", 0]), ("re", [True, 0]), ("re", [None, 0]), ("im", [0, False]),
         ("dims", [True, 2]),

@@ -91,24 +91,34 @@ class TestAnalyticRugosity:
     @pytest.mark.parametrize("h", [1.5, 2.0, -1.5])
     def test_pair_amplitudes_match_mpmath(self, h):
         # the modes nearest phi = 0 and phi = pi; at h > 1 (h < -1) the first
-        # (last) ones are those on which lam + 1 - h cos(phi) cancels
+        # (last) ones are those on which lam + 1 - h cos(phi) cancels and whose
+        # double zero the chord term 4 sin^2(phi/2) (4 cos^2(phi/2)) removes.
+        # The kernel runs at |h|, and h -> -h maps phi to pi - phi, so at
+        # h < -1 its terms come back reversed
         mpmath = pytest.importorskip("mpmath")
         n = 10 ** 6
-        got = np.exp(ising._log_pair_amplitudes(ising._momentum_table(n), h))
+        table = ising._momentum_table(n) + (ising._chord_terms(n),)
+        got = np.exp(ising._log_pair_remainders(table, abs(h)))[::1 if h > 0 else -1]
         with mpmath.workdps(40):
             for p in [*range(1, 11), *range(n // 2 - 9, n // 2 + 1)]:
                 phi = (2 * p - 1) * mpmath.pi / n
                 lam = mpmath.sqrt((h - mpmath.cos(phi)) ** 2 + mpmath.sin(phi) ** 2)
-                want = float((lam + 1 - h * mpmath.cos(phi)) / (2 * lam))
+                chord = 4 * mpmath.sin((phi if h > 0 else mpmath.pi - phi) / 2) ** 2
+                want = float((lam + 1 - h * mpmath.cos(phi)) / (2 * lam * chord))
                 assert abs(got[p - 1] - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("n", [2, 6, 64, 1000])
-    def test_mode_amplitudes_even_in_h(self, n):
-        # h -> -h maps phi to pi - phi, so the amplitudes come back reversed
-        table = ising._momentum_table(n)
-        for h in (0.3, 1.0, 1.5, 50.0):
-            assert np.array_equal(ising._log_pair_amplitudes(table, h),
-                                  ising._log_pair_amplitudes(table, -h)[::-1])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=strat.integers(1, 5 * 10 ** 5),
+           h=strat.one_of(strat.floats(0.98, 1.02), strat.floats(allow_nan=False,
+                                                                  allow_infinity=False)))
+    def test_values_exactly_even_in_h(self, k, h):
+        # the grid depends on |ln|h|| and every kernel runs at |h|, so
+        # h -> -h leaves the rugosity and correlators bitwise and flips m_z
+        spec, mirror = ChainSpec(2 * k, h), ChainSpec(2 * k, -h)
+        assert analytic_rugosity(spec) == analytic_rugosity(mirror)
+        obs, other = pair_observables(spec), pair_observables(mirror)
+        assert (obs.c_xx, obs.c_yy, obs.c_zz) == (other.c_xx, other.c_yy, other.c_zz)
+        assert obs.m_z == -other.m_z
 
     @pytest.mark.parametrize("h", [1.5, 2.0])
     def test_total_matches_mpmath(self, h):
@@ -126,9 +136,7 @@ class TestAnalyticRugosity:
     def test_even_in_h(self):
         for n in (8, 512):
             for h in (0.3, 1.0, 1.7):
-                diff = abs(analytic_rugosity(ChainSpec(n, h))
-                           - analytic_rugosity(ChainSpec(n, -h)))
-                assert diff < 1e-9
+                assert analytic_rugosity(ChainSpec(n, h)) == analytic_rugosity(ChainSpec(n, -h))
 
 
 class TestPairObservables:
@@ -244,37 +252,41 @@ class TestHugeFields:
             assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) < 1e-12
 
 
-def _mode_terms(n, h, accurate=False):
-    """The per-mode arrays the analytic kernels sum over the whole chain: ln of
-    the pair amplitudes, then at |h| sin^2 theta, cos phi and sin^2 phi / lam,
-    then lam at h, the last two with the field scale undone.
+def _mode_terms(n, h):
+    """The per-mode arrays of the whole chain: ln of the pair amplitudes,
+    sin^2 theta, cos phi and sin^2 phi / lam, all at |h|, then lam at h, the
+    last two with the field scale undone.
 
-    With ``accurate``, ln(1 - q) is log1p(-q) where the pair amplitude is
-    1 - q, so that every term is relatively accurate; the kernels take the
-    log of the rounded 1 - q on the full sum."""
+    ln(1 - q) is log1p(-q) where the pair amplitude is 1 - q, so that every
+    term is relatively accurate."""
     table = ising._momentum_table(n)
-    if accurate:
-        lam, a, y2 = ising._pair_terms(table, h)
-        q = y2 / (2.0 * lam * (lam + np.abs(a)))
-        log_amp = np.log1p(-q)
-        cancels = a < 0.0
-        log_amp[cancels] = np.log(q[cancels])
-    else:
-        log_amp = ising._log_pair_amplitudes(table, h)
+    lam, a, y2 = ising._pair_terms(table, abs(h))
+    q = y2 / (2.0 * lam * (lam + np.abs(a)))
+    log_amp = np.log1p(-q)
+    cancels = a < 0.0
+    log_amp[cancels] = np.log(q[cancels])
     delta, sin2, lam, s = ising._dispersion(table, abs(h))
     return (log_amp, ising._half_sum(lam, delta, sin2), table[0], table[1] ** 2 / lam / s,
             ising._dispersion(table, h)[2] * ising._field_scale(h))
 
 
-def _kernels_from_modes(n, h, total, inner, accurate=False):
+def _kernels_from_modes(n, h, total, inner, chord=False):
     """Rugosity, m_z, c_xx, c_yy, c_zz and ground energy from the per-mode
-    arrays of the whole chain, summed by ``total`` and ``inner``."""
-    log_amp, sin2_t, cos_phi, pairing, lam = _mode_terms(n, h, accurate)
+    arrays of the whole chain, summed by ``total`` and ``inner``.
+
+    The rugosity is ln 2 less the sum of the log amplitudes; with ``chord``
+    it is summed as the kernel sums it, which at |h| > 1 subtracts
+    ln(4 sin^2(phi_p / 2)) from every term and drops ln 2, their sum."""
+    log_amp, sin2_t, cos_phi, pairing, lam = _mode_terms(n, h)
+    base = math.log(2.0)
+    if chord and abs(h) > 1.0:
+        log_amp -= ising._chord_terms(n)
+        base = 0.0
     diagonal, hopping = float(total(sin2_t)), float(inner(sin2_t, cos_phi))
     pairing = 0.5 * float(total(pairing))
     m_z = 1.0 - 4.0 * diagonal / n
     g_plus, g_minus = 4.0 * (hopping + pairing) / n, 4.0 * (hopping - pairing) / n
-    return (float(math.log(2.0) - total(log_amp)), -m_z if h < 0.0 else m_z, g_plus, g_minus,
+    return (float(base - total(log_amp)), -m_z if h < 0.0 else m_z, g_plus, g_minus,
             m_z * m_z - g_plus * g_minus, -float(total(lam)))
 
 
@@ -296,7 +308,7 @@ class TestBlockedKernels:
                   2 * ising._MODE_BLOCK: (1.0, 0.996, -1.004)}[n]
         for h in fields:
             assert ising._grid_modes(n, h) == n // 2
-            assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, np.dot)
+            assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, np.dot, chord=True)
 
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.5, -1.2, 50.0])
     def test_many_blocks_match_fsum(self, h):
@@ -322,17 +334,21 @@ class TestBlockedKernels:
                 column[0] = 0.0
 
     def test_scan_and_points_build_one_table(self):
-        # only h = 1 keeps the full sum here; the other fields, on reduced
-        # grids, never ask for the chain's table
+        # one table per grid, the chain's own (h = 1) and the reduced ones
+        # alike, built once for the scan and every later point and kernel
         ising._momentum_table.cache_clear()
         n = 4096
-        scan(ChainSpec(n, 0.0), "h", np.linspace(0.5, 1.5, 5), method="analytic")
-        for h in (1.0, 0.7):
-            spec = ChainSpec(n, h)
-            analytic_rugosity(spec)
-            pair_observables(spec)
-            dispersion_ground_energy(spec)
-        assert ising._momentum_table.cache_info().misses == 1
+        grid = np.linspace(0.5, 1.5, 5)
+        sites = {2 * ising._grid_modes(n, h) for h in (*grid, 0.7)}
+        assert sites == {256, 512, 1024, n}
+        for _ in range(2):
+            scan(ChainSpec(n, 0.0), "h", grid, method="analytic")
+            for h in (1.0, 0.7):
+                spec = ChainSpec(n, h)
+                analytic_rugosity(spec)
+                pair_observables(spec)
+                dispersion_ground_energy(spec)
+        assert ising._momentum_table.cache_info().misses == len(sites)
 
     @pytest.mark.parametrize("kernel", [analytic_rugosity, pair_observables,
                                         dispersion_ground_energy])
@@ -393,7 +409,7 @@ class TestReducedGrid:
         half = np.arange(1, n, 2) * np.pi / (2 * n)
         terms = 2.0 * np.log(2.0 * np.sin(half))
         if n == 2 ** 19:
-            assert np.array_equal(ising._grid_table(n)[2], terms)
+            assert np.array_equal(ising._chord_terms(n), terms)
         tol = 4 * np.finfo(float).eps * _fsum(np.abs(terms))
         assert abs(_fsum(terms) - math.log(2.0)) <= tol
 
@@ -401,7 +417,7 @@ class TestReducedGrid:
     @given(k=strat.integers(1, 5 * 10 ** 5), h=_GRID_FIELDS)
     def test_matches_fsum_over_every_mode(self, k, h):
         n = 2 * k
-        want = _kernels_from_modes(n, h, _fsum, _fsum_dot, accurate=True)
+        want = _kernels_from_modes(n, h, _fsum, _fsum_dot)
         for got, ref in zip(_kernel_values(n, h), want):
             assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref))
 
@@ -419,12 +435,19 @@ class TestReducedGrid:
         assert abs(analytic_rugosity(ChainSpec(n, h)) - want) <= 1e-15 * want
 
     def test_reduced_tables_are_cached_apart_and_read_only(self):
+        # a reduced grid's table sits in the one cache under its own size,
+        # and the chord column is built only when |h| > 1 asks for it
         ising._momentum_table.cache_clear()
+        ising._chord_terms.cache_clear()
         analytic_rugosity(ChainSpec(10 ** 6, 0.7))
-        assert ising._momentum_table.cache_info().currsize == 0
-        table = ising._grid_table(512)
-        assert ising._grid_table(512) is table
-        for column in table:
+        assert ising._momentum_table.cache_info().currsize == 1
+        assert ising._chord_terms.cache_info().currsize == 0
+        analytic_rugosity(ChainSpec(10 ** 6, -1 / 0.7))
+        assert ising._momentum_table.cache_info().currsize == 1
+        assert ising._chord_terms.cache_info().currsize == 1
+        table = ising._momentum_table(512)
+        assert ising._momentum_table.cache_info().hits == 2
+        for column in (*table, ising._chord_terms(512)):
             with pytest.raises(ValueError):
                 column[0] = 0.0
 

@@ -37,6 +37,11 @@ class TestInvariants:
         with pytest.raises(UsageError):
             PureState(np.eye(4)[0], (2, 3))
 
+    def test_dims_product_is_not_wrapped(self):
+        # (2^32 + 1)(2^32 - 1) = 2^64 - 1, whose square is 1 modulo 2^64
+        with pytest.raises(UsageError):
+            PureState(np.ones(1), (2 ** 32 + 1, 2 ** 32 - 1) * 2)
+
     def test_invariants_hold_on_thousand_random_states(self):
         # construction re-validates Hermiticity, trace and positivity
         count = 0
