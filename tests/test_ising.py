@@ -107,6 +107,18 @@ class TestAnalyticRugosity:
                 want = float((lam + 1 - h * mpmath.cos(phi)) / (2 * lam * chord))
                 assert abs(got[p - 1] - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("n", [2, 6, 64, 1000])
+    def test_mode_amplitudes_even_in_h(self, n):
+        # h -> -h maps phi to pi - phi, the table's cos phi to -cos phi and
+        # its sin phi to itself, so the mode terms and the amplitude ratios
+        # come back reversed; this is why the kernels may run at |h|
+        table = ising._momentum_table(n)
+        for h in (0.3, 1.0, 1.5, 50.0, 1e300):
+            terms, mirror = ising._pair_terms(table, h), ising._pair_terms(table, -h)
+            for column, image in zip(terms, mirror):
+                assert np.array_equal(column, image[::-1])
+            assert np.array_equal(ising._ratio(*terms)[0], ising._ratio(*mirror)[0][::-1])
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(k=strat.integers(1, 5 * 10 ** 5),
            h=strat.one_of(strat.floats(0.98, 1.02), strat.floats(allow_nan=False,
