@@ -36,7 +36,8 @@ rounding.  The full sum is the grid with M = N and weight 1; it is the
 one taken at h = +-1, for |h -+ 1| below about 120/N and for every chain of
 up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached,
 read-only table of cos phi_p and sin phi_p per grid, in consecutive
-blocks (see :data:`_MODE_BLOCK`).  The rugosity is even in h and is
+blocks (see :data:`_MODE_BLOCK`); an h-scan sums the fields that share a
+grid as the rows of one block (see :func:`scan`).  The rugosity is even in h and is
 taken at |h|.  At |h| > 1 its pair amplitude has a double zero at phi = 0,
 so its terms subtract ln(4 sin^2(phi/2)), tabulated from sin(phi/2)
 itself and built only for those fields, whose N/2-mode sum is ln 2 in
@@ -53,8 +54,10 @@ g = 0 (see :func:`ed_ground`).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,7 +73,8 @@ MAX_ED_SITES = 20
 # import scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
 MAX_ANALYTIC_SITES = 10 ** 6
-# momentum tables (and chord columns) kept, one per grid; see _momentum_table
+# momentum tables (and chord columns) of up to 2 * _MODE_BLOCK sites kept,
+# one per grid; see _GridCache
 _GRID_CACHE = 16
 # the free-fermion kernels stream their temporaries through blocks of this
 # many modes, 128 KiB per float64 array, which stay in L2; blocks of 8192,
@@ -79,6 +83,11 @@ _GRID_CACHE = 16
 # Grids of up to 2 * _MODE_BLOCK sites are one block and sum exactly as
 # unblocked code
 _MODE_BLOCK = 16384
+# an analytic scan evaluates the fields that share a grid as the rows of
+# blocks of at most this many terms; blocks of _MODE_BLOCK terms were as
+# fast but raised the ising-analytic benchmark's peak RSS by 0.2-0.4 MB over
+# the point-by-point scan, against 0-0.2 MB at this size (2-core VM)
+_ROW_BLOCK = _MODE_BLOCK // 2
 DEGENERACY_GAP = 1e-8
 _UNSCALED_FIELD = 2.0 ** 256  # see _field_scale
 
@@ -91,6 +100,11 @@ _Z_SUM = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
 _XX = np.kron(_SX, _SX)
 _YY = np.kron(_SY, _SY)
 _ZZ = np.kron(_SZ, _SZ)
+
+
+def _pair_rugosity(c_xx: float) -> float:
+    """-ln[(1 + Cxx)/4], the rugosity of the pair state (see :class:`PairObservables`)."""
+    return _overlap_rugosity((1.0 + c_xx) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,7 @@ class PairObservables:
 
     @property
     def pair_rugosity(self) -> float:
-        return _overlap_rugosity((1.0 + self.c_xx) / 4.0)
+        return _pair_rugosity(self.c_xx)
 
     @functools.cached_property
     def rho_pair(self) -> DensityMatrix:
@@ -182,21 +196,81 @@ class ScanGrid:
 # Analytic (free-fermion) branch, g = 0
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_GRID_CACHE)
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _GridCache:
+    """Cache of a builder of read-only per-grid arrays, called as
+    ``cache(m, n)`` for a grid of M sites summed for a chain of n sites
+    (n = M if left out).
+
+    Grids of up to ``2 * _MODE_BLOCK`` sites are kept in a least-recently
+    used cache of ``_GRID_CACHE`` entries.  Larger grids are kept for the
+    last chain length only: asking for one for another length first drops
+    them all, so a sweep over lengths never holds two lengths' tables.
+    ``cache_info`` and ``cache_clear`` are those of ``functools.lru_cache``;
+    one lock guards the stores, so threads may share the cache.
+    """
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self._small = collections.OrderedDict()
+        self._large = {}
+        self._chain = None
+        self._hits = self._misses = 0
+
+    def __call__(self, m: int, n: Optional[int] = None):
+        with self._lock:
+            store = self._small
+            if m > 2 * _MODE_BLOCK:
+                store = self._large
+                chain = m if n is None else n
+                if chain != self._chain:
+                    store.clear()
+                    self._chain = chain
+            arrays = store.get(m)
+            if arrays is not None:
+                self._hits += 1
+                if store is self._small:
+                    store.move_to_end(m)
+                return arrays
+            self._misses += 1
+            arrays = store[m] = self._build(m)
+            if len(self._small) > _GRID_CACHE:
+                self._small.popitem(last=False)
+            return arrays
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, _GRID_CACHE,
+                              len(self._small) + len(self._large))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._small.clear()
+            self._large.clear()
+            self._chain = None
+            self._hits = self._misses = 0
+
+
+@_GridCache
 def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
     of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
     one (see :func:`_grid_modes`).
 
     This is the only part of the free-fermion formulas that depends on the
-    grid alone.  Its arrays are read-only and take 8M bytes.  The cache
-    holds ``_GRID_CACHE`` grids: a 401-point h-scan over [0, 2] at
-    N ~ 16 384 asks for at most 12 (every power of two from 16 to 16 384
-    sites, and N), and points at a second length N' ~ 10^6 for two more
-    (one reduced grid and N').  The reduced grids are powers of two of at
-    most 2^19 sites, 8 MiB for all of them; a full sum at
-    ``MAX_ANALYTIC_SITES`` holds 8 MB, so the worst case, 16 full sums at
-    distinct lengths near it, holds 128 MB.
+    grid alone.  Its arrays are read-only and take 8M bytes.  Called as
+    ``_momentum_table(m, n)`` for a chain of n sites (see :class:`_GridCache`):
+    a 401-point h-scan over [0, 2] at N ~ 16 384 asks for at most 12 grids
+    of up to 2 * ``_MODE_BLOCK`` sites (every power of two from 16 to 16 384
+    sites, and N), under 0.5 MiB in all, which stay cached beside the larger grids
+    of points at a second length N' ~ 10^6.  The worst case is 16 grids of
+    2^15 sites, 4 MiB, and the larger grids of one chain length at
+    ``MAX_ANALYTIC_SITES``: its own, 8 MB, and the reduced ones of 2^16 to
+    2^19 sites, 7.5 MiB, about 20 MB in all.
     """
     # both as sines of exact multiples of pi / 2M in [-pi/2, pi/2]:
     # cos phi = sin(pi/2 - phi) is exactly odd and sin phi exactly even under
@@ -214,14 +288,14 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE)
+@_GridCache
 def _chord_terms(m: int) -> np.ndarray:
     """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
     that :func:`_log_pair_remainders` subtracts at |h| > 1.
 
     Built only for those fields, as no other sum reads it.  Read-only,
-    4M bytes, and cached for ``_GRID_CACHE`` grids like the table: at most
-    64 MB at ``MAX_ANALYTIC_SITES``.
+    4M bytes, and cached like the table (see :func:`_momentum_table`), so
+    at most half its worst case, about 10 MB.
     """
     chord = np.arange(1.0, m, 2.0)
     chord *= np.pi / (2 * m)
@@ -249,12 +323,16 @@ def _grid_modes(n: int, h: float) -> int:
     return min(modes, n // 2)
 
 
-def _sum_grid(n: int, h: float) -> Tuple[tuple, float]:
-    """The momentum table of the grid of M sites whose modes the kernels sum
-    for a chain of n sites at field h, and the weight N/M of each of its
-    terms, 1 for the full sum (see :func:`_grid_modes`)."""
-    m = 2 * _grid_modes(n, h)
-    return _momentum_table(m), n / m
+def _sum_grid(n: int, modes: int, chord: bool = False) -> Tuple[tuple, float]:
+    """The momentum table of the grid of M = 2 ``modes`` sites whose modes the
+    kernels sum for a chain of n sites, with the chord column if ``chord``,
+    and the weight N/M of each of its terms, 1 for the full sum (see
+    :func:`_grid_modes`)."""
+    m = 2 * modes
+    table = _momentum_table(m, n)
+    if chord:
+        table += (_chord_terms(m, n),)
+    return table, n / m
 
 
 def _blocks(table: tuple):
@@ -263,14 +341,17 @@ def _blocks(table: tuple):
         yield tuple(column[start:start + _MODE_BLOCK] for column in table)
 
 
-def _table_sum(terms, table: tuple, h: float) -> float:
-    """Sum of ``terms(block, h)`` over the blocks of a table."""
+def _table_sum(terms, table: tuple, h):
+    """Sum of ``terms(block, h)`` over the blocks of a table; for a column of
+    fields, a row block of :func:`scan` on a table of one block, the sum of
+    each row."""
     # the block sums accumulate from -0.0, the exact identity of +, so one
-    # block gives bitwise the unblocked sum
+    # block gives bitwise the unblocked sum, and a row of a C-ordered block
+    # sums in the order of a 1-D array of its length
     total = -0.0
     for block in _blocks(table):
-        total += np.sum(terms(block, h))
-    return float(total)
+        total += np.sum(terms(block, h), axis=-1)
+    return total
 
 
 def _field_scale(h: float) -> float:
@@ -288,14 +369,18 @@ def _field_scale(h: float) -> float:
     return math.ldexp(1.0, math.frexp(h)[1] - 1)
 
 
-def _dispersion(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _dispersion(table: tuple, h) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p),
-    divided by s, s^2 and s, and the scale s = :func:`_field_scale` (h)."""
+    divided by s, s^2 and s, and the scale s = :func:`_field_scale` (h).
+
+    h is one field, or a (P, 1) column of fields for the P rows of a block
+    of :func:`scan`, which holds no field above 2^256, so s = 1.
+    """
     cos_phi, sin_phi = table[0], table[1]
-    s = _field_scale(h)
+    s = 1.0 if isinstance(h, np.ndarray) else _field_scale(h)
     delta = cos_phi - h
     if s == 1.0:
-        sin2 = sin_phi * sin_phi
+        sin2 = np.multiply(sin_phi, sin_phi, out=np.empty_like(delta))
     else:
         delta /= s
         sin2 = sin_phi / s
@@ -305,25 +390,41 @@ def _dispersion(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return delta, sin2, np.sqrt(lam, out=lam), s
 
 
-def _ratio(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> Tuple[np.ndarray, slice, slice]:
-    """r = y2 / (2 lam (lam + |x|)) and the slices of the modes with x < 0
-    and with x >= 0.
+def _ratio(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> tuple:
+    """r = y2 / (2 lam (lam + |x|)) and the modes with x < 0 and with
+    x >= 0: slices of one row, or masks of a block of rows.
 
-    x is cos phi - h or 1 - h cos phi, monotone along the table, so the
-    modes with x < 0 are a prefix or a suffix of it, found by bisection.
+    x is cos phi - h or 1 - h cos phi, monotone along every row, so on one
+    row the modes with x < 0 are a prefix or a suffix of it, found by
+    bisection; the masks of a block pick the same modes of each row.
     """
-    if x[0] <= x[-1]:
-        split = int(np.searchsorted(x, 0.0))
-        negative, rest = slice(0, split), slice(split, None)
+    if x.ndim == 1:
+        if x[0] <= x[-1]:
+            split = int(np.searchsorted(x, 0.0))
+            negative, rest = slice(0, split), slice(split, None)
+        else:
+            split = x.size - int(np.searchsorted(x[::-1], 0.0))
+            negative, rest = slice(split, None), slice(0, split)
     else:
-        split = x.size - int(np.searchsorted(x[::-1], 0.0))
-        negative, rest = slice(split, None), slice(0, split)
-    r = np.add(lam, x)
-    np.subtract(lam[negative], x[negative], out=r[negative])
+        negative = x < 0.0
+        rest = ~negative
+    # |x| + lam is lam + x, or lam - x where x < 0, bit for bit
+    r = np.abs(x)
+    r += lam
     r *= lam
     r *= 2.0
     np.divide(y2, r, out=r)
     return r, negative, rest
+
+
+def _in_place(ufunc, x: np.ndarray, modes, *first) -> None:
+    """x = ufunc(*first, x) on the modes of :func:`_ratio`: through the view
+    of a slice, or under a mask."""
+    if isinstance(modes, slice):
+        view = x[modes]
+        ufunc(*first, view, out=view)
+    else:
+        ufunc(*first, x, out=x, where=modes)
 
 
 def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray, minus: bool = False
@@ -336,8 +437,7 @@ def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray, minus: bool = Fals
     and 1 - r on the others.
     """
     r, negative, rest = _ratio(lam, x, y2)
-    other = negative if minus else rest
-    np.subtract(1.0, r[other], out=r[other])
+    _in_place(np.subtract, r, negative if minus else rest, 1.0)
     return r
 
 
@@ -367,7 +467,7 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     ]
 
 
-def _pair_terms(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_terms(table: tuple, h) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam, a = 1 - h cos phi and h^2 sin^2 phi of every mode, divided by s,
     s and s^2 (see :func:`analytic_rugosity`)."""
     delta, sin2, lam, s = _dispersion(table, h)
@@ -380,9 +480,10 @@ def _pair_terms(table: tuple, h: float) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return lam, a, sin2
 
 
-def _log_pair_remainders(table: tuple, h: float) -> np.ndarray:
+def _log_pair_remainders(table: tuple, h) -> np.ndarray:
     """ln sin^2(theta_p - phi_p / 2) of every mode of a table, at h >= 0,
-    less its third column, ln(4 sin^2(phi_p / 2)), if h > 1.
+    less its third column, ln(4 sin^2(phi_p / 2)), if it has one, as it
+    does at h > 1.
 
     At h > 1 the pair amplitude has a double zero at phi = 0, which the
     subtracted term removes; what is left is analytic in the strip
@@ -390,26 +491,28 @@ def _log_pair_remainders(table: tuple, h: float) -> np.ndarray:
     sum is scaled by N/M: ln(1 - q) is taken as log1p(-q).
     """
     q, negative, rest = _ratio(*_pair_terms(table, h))
-    np.log(q[negative], out=q[negative])
-    far = np.negative(q[rest], out=q[rest])
-    np.log1p(far, out=far)
-    if h > 1.0:
+    _in_place(np.log, q, negative)
+    _in_place(np.negative, q, rest)
+    _in_place(np.log1p, q, rest)
+    if len(table) > 2:
         q -= table[2]
     return q
 
 
+def _rugosity_sum(table: tuple, weight: float, h):
+    """The rugosity at |h| from the terms of a grid table of weight N/M, for
+    one field or for each of a column of fields."""
+    # the amplitudes are even in h; at |h| > 1 the table holds the chord
+    # column and the terms leave out ln(4 sin^2(phi_p / 2)), whose sum over
+    # the N/2 modes is ln 2, as prod_p 2 sin((2p - 1) pi / 2N) = sqrt(2);
+    # that leaves no large term to cancel against the sum
+    base = 0.0 if len(table) > 2 else math.log(2.0)
+    return base - weight * _table_sum(_log_pair_remainders, table, abs(h))
+
+
 def _rugosity(n: int, h: float) -> float:
-    # the amplitudes are even in h; at |h| > 1 the terms leave out
-    # ln(4 sin^2(phi_p / 2)), whose sum over the N/2 modes is ln 2, as
-    # prod_p 2 sin((2p - 1) pi / 2N) = sqrt(2); that leaves no large term to
-    # cancel against the sum
-    table, weight = _sum_grid(n, h)
-    h = abs(h)
-    base = math.log(2.0)
-    if h > 1.0:
-        table += (_chord_terms(2 * table[0].size),)
-        base = 0.0
-    return float(base - weight * _table_sum(_log_pair_remainders, table, h))
+    table, weight = _sum_grid(n, _grid_modes(n, h), chord=abs(h) > 1.0)
+    return float(_rugosity_sum(table, weight, h))
 
 
 def analytic_rugosity(spec: ChainSpec) -> float:
@@ -442,6 +545,28 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     return _rugosity(spec.n, spec.h)
 
 
+def _pair_correlators(table: tuple, h):
+    """m_z at |h| and the correlators G(+1) and G(-1) from the sums over a
+    grid table, for one field or for each of a column of fields."""
+    sites = 2 * table[0].size
+    diagonal = hopping = pairing = -0.0
+    for cos_phi, sin_phi in _blocks(table):
+        delta, sin2, lam, s = _dispersion((cos_phi, sin_phi), abs(h))
+        sin2_t = _half_sum(lam, delta, sin2)
+        diagonal += np.sum(sin2_t, axis=-1)
+        # a product and a sum, not a dot product, whose BLAS kernel sums in
+        # an order that depends on its thread count
+        sin2_t *= cos_phi
+        hopping += np.sum(sin2_t, axis=-1)
+        if s != 1.0:
+            np.multiply(sin_phi, sin_phi, out=sin2)
+        sin2 /= lam
+        pairing += np.sum(sin2, axis=-1)
+    pairing = 0.5 * pairing / s
+    m_z = 1.0 - 4.0 * diagonal / sites
+    return m_z, 4.0 * (hopping + pairing) / sites, 4.0 * (hopping - pairing) / sites
+
+
 def _pair_observables(n: int, h: float) -> PairObservables:
     """Magnetization and nearest-neighbor correlators from the two-point
     contractions of the even-sector ground state,
@@ -459,23 +584,8 @@ def _pair_observables(n: int, h: float) -> PairObservables:
     under phi -> pi - phi, so all are taken at |h|: for h << 0 every
     sin^2 theta is near 1 and the hopping sum would cancel to its rounding.
     """
-    table, _ = _sum_grid(n, h)
-    sites = 2 * table[0].size
-    diagonal = hopping = pairing = -0.0
-    for cos_phi, sin_phi in _blocks(table):
-        delta, sin2, lam, s = _dispersion((cos_phi, sin_phi), abs(h))
-        sin2_t = _half_sum(lam, delta, sin2)
-        diagonal += np.sum(sin2_t)
-        hopping += np.dot(sin2_t, cos_phi)
-        if s != 1.0:
-            np.multiply(sin_phi, sin_phi, out=sin2)
-        sin2 /= lam
-        pairing += np.sum(sin2)
-    diagonal, hopping = float(diagonal), float(hopping)
-    pairing = 0.5 * float(pairing) / s
-    m_z = 1.0 - 4.0 * diagonal / sites
-    g_plus = 4.0 * (hopping + pairing) / sites
-    g_minus = 4.0 * (hopping - pairing) / sites
+    table, _ = _sum_grid(n, _grid_modes(n, h))
+    m_z, g_plus, g_minus = map(float, _pair_correlators(table, h))
     return PairObservables(-m_z if h < 0.0 else m_z, g_plus, g_minus,
                            m_z * m_z - g_plus * g_minus)
 
@@ -675,20 +785,63 @@ def ed_pair_observables(spec: ChainSpec) -> PairObservables:
 def dispersion_ground_energy(spec: ChainSpec) -> float:
     """Free-fermion ground energy ``-sum_p lam_p`` of the g = 0 chain."""
     _require_analytic(spec)
-    table, weight = _sum_grid(spec.n, spec.h)
+    table, weight = _sum_grid(spec.n, _grid_modes(spec.n, spec.h))
     total = _table_sum(lambda block, h: _dispersion(block, h)[2], table, spec.h)
-    return -total * _field_scale(spec.h) * weight
+    return float(-total * _field_scale(spec.h) * weight)
 
 
 # ----------------------------------------------------------------------
 # Criticality scans
 # ----------------------------------------------------------------------
 
+def _analytic_values(n: int, pts: np.ndarray, observable: str) -> np.ndarray:
+    """The rugosity or the pair rugosity at every field of an analytic scan,
+    one array pass per grid.
+
+    The fields that share a grid, and for the rugosity a side of |h| = 1,
+    are evaluated together, as the rows of blocks of at most ``_ROW_BLOCK``
+    terms.  Each row sums its terms in the order of a point's single block,
+    so every value is bitwise the point's.  A block of one row, as every
+    field of a grid above ``_ROW_BLOCK`` modes is, and a field above 2^256
+    are evaluated as points: their slices beat a one-row mask, and a block
+    is never scaled.
+    """
+    full = observable == "full"
+    point = _rugosity if full else lambda n, h: _pair_observables(n, h).pair_rugosity
+    fields = pts.tolist()
+    values = np.empty(pts.size)
+    groups = {}
+    for k, h in enumerate(fields):
+        if abs(h) > _UNSCALED_FIELD:
+            values[k] = point(n, h)
+        else:
+            groups.setdefault((_grid_modes(n, h), full and abs(h) > 1.0), []).append(k)
+    for (modes, chord), group in groups.items():
+        table, weight = _sum_grid(n, modes, chord)
+        rows = max(1, _ROW_BLOCK // modes)
+        for start in range(0, len(group), rows):
+            at = group[start:start + rows]
+            if len(at) == 1:
+                values[at[0]] = point(n, fields[at[0]])
+            elif full:
+                values[at] = _rugosity_sum(table, weight, pts[at, None])
+            else:
+                c_xx = _pair_correlators(table, pts[at, None])[1]
+                values[at] = [_pair_rugosity(c) for c in c_xx.tolist()]
+    return values
+
+
 def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "full",
          method: str = "analytic",
          kink_window: Optional[Tuple[float, float]] = None) -> ScanGrid:
     """Evaluate the rugosity observable over a sorted parameter grid and
     differentiate it.
+
+    An analytic scan runs one array pass per momentum grid: the fields that
+    share a grid are evaluated together, as rows of blocks of at most
+    ``_ROW_BLOCK`` terms, and each value is bitwise the one of the point
+    functions (:func:`analytic_rugosity`, :func:`pair_observables`).  An
+    ED scan solves one chain per grid point.
 
     Parameters
     ----------
@@ -730,15 +883,13 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         if not np.any(window):
             raise UsageError(f"kink window [{lo}, {hi}] contains no interior grid point")
 
-    values = np.empty(pts.size)
     if method == "analytic":
         if axis == "g" or spec.g != 0.0:
             raise UsageError("the analytic method requires g = 0 and an h-axis scan")
         _require_analytic(spec)
-        for k, x in enumerate(pts):
-            values[k] = (_rugosity(spec.n, x) if observable == "full"
-                         else _pair_observables(spec.n, x).pair_rugosity)
+        values = _analytic_values(spec.n, pts, observable)
     else:
+        values = np.empty(pts.size)
         for k, x in enumerate(pts):
             point = ChainSpec(spec.n, h=x if axis == "h" else spec.h,
                               g=spec.g if axis == "h" else x)

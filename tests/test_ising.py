@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -302,6 +303,20 @@ def _kernels_from_modes(n, h, total, inner, chord=False):
             m_z * m_z - g_plus * g_minus, -float(total(lam)))
 
 
+def _run_python(code, **env):
+    """Standard output of a fresh interpreter that runs ``code`` on this
+    package, with ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(statetexture.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), check=True).stdout
+
+
+def _sum_of_products(x, y):
+    # the hopping sum's order: a product, then numpy's pairwise sum
+    return np.sum(x * y)
+
+
 def _kernel_values(n, h):
     spec = ChainSpec(n, h)
     obs = pair_observables(spec)
@@ -320,7 +335,23 @@ class TestBlockedKernels:
                   2 * ising._MODE_BLOCK: (1.0, 0.996, -1.004)}[n]
         for h in fields:
             assert ising._grid_modes(n, h) == n // 2
-            assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, np.dot, chord=True)
+            assert _kernel_values(n, h) == _kernels_from_modes(n, h, np.sum, _sum_of_products,
+                                                               chord=True)
+
+    def test_independent_of_blas_threads(self):
+        # every sum is numpy's own, none a BLAS kernel that splits its work
+        # among threads; at h = 1 every sum is the full one, over 2 and 31 blocks
+        code = ("import numpy as np, statetexture as st\n"
+                "for n in (65536, 999166):\n"
+                "    o = st.pair_observables(st.ChainSpec(n, 1.0))\n"
+                "    print(repr((o.m_z, o.c_xx, o.c_yy, o.c_zz)))\n"
+                "grid = np.linspace(0.9, 1.1, 41)\n"
+                "out = st.scan(st.ChainSpec(65536, 0.0), 'h', grid, observable='pair',\n"
+                "              method='analytic')\n"
+                "print(repr(out.rugosity.tolist()))\n")
+        one, two = (_run_python(code, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
+                    for k in ("1", "2"))
+        assert one == two
 
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.5, -1.2, 50.0])
     def test_many_blocks_match_fsum(self, h):
@@ -374,6 +405,87 @@ class TestBlockedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+    def test_length_sweep_keeps_one_lengths_tables(self):
+        # tables above one block are kept for the last chain length only, so
+        # a finite-size sweep holds one full table (8 MB) and one chord column
+        # (4 MB), not one of each per length
+        full_table = 8 * ising.MAX_ANALYTIC_SITES
+        tracemalloc.start()
+        try:
+            for n in range(ising.MAX_ANALYTIC_SITES - 60, ising.MAX_ANALYTIC_SITES + 1, 4):
+                for h in (1.0, -1.0001):
+                    assert ising._grid_modes(n, h) == n // 2
+                    analytic_rugosity(ChainSpec(n, h))
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current <= 2 * full_table + 2 ** 20
+
+    def test_cache_is_shared_by_threads(self):
+        # more small grids than the cache holds, so that threads evict each
+        # other's, and the large grids of alternating chain lengths, from more
+        # threads than cores with a short switch interval: every call gets a
+        # table of its grid's size, and no hit or miss is lost
+        requests = [(m, None) for m in range(16, 16 + 2 * (ising._GRID_CACHE + 8), 2)]
+        requests += [(2 ** 16, 70000), (2 ** 16, 70002)]
+        ising._momentum_table.cache_clear()
+        errors, calls = [], 4 * 3000
+
+        def work(seed):
+            try:
+                for k in np.random.default_rng(seed).integers(0, len(requests), calls // 4):
+                    m, n = requests[k]
+                    if ising._momentum_table(m, n)[0].size != m // 2:
+                        errors.append(m)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = ising._momentum_table.cache_info()
+        assert info.hits + info.misses == calls
+
+    @pytest.mark.parametrize("observable", ["full", "pair"])
+    def test_scan_peak_memory_is_a_few_blocks(self, observable):
+        # grids below one block in row blocks of _ROW_BLOCK terms, the full
+        # sums at h = 1 in blocks, over 31 of them
+        spec, grid = ChainSpec(10 ** 6, 0.0), np.linspace(0.0, 2.0, 401)
+        scan(spec, "h", grid, observable=observable, method="analytic")  # builds the tables
+        tracemalloc.start()
+        try:
+            scan(spec, "h", grid, observable=observable, method="analytic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
+class TestSummationOrder:
+    """A scan sums each row of a C-ordered (P, K) block with ``np.sum(axis=-1)``;
+    its values are bitwise the points' only if that sums every row in the
+    order of ``np.sum`` over a 1-D array of its K terms."""
+
+    @pytest.mark.parametrize("k", [8, 16, 64, 256, 1000, 4096, 8192, 8229, 16384])
+    def test_row_sums_are_one_dimensional_sums(self, k):
+        rng = np.random.default_rng(k)
+        rows = max(2, ising._ROW_BLOCK // k)
+        # magnitudes over 16 decades, so that any other order rounds apart
+        block = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, k))
+        assert block.flags.c_contiguous
+        want = [float(np.sum(np.array(row))) for row in block]
+        assert np.sum(block, axis=1).tolist() == want
+        assert np.sum(block, axis=-1).tolist() == want
 
 
 def _fsum(x):
@@ -589,11 +701,7 @@ class TestSymmetrySector:
         code = ("import sys, statetexture as st\n"
                 "st.ed_ground(st.ChainSpec(12, 0.5, 0.3)); st.ed_ground(st.ChainSpec(12, 0.5))\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = os.path.dirname(os.path.dirname(statetexture.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=path), check=True)
-        assert out.stdout.strip() == "[]"
+        assert _run_python(code).strip() == "[]"
 
 
 class TestEdRugosity:
@@ -704,6 +812,23 @@ class TestScan:
         for k, h in enumerate(grid):
             assert full.rugosity[k] == analytic_rugosity(ChainSpec(256, h))
             assert pair.rugosity[k] == pair_observables(ChainSpec(256, h)).pair_rugosity
+
+    @pytest.mark.parametrize("n, grid", [
+        # every grid, each crossed at h = -1 and h = 1, fields either side of both
+        (16384, np.linspace(-3.0, 3.0, 401)),
+        # full sums of 16 385 modes, above one block, beside row blocks of one row
+        (2 * ising._MODE_BLOCK + 2, np.linspace(0.98, 1.02, 41)),
+        # fields that are scaled by a power of two
+        (4096, np.array([-1e300, -3.0, -1.0, 0.5, 0.999, 1.0, 1.5, 2.0 ** 300, 1e300])),
+    ])
+    def test_batched_scan_equals_point_values(self, n, grid):
+        modes = [ising._grid_modes(n, h) for h in grid]
+        assert len(set(modes)) > 1
+        full = scan(ChainSpec(n, 0.0), "h", grid, method="analytic")
+        pair = scan(ChainSpec(n, 0.0), "h", grid, observable="pair", method="analytic")
+        for k, h in enumerate(grid):
+            assert full.rugosity[k] == analytic_rugosity(ChainSpec(n, h))
+            assert pair.rugosity[k] == pair_observables(ChainSpec(n, h)).pair_rugosity
 
     def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self):
         ising._dihedral_orbits.cache_clear()
