@@ -37,19 +37,26 @@ one taken at h = +-1, for |h -+ 1| below about 120/N and for every chain of
 up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached,
 read-only table of cos phi_p and sin phi_p per grid, in consecutive
 blocks (see :data:`_MODE_BLOCK`); an h-scan sums the fields that share a
-grid as the rows of one block (see :func:`scan`).  The rugosity is even in h and is
-taken at |h|.  At |h| > 1 its pair amplitude has a double zero at phi = 0,
-so its terms subtract ln(4 sin^2(phi/2)), tabulated from sin(phi/2)
-itself and built only for those fields, whose N/2-mode sum is ln 2 in
-exact arithmetic, and sum the analytic remainder.  Every term is
-relatively accurate, ln(1 - q) being taken as log1p(-q), since the N/M
-factor would amplify an absolute error.  Fields too large to square are
-first scaled by a power of two (see :func:`_field_scale`).
+grid as the rows of one block (see :func:`scan`).  Every sum is numpy's own
+pairwise sum, not a BLAS dot product, so no free-fermion value depends on
+the BLAS thread count.  The rugosity is even in h and is taken at |h|.  At
+|h| > 1 its pair amplitude has a double zero at phi = 0, so its terms
+subtract ln(4 sin^2(phi/2)), tabulated from sin(phi/2) itself and built
+only for those fields, whose N/2-mode sum is ln 2 in exact arithmetic, and
+sum the analytic remainder.  Every term is relatively accurate, ln(1 - q)
+being taken as log1p(-q), since the N/M factor would amplify an absolute
+error.  Fields too large to square are first scaled by a power of two (see
+:func:`_field_scale`).
 
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
-g = 0 (see :func:`ed_ground`).
+g = 0 (see :func:`ed_ground`).  A sector of up to ``MAX_DENSE_SECTOR``
+orbits gets its eigenvalues from ``eigvalsh`` and its ground vector from
+one inverse-iteration solve; larger ones are solved by Lanczos.  The orbit
+table and each sector's structure are built once per chain length and
+cached in a bounded number of bytes; a point only forms the matrix values
+of its fields.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,13 +75,17 @@ from .states import DensityMatrix, PureState, _cut_matrices
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
-# dense eigh beats Lanczos up to about 200 orbits (2-core machine, one BLAS
-# thread); 256 keeps every sector of n <= 12 dense, so those solves never
-# import scipy, and sends every sector of n >= 14 to Lanczos
+# at 224 orbits the dense solve (eigvalsh and one linear solve) took 5.7 ms,
+# a full eigh 9.2 ms and Lanczos 4.3 ms (2-core machine, one BLAS thread);
+# 256 keeps every sector of n <= 12 dense, so those solves never import
+# scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
+# orbit tables and sector structures of chains of up to this many sites,
+# under 2^17 states, are cached for every length; see _dihedral_orbits
+_ED_KEPT_SITES = 16
 MAX_ANALYTIC_SITES = 10 ** 6
 # momentum tables (and chord columns) of up to 2 * _MODE_BLOCK sites kept,
-# one per grid; see _GridCache
+# one per grid; see _LengthCache
 _GRID_CACHE = 16
 # the free-fermion kernels stream their temporaries through blocks of this
 # many modes, 128 KiB per float64 array, which stay in L2; blocks of 8192,
@@ -199,52 +210,54 @@ class ScanGrid:
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _GridCache:
-    """Cache of a builder of read-only per-grid arrays, called as
-    ``cache(m, n)`` for a grid of M sites summed for a chain of n sites
-    (n = M if left out).
+class _LengthCache:
+    """Cache of a builder of read-only arrays that depend on a chain length,
+    called as ``cache(size, *rest, n=None)``: the arguments are the key, and
+    the entry serves a chain of n sites (n = size if left out).
 
-    Grids of up to ``2 * _MODE_BLOCK`` sites are kept in a least-recently
-    used cache of ``_GRID_CACHE`` entries.  Larger grids are kept for the
-    last chain length only: asking for one for another length first drops
-    them all, so a sweep over lengths never holds two lengths' tables.
+    Entries whose size is at most ``small`` are kept in a least-recently
+    used cache of ``entries`` entries.  Larger ones are kept for the last
+    chain length only: asking for one for another length first drops them
+    all, so a sweep over lengths never holds two lengths' large entries.
     ``cache_info`` and ``cache_clear`` are those of ``functools.lru_cache``;
     one lock guards the stores, so threads may share the cache.
     """
 
-    def __init__(self, build):
+    def __init__(self, build, entries: int, small: int):
         functools.update_wrapper(self, build)
         self._build = build
+        self._entries = entries
+        self._small_size = small
         self._lock = threading.Lock()
         self._small = collections.OrderedDict()
         self._large = {}
         self._chain = None
         self._hits = self._misses = 0
 
-    def __call__(self, m: int, n: Optional[int] = None):
+    def __call__(self, *key, n: Optional[int] = None):
         with self._lock:
             store = self._small
-            if m > 2 * _MODE_BLOCK:
+            if key[0] > self._small_size:
                 store = self._large
-                chain = m if n is None else n
+                chain = key[0] if n is None else n
                 if chain != self._chain:
                     store.clear()
                     self._chain = chain
-            arrays = store.get(m)
+            arrays = store.get(key)
             if arrays is not None:
                 self._hits += 1
                 if store is self._small:
-                    store.move_to_end(m)
+                    store.move_to_end(key)
                 return arrays
             self._misses += 1
-            arrays = store[m] = self._build(m)
-            if len(self._small) > _GRID_CACHE:
+            arrays = store[key] = self._build(*key)
+            if len(self._small) > self._entries:
                 self._small.popitem(last=False)
             return arrays
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
-            return _CacheInfo(self._hits, self._misses, _GRID_CACHE,
+            return _CacheInfo(self._hits, self._misses, self._entries,
                               len(self._small) + len(self._large))
 
     def cache_clear(self) -> None:
@@ -255,7 +268,7 @@ class _GridCache:
             self._hits = self._misses = 0
 
 
-@_GridCache
+@functools.partial(_LengthCache, entries=_GRID_CACHE, small=2 * _MODE_BLOCK)
 def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
     of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
@@ -263,7 +276,7 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
     This is the only part of the free-fermion formulas that depends on the
     grid alone.  Its arrays are read-only and take 8M bytes.  Called as
-    ``_momentum_table(m, n)`` for a chain of n sites (see :class:`_GridCache`):
+    ``_momentum_table(m, n=n)`` for a chain of n sites (see :class:`_LengthCache`):
     a 401-point h-scan over [0, 2] at N ~ 16 384 asks for at most 12 grids
     of up to 2 * ``_MODE_BLOCK`` sites (every power of two from 16 to 16 384
     sites, and N), under 0.5 MiB in all, which stay cached beside the larger grids
@@ -288,7 +301,7 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-@_GridCache
+@functools.partial(_LengthCache, entries=_GRID_CACHE, small=2 * _MODE_BLOCK)
 def _chord_terms(m: int) -> np.ndarray:
     """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
     that :func:`_log_pair_remainders` subtracts at |h| > 1.
@@ -329,9 +342,9 @@ def _sum_grid(n: int, modes: int, chord: bool = False) -> Tuple[tuple, float]:
     and the weight N/M of each of its terms, 1 for the full sum (see
     :func:`_grid_modes`)."""
     m = 2 * modes
-    table = _momentum_table(m, n)
+    table = _momentum_table(m, n=n)
     if chord:
-        table += (_chord_terms(m, n),)
+        table += (_chord_terms(m, n=n),)
     return table, n / m
 
 
@@ -601,14 +614,16 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
 # Exact diagonalization branch
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
+@functools.partial(_LengthCache, entries=_ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
 def _dihedral_orbits(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the 2^n basis states under rotations and reversal of the ring.
 
     Returns the representative (smallest member) of each orbit, the orbit
-    index of every basis state, and the orbit sizes.  The table depends on
-    n alone; it is kept for the last chain length, as a scan asks for one
-    length at every point, and its arrays are read-only.
+    index of every basis state, and the orbit sizes, all read-only.  The
+    table depends on n alone and takes about 4 * 2^n bytes.  It is cached
+    (see :class:`_LengthCache`) for every chain of up to ``_ED_KEPT_SITES``
+    sites, 0.37 MiB for all of them, and for chains of 2^17 states or more
+    for the last length only, at most 4.3 MiB at ``MAX_ED_SITES``.
     """
     dim = 1 << n
     # int32 holds the states of up to 30 sites and halves the memory traffic
@@ -635,66 +650,163 @@ def _popcount(states: np.ndarray, n: int) -> np.ndarray:
     return sum((states >> j) & 1 for j in range(n))
 
 
-def _sector_hamiltonian(spec: ChainSpec, orbits: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                        keep: np.ndarray, scale: float):
-    """Chain Hamiltonian divided by ``scale`` on the symmetric states of the
-    kept orbits.
+class _Sector(NamedTuple):
+    """The parts of a sector matrix that depend on (n, sector) alone.
+
+    Row a of the matrix holds its diagonal entry, then one entry per flip
+    term: n bond flips, and n site flips in the "all" sector.  ``index``
+    holds each entry's column, int32 for the CSR array (``indptr`` its row
+    pointers) above ``MAX_DENSE_SECTOR`` orbits, else its position in the
+    flattened dense matrix (``indptr`` None).  ``code`` holds each entry's
+    value as an index into the table that :func:`_sector_hamiltonian`
+    forms for the point's fields:
+
+        code                    value
+        p, popcount of a        -(h/2) (n - 2p)
+        n + 1 + pair            -sqrt(N_a / N_b) / 2     (bond flip into b)
+        n + 1 + D^2 + pair      (g/2) sqrt(N_a / N_b)    (site flip into b)
+
+    where ``pair`` numbers (N_a, N_b) among the D^2 pairs of the D distinct
+    orbit sizes, whose sqrt(N_a / N_b) are ``ratios``; D <= 8 up to 20
+    sites, so every code fits a byte.  ``kept`` is the orbit number of each
+    state of the sector.
+    """
+
+    kept: np.ndarray
+    index: np.ndarray
+    indptr: Optional[np.ndarray]
+    code: np.ndarray
+    ratios: np.ndarray
+
+
+@functools.partial(_LengthCache, entries=3 * _ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
+def _sector_structure(n: int, sector: str) -> _Sector:
+    """The structure of the "even" or "odd" spin-flip parity sector, solved
+    at g = 0, or of "all" orbits, which adds the n site flips of g != 0.
+
+    Built once per (n, sector) and cached like the orbit table (see
+    :class:`_LengthCache`): every sector of up to ``_ED_KEPT_SITES`` sites,
+    0.86 MiB for all of them, and the sectors of the last longer chain, at
+    most 8.6 MiB at ``MAX_ED_SITES`` (5.6 MiB of it the "all" sector).  A
+    matrix entry takes 5 bytes above ``MAX_DENSE_SECTOR`` orbits and 9
+    below.  Its arrays are read-only.
+    """
+    reps, orbit, size = _dihedral_orbits(n)
+    distinct, size_code = np.unique(size, return_inverse=True)
+    size_code = size_code.astype(np.uint8)
+    pop = _popcount(reps, n)
+    kept = np.arange(reps.size) if sector == "all" else np.flatnonzero(pop % 2 == (sector == "odd"))
+    m = kept.size
+    masks = [(1 << j) | (1 << ((j + 1) % n)) for j in range(n)]
+    if sector == "all":
+        masks += [1 << j for j in range(n)]
+    targets = orbit[reps[kept][:, None] ^ np.array(masks, dtype=np.int32)]
+    number = np.full(reps.size, -1, dtype=np.int32)
+    number[kept] = np.arange(m, dtype=np.int32)
+    index = np.empty((m, 1 + len(masks)), dtype=np.int32)
+    index[:, 0] = np.arange(m)
+    index[:, 1:] = number[targets]
+    code = np.empty(index.shape, dtype=np.uint8)
+    code[:, 0] = pop[kept]
+    code[:, 1:] = size_code[kept][:, None] * distinct.size + size_code[targets]
+    code[:, 1:] += n + 1
+    code[:, n + 1:] += distinct.size ** 2
+    indptr = None
+    if m <= MAX_DENSE_SECTOR:
+        index = (np.arange(0, m * m, m)[:, None] + index).ravel()
+    else:
+        indptr = np.arange(0, index.size + 1, index.shape[1], dtype=np.int32)
+    structure = _Sector(kept, index, indptr, code,
+                        np.sqrt(distinct[:, None] / distinct).ravel())
+    for column in structure:
+        if column is not None:
+            column.flags.writeable = False
+    return structure
+
+
+def _sector_hamiltonian(spec: ChainSpec, sector: _Sector, scale: float):
+    """Chain Hamiltonian divided by ``scale`` on the symmetric states of a
+    sector (see :func:`_sector_structure`).
 
     Orbit state |a> is the normalized uniform superposition of its N_a
     members, so <b|H|a> = sum c sqrt(N_a / N_b) over the flip terms c that
-    take the representative of a into orbit b.  Dense up to
-    ``MAX_DENSE_SECTOR`` orbits, CSR above.  The scale is a power of two
-    (see :func:`_field_scale`), so dividing by it is exact and keeps the
-    entries of fields up to the float maximum finite.
+    take the representative of a into orbit b.  The matrix is affine in h
+    and g, so a point only forms the few values its entries take and looks
+    up the cached codes.  Dense up to ``MAX_DENSE_SECTOR`` orbits, a CSR
+    array on the structure's own index arrays above.  The scale is a power
+    of two (see :func:`_field_scale`), so dividing by it is exact and keeps
+    the entries of fields up to the float maximum finite.
     """
-    n, h, g = spec.n, spec.h / scale, spec.g / scale
-    reps, orbit, size = orbits
-    kept = np.flatnonzero(keep)
-    m = kept.size
-    sector = np.full(reps.size, -1, dtype=np.int64)
-    sector[kept] = np.arange(m)
-    states = reps[kept]
-    masks = [(1 << j) | (1 << ((j + 1) % n)) for j in range(n)]
-    coeffs = [-0.5 / scale] * n
-    if spec.g != 0.0:
-        masks += [1 << j for j in range(n)]
-        coeffs += [g / 2.0] * n
-    targets = orbit[states[:, None] ^ np.array(masks)]
+    n, ratios = spec.n, sector.ratios
+    m = sector.kept.size
     # row a holds <b|H|a> = <a|H|b>: the diagonal, then one entry per flip
     # term; entries that land on the same orbit b add up
-    index = np.column_stack([np.arange(m), sector[targets]])
-    value = np.column_stack([-(h / 2.0) * (n - 2.0 * _popcount(states, n)),
-                             np.array(coeffs) * np.sqrt(size[kept][:, None] / size[targets])])
-    if m <= MAX_DENSE_SECTOR:
-        flat = (np.arange(m)[:, None] * m + index).ravel()
-        return np.bincount(flat, weights=value.ravel(), minlength=m * m).reshape(m, m)
+    values = np.concatenate((np.multiply(n - 2.0 * np.arange(n + 1), -(spec.h / scale / 2.0)),
+                             ratios * (-0.5 / scale), ratios * (spec.g / scale / 2.0)))
+    value = np.take(values, sector.code, mode="clip")
+    if sector.indptr is None:
+        return np.bincount(sector.index, weights=value.ravel(), minlength=m * m).reshape(m, m)
     from scipy.sparse import csr_array
-    indptr = np.arange(0, index.size + 1, index.shape[1])
-    return csr_array((value.ravel(), index.ravel(), indptr), shape=(m, m))
+    return csr_array((value.ravel(), sector.index.ravel(), sector.indptr), shape=(m, m))
 
 
-def _lowest(ham, k: int, spec: ChainSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues and the lowest eigenvector of a sector matrix."""
+def _ground_vector(ham: np.ndarray, evals: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The lowest eigenvector of a dense sector matrix by one step of inverse
+    iteration, which overwrites ``ham``.
+
+    The shift sits four ulps of |H| = max |eigenvalue| below the computed
+    E_0, so H - shift is never singular to rounding, not even where huge
+    scaled fields leave subnormal off-diagonals and a diagonal entry equal
+    to E_0.  The solution is rescaled by its largest entry before it is
+    normalized, so its norm cannot overflow.
+    """
+    m = ham.shape[0]
+    shift = evals[0] - 4.0 * np.spacing(max(-evals[0], evals[-1]))
+    ham.reshape(-1)[::m + 1] -= shift
+    vec = np.linalg.solve(ham, start)
+    vec /= np.max(np.abs(vec))
+    return vec / np.linalg.norm(vec)
+
+
+def _lowest(spec: ChainSpec, sector: _Sector, k: int, scale: float, vector: bool = True
+            ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The k lowest eigenvalues and, if ``vector``, the lowest eigenvector
+    (None otherwise) of a sector matrix (see :func:`_sector_hamiltonian`).
+
+    A dense matrix gets its eigenvalues from ``eigvalsh`` and its vector from
+    one inverse-iteration solve (see :func:`_ground_vector`).  That solve
+    starts from the sign pattern of the ground vector, which is positive in
+    the orbit basis up to the gauge (-1)^popcount at g > 0 (see
+    :func:`ed_ground`); its overlap with the ground vector is then at least
+    1/sqrt(m), where a random start can be orthogonal to it.  A CSR matrix
+    is solved by Lanczos (ARPACK ``eigsh``) from a start vector seeded by n.
+    """
+    ham = _sector_hamiltonian(spec, sector, scale)
     if isinstance(ham, np.ndarray):
-        evals, evecs = np.linalg.eigh(ham)
-        return evals[:k], evecs[:, 0]
+        evals = np.linalg.eigvalsh(ham)
+        if not vector:
+            return evals[:k], None
+        start = np.ones(ham.shape[0])
+        if spec.g > 0.0:
+            # the diagonal code of a state is its popcount
+            start[sector.code[:, 0] % 2 == 1] = -1.0
+        return evals[:k], _ground_vector(ham, evals, start)
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     m = ham.shape[0]
     start = np.random.default_rng(0x1517 + spec.n).standard_normal(m)
     try:
-        evals, evecs = eigsh(ham, k=k, which="SA", v0=start, tol=0, maxiter=100 * m)
+        found = eigsh(ham, k=k, which="SA", v0=start, tol=0, maxiter=100 * m,
+                      return_eigenvectors=vector)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos failed to converge for {spec}: "
             f"{len(exc.eigenvalues)} of {k} eigenpairs found"
         ) from exc
+    if not vector:
+        return np.sort(found), None
+    evals, evecs = found
     order = np.argsort(evals)
     return evals[order], evecs[:, order[0]]
-
-
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0 else vec
 
 
 def ed_ground(spec: ChainSpec) -> EDGroundState:
@@ -708,8 +820,19 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     and hence invariant under translation and reflection.  At g = 0 the
     Hamiltonian also conserves spin-flip parity, and the solve keeps only
     the even-popcount orbits, which selects the even ground state even when
-    the odd partner is quasi-degenerate.  Sector matrices up to
-    ``MAX_DENSE_SECTOR`` orbits are solved densely, larger ones by Lanczos.
+    the odd partner is quasi-degenerate; the odd sector supplies only its
+    lowest eigenvalue, for the gap.
+
+    A sector of up to ``MAX_DENSE_SECTOR`` orbits (every sector of n <= 12)
+    is solved densely: ``eigvalsh`` gives the reported eigenvalues and one
+    inverse-iteration solve the ground vector, as only one vector is
+    reported.  Larger sectors are solved by Lanczos, which loads scipy.
+    The orbit table and the structure of each sector are built once per
+    chain length and cached: 1.2 MiB for every length up to 16 sites, and
+    at most 13 MiB for the last longer length, at ``MAX_ED_SITES``, so a
+    sweep over every length holds under 15 MiB of them (see
+    :func:`_dihedral_orbits`, :func:`_sector_structure`).  A point then
+    only forms the matrix values for its h and g.
 
     ``gap`` is the distance from the ground energy to the next level of the
     symmetric sector; at g = 0 it is the distance to the lowest level of the
@@ -722,26 +845,28 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     """
     if spec.n > MAX_ED_SITES:
         raise ResourceLimitError(f"exact diagonalization limited to {MAX_ED_SITES} sites")
-    orbits = _dihedral_orbits(spec.n)
-    reps, orbit, size = orbits
     s = _field_scale(max(abs(spec.h), abs(spec.g)))
     if spec.g == 0.0:
-        even = _popcount(reps, spec.n) % 2 == 0
-        evals, even_coef = _lowest(_sector_hamiltonian(spec, orbits, even, s), 1, spec)
-        odd, _ = _lowest(_sector_hamiltonian(spec, orbits, ~even, s), 1, spec)
+        sector = _sector_structure(spec.n, "even")
+        evals, coef = _lowest(spec, sector, 1, s)
+        odd, _ = _lowest(spec, _sector_structure(spec.n, "odd"), 1, s, vector=False)
         e0, gap = float(evals[0]), float(odd[0] - evals[0])
-        coef = np.zeros(reps.size)
-        coef[even] = even_coef
     else:
-        every = np.ones(reps.size, dtype=bool)
-        evals, coef = _lowest(_sector_hamiltonian(spec, orbits, every, s), 2, spec)
+        sector = _sector_structure(spec.n, "all")
+        evals, coef = _lowest(spec, sector, 2, s)
         e0, gap = float(evals[0]), float(evals[1] - evals[0])
     e0, gap = e0 * s, gap * s
     degenerate = gap < DEGENERACY_GAP
     if degenerate:
         warn_caller(f"near-degenerate ground space (gap {gap:.3e}) for {spec}")
-    vec = _canonical_sign((coef / np.sqrt(size))[orbit])
-    state = PureState(vec / np.linalg.norm(vec), (2,) * spec.n)
+    _, orbit, size = _dihedral_orbits(spec.n)
+    amplitude = np.zeros(size.size)
+    amplitude[sector.kept] = coef / np.sqrt(size[sector.kept])
+    # one 2^n array, normalized in place with its largest entry made positive
+    vec = amplitude[orbit]
+    norm = np.linalg.norm(vec)
+    vec /= -norm if vec[np.argmax(np.abs(vec))] < 0 else norm
+    state = PureState(vec, (2,) * spec.n)
     return EDGroundState(state=state, energy=e0, gap=gap, degenerate=degenerate)
 
 

@@ -436,7 +436,7 @@ class TestBlockedKernels:
             try:
                 for k in np.random.default_rng(seed).integers(0, len(requests), calls // 4):
                     m, n = requests[k]
-                    if ising._momentum_table(m, n)[0].size != m // 2:
+                    if ising._momentum_table(m, n=n)[0].size != m // 2:
                         errors.append(m)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -702,6 +702,124 @@ class TestSymmetrySector:
                 "st.ed_ground(st.ChainSpec(12, 0.5, 0.3)); st.ed_ground(st.ChainSpec(12, 0.5))\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         assert _run_python(code).strip() == "[]"
+
+
+def _sector_matrix(spec, sector):
+    """The unscaled sector matrix of a chain and its cached structure."""
+    structure = ising._sector_structure(spec.n, sector)
+    return ising._sector_hamiltonian(spec, structure, 1.0), structure
+
+
+class TestDenseSolve:
+    """The dense sector solve, eigvalsh and one inverse-iteration solve,
+    against a full eigh of the same sector matrix."""
+
+    @pytest.mark.parametrize("n, h, g, sector", [
+        (2, 0.7, 0.0, "odd"), (2, 0.7, 0.0, "even"), (4, 0.7, 0.0, "odd"),  # m = 1, 2, 2
+        (2, 0.3, 0.5, "all"), (4, 1.5, -0.4, "all"), (12, 0.2, 0.0, "even"),
+        (12, 0.2, 1e-9, "all"), (12, 0.2, -1e-9, "all"),
+        (12, 0.2, 1e-300, "all"), (12, 0.2, -1e-300, "all")])
+    def test_matches_eigh(self, n, h, g, sector):
+        spec = ChainSpec(n, h, g)
+        ham, structure = _sector_matrix(spec, sector)
+        assert isinstance(ham, np.ndarray)
+        evals, evecs = np.linalg.eigh(ham)
+        k = min(2, evals.size)
+        got, vec = ising._lowest(spec, structure, k, 1.0)
+        assert np.max(np.abs(got - evals[:k])) <= 1e-12
+        assert abs((got[-1] - got[0]) - (evals[k - 1] - evals[0])) <= 1e-12
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
+        assert np.linalg.norm(ham @ vec - got[0] * vec) <= 1e-12 * max(1.0, abs(got[0]))
+        if k == 1 or evals[1] - evals[0] > 1e-8:
+            assert abs(vec @ evecs[:, 0]) > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("g", [1e-9, -1e-9, 1e-300, -1e-300])
+    def test_ed_ground_matches_eigh_near_degeneracy(self, g):
+        # the odd partner of the g = 0 ground state lies 6.8e-10 above it,
+        # split to 1.2e-8 at |g| = 1e-9 and left below the threshold at 1e-300
+        spec = ChainSpec(12, 0.2, g)
+        ham, _ = _sector_matrix(spec, "all")
+        evals, evecs = np.linalg.eigh(ham)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = ed_ground(spec)
+        assert abs(res.energy - evals[0]) <= 1e-12
+        assert abs(res.gap - (evals[1] - evals[0])) <= 1e-12
+        assert res.degenerate == (abs(g) < 1e-100)
+        psi = res.state.amplitudes.real
+        residual = np.linalg.norm(_flip_matvec(psi, 12, 0.2, g) - res.energy * psi)
+        assert residual <= 1e-12 * max(1.0, abs(res.energy))
+        if not res.degenerate:
+            _, orbit, size = ising._dihedral_orbits(12)
+            want = (evecs[:, 0] / np.sqrt(size))[orbit]
+            assert abs(want @ psi) > 1.0 - 1e-9
+
+    def test_residual_at_rounding_level_over_a_field_grid(self):
+        # the start vector has the sign pattern of the ground vector, so its
+        # overlap with it is at least 1/sqrt(m); a random start can be all
+        # but orthogonal to it, and left residuals of 3e-12 on this grid
+        for h in np.linspace(-3.0, 3.0, 13):
+            for g in np.linspace(-1.0, 1.0, 9):
+                spec = ChainSpec(10, float(h), float(g))
+                ham, structure = _sector_matrix(spec, "all" if g else "even")
+                evals, vec = ising._lowest(spec, structure, 1, 1.0)
+                residual = np.linalg.norm(ham @ vec - evals[0] * vec)
+                assert residual <= 1e-13 * max(1.0, abs(evals[0])), (h, g)
+
+    def test_huge_field_shift_is_not_singular(self):
+        # at h = 1e308 the scaled off-diagonals are subnormal and a diagonal
+        # entry equals E_0, so a shift of exactly E_0 leaves a zero pivot
+        spec = ChainSpec(4, 1e308)
+        scale = ising._field_scale(spec.h)
+        structure = ising._sector_structure(4, "even")
+        ham = ising._sector_hamiltonian(spec, structure, scale)
+        evals = np.linalg.eigvalsh(ham)
+        assert evals[0] == np.min(np.diag(ham))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = ising._lowest(spec, structure, 1, scale)[1]
+        assert np.all(np.isfinite(vec)) and abs(abs(vec[0]) - 1.0) <= 1e-15
+
+
+class TestEdCaches:
+    """Orbit tables and sector structures are built once per chain length."""
+
+    def test_alternating_lengths_rebuild_nothing(self):
+        ising._dihedral_orbits.cache_clear()
+        ising._sector_structure.cache_clear()
+        for n in (8, 10, 12, 8):
+            ed_ground(ChainSpec(n, 0.5, 0.3))
+        orbits = ising._dihedral_orbits.cache_info()
+        assert orbits.misses == 3 and orbits.hits >= 4
+        assert ising._sector_structure.cache_info()[:2] == (1, 3)
+
+    def test_structure_is_read_only(self):
+        for sector in ("even", "odd", "all"):
+            for n in (12, 14):
+                for column in ising._sector_structure(n, sector):
+                    if column is not None:
+                        with pytest.raises(ValueError):
+                            column[0] = 0
+
+    def test_length_sweep_holds_the_stated_bound(self):
+        # every length up to 16 sites, and the last longer one only: the
+        # orbit tables and sector structures stay under 15 MiB (ed_ground)
+        import scipy.sparse.linalg  # noqa: F401, imported outside the measurement
+        ising._dihedral_orbits.cache_clear()
+        ising._sector_structure.cache_clear()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for n in range(2, ising.MAX_ED_SITES + 1, 2):
+                    for g in (0.0, 0.3):
+                        ed_ground(ChainSpec(n, 0.5, g))
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ising._dihedral_orbits.cache_info().currsize == 8 + 1
+        assert ising._sector_structure.cache_info().currsize == 3 * (8 + 1)
+        assert current <= 15 * 2 ** 20
 
 
 class TestEdRugosity:
