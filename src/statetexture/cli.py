@@ -146,17 +146,17 @@ def _cmd_convexroof(args) -> list:
             ("decomposition_size", len(result.decomposition))]
 
 
-def _default_method(args, axis: str = "h") -> str:
-    if args.method is not None:
-        return args.method
-    if axis == "g" or args.g != 0.0:
+def _default_method(method: Optional[str], g: float, axis: str = "h") -> str:
+    if method is not None:
+        return method
+    if axis == "g" or g != 0.0:
         return "ed"
     return "analytic"
 
 
 def _cmd_ising_point(args) -> list:
     spec = ising.ChainSpec(args.n, args.h, args.g)
-    method = _default_method(args)
+    method = _default_method(args.method, args.g)
     pairs = [("n", args.n), ("h", args.h), ("g", args.g), ("method", method),
              ("observable", args.observable)]
     if args.observable == "full":
@@ -207,8 +207,11 @@ plt.show()
 
 
 def _cmd_ising_scan(args) -> list:
+    # the swept field takes the grid's values, so a fixed one is rejected, not dropped
+    if getattr(args, args.axis) is not None:
+        raise UsageError(f"--{args.axis} is swept by this scan and takes no fixed value")
     if args.axis == "h":
-        spec = ising.ChainSpec(args.n, h=0.0, g=args.g)
+        spec = ising.ChainSpec(args.n, h=0.0, g=0.0 if args.g is None else args.g)
     else:
         if args.h is None:
             raise UsageError("a fixed --h is required for a g-axis scan")
@@ -232,7 +235,7 @@ def _cmd_ising_scan(args) -> list:
         except ValueError as exc:
             raise UsageError(f"malformed --kink-window {args.kink_window!r}") from exc
         window = (lo, hi)
-    method = _default_method(args, args.axis)
+    method = _default_method(args.method, spec.g, args.axis)
     grid = ising.scan(spec, args.axis, pts, observable=args.observable,
                       method=method, kink_window=window)
     csv = "\n".join(_scan_csv_lines(grid))
@@ -314,8 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--h", type=float, help="fixed transverse field for g-axis scans")
-    p.add_argument("--g", type=float, default=0.0,
-                   help="fixed longitudinal field for h-axis scans")
+    p.add_argument("--g", type=float, help="fixed longitudinal field for h-axis scans (default 0)")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.add_argument("--kink-window", help="window LO,HI for the curvature extremum")
     p.add_argument("--emit-plot", help="write a plotting script referencing the CSV")

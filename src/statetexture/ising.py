@@ -53,10 +53,11 @@ symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
 g = 0 (see :func:`ed_ground`).  A sector of up to ``MAX_DENSE_SECTOR``
 orbits gets its eigenvalues from ``eigvalsh`` and its ground vector from
-one inverse-iteration solve; larger ones are solved by Lanczos.  The orbit
-table and each sector's structure are built once per chain length and
-cached in a bounded number of bytes; a point only forms the matrix values
-of its fields.
+one inverse-iteration solve; larger ones are solved by Lanczos.  One table
+per chain length holds the orbits and the rows of the matrix over all
+orbits, from which every sector matrix is formed; it is built once and
+cached, 0.9 MiB for every length up to 16 sites and at most 9.8 MiB for
+one longer length.  A point only forms the matrix values of its fields.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ MAX_ED_SITES = 20
 # 256 keeps every sector of n <= 12 dense, so those solves never import
 # scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
-# orbit tables and sector structures of chains of up to this many sites,
-# under 2^17 states, are cached for every length; see _dihedral_orbits
+# the ED tables of chains of up to this many sites, under 2^17 states, are
+# cached for every length; see _chain_table
 _ED_KEPT_SITES = 16
 MAX_ANALYTIC_SITES = 10 ** 6
 # momentum tables (and chord columns) of up to 2 * _MODE_BLOCK sites kept,
@@ -175,6 +176,15 @@ class PairObservables:
 
 @dataclass(frozen=True, eq=False)
 class EDGroundState:
+    """The exact-diagonalization ground state of a chain (see :func:`ed_ground`).
+
+    ``gap`` is, at g = 0, the distance from the ground energy to the lowest
+    level of the odd-parity sector, so that a quasi-degenerate parity
+    partner is reported, and elsewhere the distance to the next level of
+    the symmetric sector.  ``degenerate`` means a gap below
+    ``DEGENERACY_GAP`` = 1e-8.
+    """
+
     state: PureState
     energy: float
     gap: float
@@ -211,8 +221,8 @@ _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _LengthCache:
-    """Cache of a builder of read-only arrays that depend on a chain length,
-    called as ``cache(size, *rest, n=None)``: the arguments are the key, and
+    """Cache of a builder of read-only arrays of one integer argument, the
+    size, called as ``cache(size, n=None)``: the size alone is the key, and
     the entry serves a chain of n sites (n = size if left out).
 
     Entries whose size is at most ``small`` are kept in a least-recently
@@ -234,23 +244,23 @@ class _LengthCache:
         self._chain = None
         self._hits = self._misses = 0
 
-    def __call__(self, *key, n: Optional[int] = None):
+    def __call__(self, size: int, *, n: Optional[int] = None):
         with self._lock:
             store = self._small
-            if key[0] > self._small_size:
+            if size > self._small_size:
                 store = self._large
-                chain = key[0] if n is None else n
+                chain = size if n is None else n
                 if chain != self._chain:
                     store.clear()
                     self._chain = chain
-            arrays = store.get(key)
+            arrays = store.get(size)
             if arrays is not None:
                 self._hits += 1
                 if store is self._small:
-                    store.move_to_end(key)
+                    store.move_to_end(size)
                 return arrays
             self._misses += 1
-            arrays = store[key] = self._build(*key)
+            arrays = store[size] = self._build(size)
             if len(self._small) > self._entries:
                 self._small.popitem(last=False)
             return arrays
@@ -614,17 +624,43 @@ def pair_observables(spec: ChainSpec) -> PairObservables:
 # Exact diagonalization branch
 # ----------------------------------------------------------------------
 
-@functools.partial(_LengthCache, entries=_ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
-def _dihedral_orbits(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the 2^n basis states under rotations and reversal of the ring.
+class _ChainTable(NamedTuple):
+    """The orbits of a chain length and the rows of its orbit matrix.
 
-    Returns the representative (smallest member) of each orbit, the orbit
-    index of every basis state, and the orbit sizes, all read-only.  The
-    table depends on n alone and takes about 4 * 2^n bytes.  It is cached
-    (see :class:`_LengthCache`) for every chain of up to ``_ED_KEPT_SITES``
-    sites, 0.37 MiB for all of them, and for chains of 2^17 states or more
-    for the last length only, at most 4.3 MiB at ``MAX_ED_SITES``.
+    ``orbit`` is the orbit number of each of the 2^n basis states under
+    rotations and reversal of the ring, and ``size`` each orbit's size.  Row
+    a of the matrix over all orbits holds its diagonal entry, then one entry
+    per flip term: n bond flips, then n site flips.  ``index`` holds each
+    entry's column, ``code`` its value as an index into the table that
+    :func:`_sector_hamiltonian` forms for the point's fields:
+
+        code                    value
+        p, popcount of a        -(h/2) (n - 2p)
+        n + 1 + pair            -sqrt(N_a / N_b) / 2     (bond flip into b)
+        n + 1 + D^2 + pair      (g/2) sqrt(N_a / N_b)    (site flip into b)
+
+    where ``pair`` numbers (N_a, N_b) among the D^2 pairs of the D distinct
+    orbit sizes, whose sqrt(N_a / N_b) are ``ratios``; D <= 8 up to 20
+    sites, so every code fits a byte.  Bond flips keep the spin-flip parity,
+    so the g = 0 matrix of one parity is formed from the first 1 + n
+    entries of its rows, the orbits ``even`` or ``odd``, with each column
+    renumbered to its ``position`` within that parity.
     """
+
+    orbit: np.ndarray
+    size: np.ndarray
+    index: np.ndarray
+    code: np.ndarray
+    ratios: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    position: np.ndarray
+
+
+def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The representative (smallest member) of each orbit of the 2^n basis
+    states under rotations and reversal of the ring, and the orbit number
+    of every state; the 2^n temporaries are freed on return."""
     dim = 1 << n
     # int32 holds the states of up to 30 sites and halves the memory traffic
     states = np.arange(dim, dtype=np.int32)
@@ -640,114 +676,78 @@ def _dihedral_orbits(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     # equal their minimum, in order, numbers the orbits without a sort
     is_rep = rep == states
     orbit = (np.cumsum(is_rep, dtype=np.int32) - 1)[rep]
-    table = states[is_rep], orbit, np.bincount(orbit)
+    return states[is_rep], orbit
+
+
+@functools.partial(_LengthCache, entries=_ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
+def _chain_table(n: int) -> _ChainTable:
+    """The orbit table and matrix rows of a chain of n sites (see :class:`_ChainTable`).
+
+    Built once per chain length, read-only, and cached (see
+    :class:`_LengthCache`) for every chain of up to ``_ED_KEPT_SITES`` sites,
+    0.9 MiB for all of them, and for chains of 2^17 states or more for the
+    last length only, at most 9.8 MiB at ``MAX_ED_SITES``: 4 bytes per basis
+    state, 5 per matrix entry and 20 per orbit.
+    """
+    reps, orbit = _orbits(n)
+    size = np.bincount(orbit)
+    distinct, size_code = np.unique(size, return_inverse=True)
+    size_code = size_code.astype(np.uint8)
+    pop = sum((reps >> j) & 1 for j in range(n))
+    masks = [(1 << j) | (1 << ((j + 1) % n)) for j in range(n)] + [1 << j for j in range(n)]
+    targets = orbit[reps[:, None] ^ np.array(masks, dtype=np.int32)]
+    index = np.empty((reps.size, 1 + 2 * n), dtype=np.int32)
+    index[:, 0] = np.arange(reps.size)
+    index[:, 1:] = targets
+    code = np.empty(index.shape, dtype=np.uint8)
+    code[:, 0] = pop
+    code[:, 1:] = size_code[:, None] * distinct.size + size_code[targets]
+    code[:, 1:] += n + 1
+    code[:, n + 1:] += distinct.size ** 2
+    even, odd = np.flatnonzero(pop % 2 == 0), np.flatnonzero(pop % 2 == 1)
+    position = np.empty(reps.size, dtype=np.int32)
+    position[even] = np.arange(even.size)
+    position[odd] = np.arange(odd.size)
+    table = _ChainTable(orbit, size, index, code, np.sqrt(distinct[:, None] / distinct).ravel(),
+                        even, odd, position)
     for column in table:
         column.flags.writeable = False
     return table
 
 
-def _popcount(states: np.ndarray, n: int) -> np.ndarray:
-    return sum((states >> j) & 1 for j in range(n))
-
-
-class _Sector(NamedTuple):
-    """The parts of a sector matrix that depend on (n, sector) alone.
-
-    Row a of the matrix holds its diagonal entry, then one entry per flip
-    term: n bond flips, and n site flips in the "all" sector.  ``index``
-    holds each entry's column, int32 for the CSR array (``indptr`` its row
-    pointers) above ``MAX_DENSE_SECTOR`` orbits, else its position in the
-    flattened dense matrix (``indptr`` None).  ``code`` holds each entry's
-    value as an index into the table that :func:`_sector_hamiltonian`
-    forms for the point's fields:
-
-        code                    value
-        p, popcount of a        -(h/2) (n - 2p)
-        n + 1 + pair            -sqrt(N_a / N_b) / 2     (bond flip into b)
-        n + 1 + D^2 + pair      (g/2) sqrt(N_a / N_b)    (site flip into b)
-
-    where ``pair`` numbers (N_a, N_b) among the D^2 pairs of the D distinct
-    orbit sizes, whose sqrt(N_a / N_b) are ``ratios``; D <= 8 up to 20
-    sites, so every code fits a byte.  ``kept`` is the orbit number of each
-    state of the sector.
-    """
-
-    kept: np.ndarray
-    index: np.ndarray
-    indptr: Optional[np.ndarray]
-    code: np.ndarray
-    ratios: np.ndarray
-
-
-@functools.partial(_LengthCache, entries=3 * _ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
-def _sector_structure(n: int, sector: str) -> _Sector:
-    """The structure of the "even" or "odd" spin-flip parity sector, solved
-    at g = 0, or of "all" orbits, which adds the n site flips of g != 0.
-
-    Built once per (n, sector) and cached like the orbit table (see
-    :class:`_LengthCache`): every sector of up to ``_ED_KEPT_SITES`` sites,
-    0.86 MiB for all of them, and the sectors of the last longer chain, at
-    most 8.6 MiB at ``MAX_ED_SITES`` (5.6 MiB of it the "all" sector).  A
-    matrix entry takes 5 bytes above ``MAX_DENSE_SECTOR`` orbits and 9
-    below.  Its arrays are read-only.
-    """
-    reps, orbit, size = _dihedral_orbits(n)
-    distinct, size_code = np.unique(size, return_inverse=True)
-    size_code = size_code.astype(np.uint8)
-    pop = _popcount(reps, n)
-    kept = np.arange(reps.size) if sector == "all" else np.flatnonzero(pop % 2 == (sector == "odd"))
-    m = kept.size
-    masks = [(1 << j) | (1 << ((j + 1) % n)) for j in range(n)]
-    if sector == "all":
-        masks += [1 << j for j in range(n)]
-    targets = orbit[reps[kept][:, None] ^ np.array(masks, dtype=np.int32)]
-    number = np.full(reps.size, -1, dtype=np.int32)
-    number[kept] = np.arange(m, dtype=np.int32)
-    index = np.empty((m, 1 + len(masks)), dtype=np.int32)
-    index[:, 0] = np.arange(m)
-    index[:, 1:] = number[targets]
-    code = np.empty(index.shape, dtype=np.uint8)
-    code[:, 0] = pop[kept]
-    code[:, 1:] = size_code[kept][:, None] * distinct.size + size_code[targets]
-    code[:, 1:] += n + 1
-    code[:, n + 1:] += distinct.size ** 2
-    indptr = None
-    if m <= MAX_DENSE_SECTOR:
-        index = (np.arange(0, m * m, m)[:, None] + index).ravel()
-    else:
-        indptr = np.arange(0, index.size + 1, index.shape[1], dtype=np.int32)
-    structure = _Sector(kept, index, indptr, code,
-                        np.sqrt(distinct[:, None] / distinct).ravel())
-    for column in structure:
-        if column is not None:
-            column.flags.writeable = False
-    return structure
-
-
-def _sector_hamiltonian(spec: ChainSpec, sector: _Sector, scale: float):
-    """Chain Hamiltonian divided by ``scale`` on the symmetric states of a
-    sector (see :func:`_sector_structure`).
+def _sector_hamiltonian(spec: ChainSpec, table: _ChainTable, scale: float,
+                        parity: Optional[int] = None):
+    """Chain Hamiltonian divided by ``scale`` on the symmetric states of all
+    orbits, or at g = 0 of the orbits of one spin-flip ``parity``, 0 or 1
+    (see :class:`_ChainTable`).
 
     Orbit state |a> is the normalized uniform superposition of its N_a
     members, so <b|H|a> = sum c sqrt(N_a / N_b) over the flip terms c that
     take the representative of a into orbit b.  The matrix is affine in h
     and g, so a point only forms the few values its entries take and looks
     up the cached codes.  Dense up to ``MAX_DENSE_SECTOR`` orbits, a CSR
-    array on the structure's own index arrays above.  The scale is a power
-    of two (see :func:`_field_scale`), so dividing by it is exact and keeps
-    the entries of fields up to the float maximum finite.
+    array above.  The scale is a power of two (see :func:`_field_scale`), so
+    dividing by it is exact and keeps the entries of fields up to the float
+    maximum finite.
     """
-    n, ratios = spec.n, sector.ratios
-    m = sector.kept.size
+    n, ratios = spec.n, table.ratios
+    index, code = table.index, table.code
+    if parity is not None:
+        rows = table.odd if parity else table.even
+        index = table.position[index[rows, :n + 1]]
+        code = code[rows, :n + 1]
+    m = index.shape[0]
     # row a holds <b|H|a> = <a|H|b>: the diagonal, then one entry per flip
     # term; entries that land on the same orbit b add up
     values = np.concatenate((np.multiply(n - 2.0 * np.arange(n + 1), -(spec.h / scale / 2.0)),
                              ratios * (-0.5 / scale), ratios * (spec.g / scale / 2.0)))
-    value = np.take(values, sector.code, mode="clip")
-    if sector.indptr is None:
-        return np.bincount(sector.index, weights=value.ravel(), minlength=m * m).reshape(m, m)
+    value = np.take(values, code, mode="clip").ravel()
+    if m <= MAX_DENSE_SECTOR:
+        flat = (np.arange(0, m * m, m)[:, None] + index).ravel()
+        return np.bincount(flat, weights=value, minlength=m * m).reshape(m, m)
     from scipy.sparse import csr_array
-    return csr_array((value.ravel(), sector.index.ravel(), sector.indptr), shape=(m, m))
+    indptr = np.arange(0, index.size + 1, index.shape[1], dtype=np.int32)
+    return csr_array((value, index.ravel(), indptr), shape=(m, m))
 
 
 def _ground_vector(ham: np.ndarray, evals: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -768,7 +768,8 @@ def _ground_vector(ham: np.ndarray, evals: np.ndarray, start: np.ndarray) -> np.
     return vec / np.linalg.norm(vec)
 
 
-def _lowest(spec: ChainSpec, sector: _Sector, k: int, scale: float, vector: bool = True
+def _lowest(spec: ChainSpec, table: _ChainTable, k: int, scale: float,
+            parity: Optional[int] = None, vector: bool = True
             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The k lowest eigenvalues and, if ``vector``, the lowest eigenvector
     (None otherwise) of a sector matrix (see :func:`_sector_hamiltonian`).
@@ -781,15 +782,15 @@ def _lowest(spec: ChainSpec, sector: _Sector, k: int, scale: float, vector: bool
     1/sqrt(m), where a random start can be orthogonal to it.  A CSR matrix
     is solved by Lanczos (ARPACK ``eigsh``) from a start vector seeded by n.
     """
-    ham = _sector_hamiltonian(spec, sector, scale)
+    ham = _sector_hamiltonian(spec, table, scale, parity)
     if isinstance(ham, np.ndarray):
         evals = np.linalg.eigvalsh(ham)
         if not vector:
             return evals[:k], None
         start = np.ones(ham.shape[0])
         if spec.g > 0.0:
-            # the diagonal code of a state is its popcount
-            start[sector.code[:, 0] % 2 == 1] = -1.0
+            # at g != 0 the rows are those of all orbits
+            start[table.odd] = -1.0
         return evals[:k], _ground_vector(ham, evals, start)
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     m = ham.shape[0]
@@ -827,17 +828,12 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     is solved densely: ``eigvalsh`` gives the reported eigenvalues and one
     inverse-iteration solve the ground vector, as only one vector is
     reported.  Larger sectors are solved by Lanczos, which loads scipy.
-    The orbit table and the structure of each sector are built once per
-    chain length and cached: 1.2 MiB for every length up to 16 sites, and
-    at most 13 MiB for the last longer length, at ``MAX_ED_SITES``, so a
-    sweep over every length holds under 15 MiB of them (see
-    :func:`_dihedral_orbits`, :func:`_sector_structure`).  A point then
-    only forms the matrix values for its h and g.
-
-    ``gap`` is the distance from the ground energy to the next level of the
-    symmetric sector; at g = 0 it is the distance to the lowest level of the
-    odd-parity sector instead, so a quasi-degenerate parity partner is
-    reported through ``degenerate`` (gap below 1e-8).
+    The orbits and the matrix rows of a chain length are one table, built
+    once and cached: 0.9 MiB for every length up to 16 sites, and at most
+    9.8 MiB for the last longer length, at ``MAX_ED_SITES``, so a sweep over
+    every length holds under 11 MiB of them (see :func:`_chain_table`).  A
+    point then forms its sector matrix from the table's rows and the
+    values for its h and g.
 
     Amplitudes are real with the largest-magnitude entry positive; basis
     index bit j holds chain site j, so subsystem axis k of the returned
@@ -846,24 +842,23 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     if spec.n > MAX_ED_SITES:
         raise ResourceLimitError(f"exact diagonalization limited to {MAX_ED_SITES} sites")
     s = _field_scale(max(abs(spec.h), abs(spec.g)))
+    table = _chain_table(spec.n)
     if spec.g == 0.0:
-        sector = _sector_structure(spec.n, "even")
-        evals, coef = _lowest(spec, sector, 1, s)
-        odd, _ = _lowest(spec, _sector_structure(spec.n, "odd"), 1, s, vector=False)
+        evals, coef = _lowest(spec, table, 1, s, parity=0)
+        odd, _ = _lowest(spec, table, 1, s, parity=1, vector=False)
         e0, gap = float(evals[0]), float(odd[0] - evals[0])
+        amplitude = np.zeros(table.size.size)
+        amplitude[table.even] = coef / np.sqrt(table.size[table.even])
     else:
-        sector = _sector_structure(spec.n, "all")
-        evals, coef = _lowest(spec, sector, 2, s)
+        evals, coef = _lowest(spec, table, 2, s)
         e0, gap = float(evals[0]), float(evals[1] - evals[0])
+        amplitude = coef / np.sqrt(table.size)
     e0, gap = e0 * s, gap * s
     degenerate = gap < DEGENERACY_GAP
     if degenerate:
         warn_caller(f"near-degenerate ground space (gap {gap:.3e}) for {spec}")
-    _, orbit, size = _dihedral_orbits(spec.n)
-    amplitude = np.zeros(size.size)
-    amplitude[sector.kept] = coef / np.sqrt(size[sector.kept])
     # one 2^n array, normalized in place with its largest entry made positive
-    vec = amplitude[orbit]
+    vec = amplitude[table.orbit]
     norm = np.linalg.norm(vec)
     vec /= -norm if vec[np.argmax(np.abs(vec))] < 0 else norm
     state = PureState(vec, (2,) * spec.n)

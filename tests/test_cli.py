@@ -342,6 +342,22 @@ class TestIsingCommands:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--axis", "h", "--from", "0", "--to", "0.2", "--step", "0.05", "--h", "0.7"),
+        ("--axis", "g", "--from", "-0.2", "--to", "0.2", "--step", "0.1", "--h", "0.5",
+         "--g", "0.3"),
+    ])
+    def test_fixed_field_of_the_swept_axis_is_usage_error(self, capsys, monkeypatch, argv):
+        # the swept axis's own field would be dropped: rejected before anything is computed
+        def computed(*args, **kwargs):
+            raise AssertionError("the scan was computed")
+
+        monkeypatch.setattr(ising, "scan", computed)
+        code, out, err = run(capsys, "ising", "scan", "--n", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
 
 class TestContract:
     def test_determinism_byte_identical(self, capsys, bell_file):

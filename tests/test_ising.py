@@ -705,9 +705,11 @@ class TestSymmetrySector:
 
 
 def _sector_matrix(spec, sector):
-    """The unscaled sector matrix of a chain and its cached structure."""
-    structure = ising._sector_structure(spec.n, sector)
-    return ising._sector_hamiltonian(spec, structure, 1.0), structure
+    """The unscaled matrix of a sector, "even" or "odd" at g = 0 and "all"
+    elsewhere, with the chain table and the parity it is formed from."""
+    assert (sector == "all") == (spec.g != 0.0)
+    table, parity = ising._chain_table(spec.n), {"even": 0, "odd": 1, "all": None}[sector]
+    return ising._sector_hamiltonian(spec, table, 1.0, parity), table, parity
 
 
 class TestDenseSolve:
@@ -721,11 +723,11 @@ class TestDenseSolve:
         (12, 0.2, 1e-300, "all"), (12, 0.2, -1e-300, "all")])
     def test_matches_eigh(self, n, h, g, sector):
         spec = ChainSpec(n, h, g)
-        ham, structure = _sector_matrix(spec, sector)
+        ham, table, parity = _sector_matrix(spec, sector)
         assert isinstance(ham, np.ndarray)
         evals, evecs = np.linalg.eigh(ham)
         k = min(2, evals.size)
-        got, vec = ising._lowest(spec, structure, k, 1.0)
+        got, vec = ising._lowest(spec, table, k, 1.0, parity)
         assert np.max(np.abs(got - evals[:k])) <= 1e-12
         assert abs((got[-1] - got[0]) - (evals[k - 1] - evals[0])) <= 1e-12
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
@@ -738,7 +740,7 @@ class TestDenseSolve:
         # the odd partner of the g = 0 ground state lies 6.8e-10 above it,
         # split to 1.2e-8 at |g| = 1e-9 and left below the threshold at 1e-300
         spec = ChainSpec(12, 0.2, g)
-        ham, _ = _sector_matrix(spec, "all")
+        ham, table, _ = _sector_matrix(spec, "all")
         evals, evecs = np.linalg.eigh(ham)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -750,8 +752,7 @@ class TestDenseSolve:
         residual = np.linalg.norm(_flip_matvec(psi, 12, 0.2, g) - res.energy * psi)
         assert residual <= 1e-12 * max(1.0, abs(res.energy))
         if not res.degenerate:
-            _, orbit, size = ising._dihedral_orbits(12)
-            want = (evecs[:, 0] / np.sqrt(size))[orbit]
+            want = (evecs[:, 0] / np.sqrt(table.size))[table.orbit]
             assert abs(want @ psi) > 1.0 - 1e-9
 
     def test_residual_at_rounding_level_over_a_field_grid(self):
@@ -761,52 +762,63 @@ class TestDenseSolve:
         for h in np.linspace(-3.0, 3.0, 13):
             for g in np.linspace(-1.0, 1.0, 9):
                 spec = ChainSpec(10, float(h), float(g))
-                ham, structure = _sector_matrix(spec, "all" if g else "even")
-                evals, vec = ising._lowest(spec, structure, 1, 1.0)
+                ham, table, parity = _sector_matrix(spec, "all" if g else "even")
+                evals, vec = ising._lowest(spec, table, 1, 1.0, parity)
                 residual = np.linalg.norm(ham @ vec - evals[0] * vec)
                 assert residual <= 1e-13 * max(1.0, abs(evals[0])), (h, g)
+
+    @pytest.mark.parametrize("n", range(2, 16, 2))
+    def test_parity_matrices_are_blocks_of_the_all_orbit_matrix(self, n):
+        # bond flips keep the parity: each g = 0 parity matrix, formed from
+        # the first 1 + n entries of its rows, is that parity's block of the
+        # matrix over all orbits, whose site flips then contribute zeros
+        spec = ChainSpec(n, 0.7)
+        table = ising._chain_table(n)
+        matrices = [ising._sector_hamiltonian(spec, table, 1.0, parity)
+                    for parity in (None, 0, 1)]
+        # dense up to n = 12, CSR at n = 14, the Lanczos size
+        assert all(isinstance(ham, np.ndarray) == (n <= 12) for ham in matrices)
+        full, even, odd = (ham if n <= 12 else ham.toarray() for ham in matrices)
+        assert np.array_equal(even, full[np.ix_(table.even, table.even)])
+        assert np.array_equal(odd, full[np.ix_(table.odd, table.odd)])
+        assert not np.any(full[np.ix_(table.even, table.odd)])
+        assert not np.any(full[np.ix_(table.odd, table.even)])
 
     def test_huge_field_shift_is_not_singular(self):
         # at h = 1e308 the scaled off-diagonals are subnormal and a diagonal
         # entry equals E_0, so a shift of exactly E_0 leaves a zero pivot
         spec = ChainSpec(4, 1e308)
         scale = ising._field_scale(spec.h)
-        structure = ising._sector_structure(4, "even")
-        ham = ising._sector_hamiltonian(spec, structure, scale)
+        table = ising._chain_table(4)
+        ham = ising._sector_hamiltonian(spec, table, scale, 0)
         evals = np.linalg.eigvalsh(ham)
         assert evals[0] == np.min(np.diag(ham))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vec = ising._lowest(spec, structure, 1, scale)[1]
+            vec = ising._lowest(spec, table, 1, scale, 0)[1]
         assert np.all(np.isfinite(vec)) and abs(abs(vec[0]) - 1.0) <= 1e-15
 
 
 class TestEdCaches:
-    """Orbit tables and sector structures are built once per chain length."""
+    """One table per chain length, built once."""
 
     def test_alternating_lengths_rebuild_nothing(self):
-        ising._dihedral_orbits.cache_clear()
-        ising._sector_structure.cache_clear()
+        ising._chain_table.cache_clear()
         for n in (8, 10, 12, 8):
             ed_ground(ChainSpec(n, 0.5, 0.3))
-        orbits = ising._dihedral_orbits.cache_info()
-        assert orbits.misses == 3 and orbits.hits >= 4
-        assert ising._sector_structure.cache_info()[:2] == (1, 3)
+        assert ising._chain_table.cache_info()[:2] == (1, 3)
 
     def test_structure_is_read_only(self):
-        for sector in ("even", "odd", "all"):
-            for n in (12, 14):
-                for column in ising._sector_structure(n, sector):
-                    if column is not None:
-                        with pytest.raises(ValueError):
-                            column[0] = 0
+        for n in (12, 14):
+            for column in ising._chain_table(n):
+                with pytest.raises(ValueError):
+                    column[0] = 0
 
     def test_length_sweep_holds_the_stated_bound(self):
         # every length up to 16 sites, and the last longer one only: the
-        # orbit tables and sector structures stay under 15 MiB (ed_ground)
+        # chain tables stay under 11 MiB (ed_ground)
         import scipy.sparse.linalg  # noqa: F401, imported outside the measurement
-        ising._dihedral_orbits.cache_clear()
-        ising._sector_structure.cache_clear()
+        ising._chain_table.cache_clear()
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -817,9 +829,8 @@ class TestEdCaches:
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ising._dihedral_orbits.cache_info().currsize == 8 + 1
-        assert ising._sector_structure.cache_info().currsize == 3 * (8 + 1)
-        assert current <= 15 * 2 ** 20
+        assert ising._chain_table.cache_info().currsize == 8 + 1
+        assert current <= 11 * 2 ** 20
 
 
 class TestEdRugosity:
@@ -949,11 +960,11 @@ class TestScan:
             assert pair.rugosity[k] == pair_observables(ChainSpec(n, h)).pair_rugosity
 
     def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self):
-        ising._dihedral_orbits.cache_clear()
+        ising._chain_table.cache_clear()
         grid = np.linspace(-0.3, 0.3, 7)
         full = scan(ChainSpec(8, 0.5), "g", grid, method="ed")
         pair = scan(ChainSpec(8, 0.5), "g", grid, observable="pair", method="ed")
-        assert ising._dihedral_orbits.cache_info().misses == 1
+        assert ising._chain_table.cache_info().misses == 1
         for k, g in enumerate(grid):
             assert full.rugosity[k] == ed_rugosity(ChainSpec(8, 0.5, g))
             assert pair.rugosity[k] == ed_pair_observables(ChainSpec(8, 0.5, g)).pair_rugosity
