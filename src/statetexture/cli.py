@@ -12,9 +12,9 @@ One executable with subcommands::
     statetexture selftest
 
 Exit codes: 0 success, 1 numerical failure (invalid state file,
-non-convergence), 2 usage error, an unwritable output path included: every
-path a command writes is checked before anything is computed.  Numeric
-output uses 12 significant digits.
+non-convergence), 2 usage error, an output path that is unwritable or names
+the command's --state or another output included: all are checked before
+anything is computed.  Numeric output uses 12 significant digits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import StateTextureError, UsageError
-from . import ising, monotones, purity, roof, stateio, texture
 from .states import PureState, density_of
 
 _THEORY_BY_FLAG = {
@@ -81,28 +80,29 @@ def _parse_cut(text: Optional[str], dims: Tuple[int, ...]) -> Optional[Tuple[int
     return side_a
 
 
-def _resolve_basis(name: str, dim: int) -> texture.OrthonormalBasis:
-    if name == "computational":
-        return texture.computational_basis(dim)
-    if name == "fourier":
-        return texture.fourier_basis(dim)
-    return texture.OrthonormalBasis(stateio.load_unitary(name))
-
-
 def _cmd_texture(args) -> list:
+    from . import stateio, texture
     state = stateio.load_state(args.state)
-    basis = _resolve_basis(args.basis, density_of(state).dim)
+    dim = density_of(state).dim
+    if args.basis == "computational":
+        basis = texture.computational_basis(dim)
+    elif args.basis == "fourier":
+        basis = texture.fourier_basis(dim)
+    else:
+        basis = texture.OrthonormalBasis(stateio.load_unitary(args.basis))
     rep = texture.texture_in_basis(state, basis)
     return [("grand_sum", rep.grand_sum), ("texture", rep.texture),
             ("rugosity", rep.rugosity), ("imag_residual", rep.imag_residual)]
 
 
 def _cmd_texture_extrema(args) -> list:
+    from . import stateio, texture
     ex = texture.texture_extrema(stateio.load_state(args.state))
     return [("t_max", ex.t_max), ("t_min", ex.t_min)]
 
 
 def _cmd_purity(args) -> list:
+    from . import purity, stateio
     state = density_of(stateio.load_state(args.state))
     try:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok != ""]
@@ -121,6 +121,7 @@ def _cmd_purity(args) -> list:
 
 
 def _cmd_monotone(args) -> list:
+    from . import monotones, stateio
     psi = stateio.load_state(args.state)
     if not isinstance(psi, PureState):
         raise UsageError("this command needs a pure state file (kind = 'pure')")
@@ -131,6 +132,7 @@ def _cmd_monotone(args) -> list:
 
 
 def _cmd_convexroof(args) -> list:
+    from . import roof, stateio
     state = density_of(stateio.load_state(args.state))
     theory = _THEORY_BY_FLAG[args.theory]
     cut = _parse_cut(args.cut, state.subsystem_dims)
@@ -155,6 +157,7 @@ def _default_method(method: Optional[str], g: float, axis: str = "h") -> str:
 
 
 def _cmd_ising_point(args) -> list:
+    from . import ising
     spec = ising.ChainSpec(args.n, args.h, args.g)
     method = _default_method(args.method, args.g)
     pairs = [("n", args.n), ("h", args.h), ("g", args.g), ("method", method),
@@ -170,7 +173,7 @@ def _cmd_ising_point(args) -> list:
                     ("pair_rugosity_normalized", obs.pair_rugosity / args.n)]
 
 
-def _scan_csv_lines(grid: ising.ScanGrid) -> List[str]:
+def _scan_csv_lines(grid) -> List[str]:
     lines = ["point,rugosity,normalized_rugosity,d1,d2"]
     npts = grid.points.size
     for k in range(npts):
@@ -207,6 +210,7 @@ plt.show()
 
 
 def _cmd_ising_scan(args) -> list:
+    from . import ising
     # the swept field takes the grid's values, so a fixed one is rejected, not dropped
     if getattr(args, args.axis) is not None:
         raise UsageError(f"--{args.axis} is swept by this scan and takes no fixed value")
@@ -336,11 +340,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        taken = {os.path.realpath(args.state)} if hasattr(args, "state") else set()
         for path in filter(None, (getattr(args, dest) for dest in args.writes)):
             folder = os.path.dirname(os.path.abspath(path))
             if (os.path.isdir(path) or not os.path.isdir(folder)
                     or not os.access(path if os.path.exists(path) else folder, os.W_OK)):
                 raise UsageError(f"cannot write {path}")
+            if os.path.realpath(path) in taken:
+                raise UsageError(f"cannot write {path}: this command already reads or writes it")
+            taken.add(os.path.realpath(path))
         result = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

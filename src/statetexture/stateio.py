@@ -25,17 +25,17 @@ from .errors import InvalidStateError
 from .states import DensityMatrix, PureState, StateLike
 
 
-def _read_json(path) -> dict:
+def _read_json(path, source: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+        raise InvalidStateError(f"cannot read {source}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
+        raise InvalidStateError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InvalidStateError(f"state file {path} must hold a JSON object")
+        raise InvalidStateError(f"{source} must hold a JSON object")
     return doc
 
 
@@ -44,62 +44,55 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _numbers(entries: list, field: str, path) -> np.ndarray:
+def _numbers(entries: list, field: str, source: str) -> np.ndarray:
     if not all(map(_is_number, entries)):
-        raise InvalidStateError(f"state file {path}: field {field!r} must hold only numbers")
+        raise InvalidStateError(f"{source}: field {field!r} must hold only numbers")
     return np.asarray(entries, dtype=float)
 
 
-def _vector(doc: dict, field: str, length: int, path) -> np.ndarray:
+def _vector(doc: dict, field: str, length: int, source: str) -> np.ndarray:
     data = doc.get(field)
     if not isinstance(data, list) or len(data) != length:
-        raise InvalidStateError(
-            f"state file {path}: field {field!r} must be a flat list of length {length}"
-        )
-    return _numbers(data, field, path)
+        raise InvalidStateError(f"{source}: field {field!r} must be a flat list of length {length}")
+    return _numbers(data, field, source)
 
 
-def _matrix(doc: dict, field: str, dim: int, path) -> np.ndarray:
+def _matrix(doc: dict, field: str, dim: int, source: str) -> np.ndarray:
     data = doc.get(field)
     if (not isinstance(data, list) or len(data) != dim
             or any(not isinstance(row, list) or len(row) != dim for row in data)):
-        raise InvalidStateError(
-            f"state file {path}: field {field!r} must be a {dim}x{dim} nested list"
-        )
-    return _numbers([x for row in data for x in row], field, path).reshape(dim, dim)
+        raise InvalidStateError(f"{source}: field {field!r} must be a {dim}x{dim} nested list")
+    return _numbers([x for row in data for x in row], field, source).reshape(dim, dim)
 
 
 def load_state(path) -> StateLike:
     """Load a pure or mixed state from a state file."""
-    doc = _read_json(path)
+    source = f"state file {path}"
+    doc = _read_json(path, source)
     missing = {"dims", "kind", "re", "im"} - set(doc)
     if missing:
-        raise InvalidStateError(f"state file {path} lacks fields {sorted(missing)}")
+        raise InvalidStateError(f"{source} lacks fields {sorted(missing)}")
     dims = doc["dims"]
     if (not isinstance(dims, list) or not dims
             or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims)):
-        raise InvalidStateError(f"state file {path}: dims must be a list of positive integers")
+        raise InvalidStateError(f"{source}: dims must be a list of positive integers")
     total = math.prod(dims)  # exact; a numpy product wraps modulo 2^64
     kind = doc["kind"]
     if kind == "pure":
-        amp = _vector(doc, "re", total, path) + 1j * _vector(doc, "im", total, path)
+        amp = _vector(doc, "re", total, source) + 1j * _vector(doc, "im", total, source)
         return PureState(amp, tuple(dims))
     if kind == "mixed":
-        mat = _matrix(doc, "re", total, path) + 1j * _matrix(doc, "im", total, path)
+        mat = _matrix(doc, "re", total, source) + 1j * _matrix(doc, "im", total, source)
         return DensityMatrix(mat, tuple(dims))
-    raise InvalidStateError(f"state file {path}: kind must be 'pure' or 'mixed', got {kind!r}")
+    raise InvalidStateError(f"{source}: kind must be 'pure' or 'mixed', got {kind!r}")
 
 
 def _state_doc(state: StateLike) -> dict:
-    if isinstance(state, PureState):
-        dims = state.subsystem_dims or (state.dim,)
-        return {"dims": list(dims), "kind": "pure",
-                "re": state.amplitudes.real.tolist(),
-                "im": state.amplitudes.imag.tolist()}
-    dims = state.subsystem_dims or (state.dim,)
-    return {"dims": list(dims), "kind": "mixed",
-            "re": state.matrix.real.tolist(),
-            "im": state.matrix.imag.tolist()}
+    pure = isinstance(state, PureState)
+    data = state.amplitudes if pure else state.matrix
+    return {"dims": list(state.subsystem_dims or (state.dim,)),
+            "kind": "pure" if pure else "mixed",
+            "re": data.real.tolist(), "im": data.imag.tolist()}
 
 
 def save_state(path, state: StateLike) -> None:
@@ -109,14 +102,15 @@ def save_state(path, state: StateLike) -> None:
 
 def load_unitary(path) -> np.ndarray:
     """Load a square complex matrix from a JSON file with re/im fields."""
-    doc = _read_json(path)
+    source = f"unitary file {path}"
+    doc = _read_json(path, source)
     re = doc.get("re")
     if not isinstance(re, list) or not re:
-        raise InvalidStateError(f"unitary file {path}: field 're' must be a nested list")
+        raise InvalidStateError(f"{source}: field 're' must be a nested list")
     dim = len(re)
-    u = _matrix(doc, "re", dim, path) + 1j * _matrix(doc, "im", dim, path)
+    u = _matrix(doc, "re", dim, source) + 1j * _matrix(doc, "im", dim, source)
     if not np.isfinite(u).all():
-        raise InvalidStateError(f"unitary file {path} contains non-finite entries")
+        raise InvalidStateError(f"{source} contains non-finite entries")
     return u
 
 

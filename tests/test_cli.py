@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -115,6 +116,20 @@ class TestTextureCommand:
             got, out, err = run(capsys, "texture", "--state", bell_file, "--basis", str(path))
         assert (got, out) == (code, "")
         assert err.startswith(prefix)
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read unitary file {}: "), ("{not json", "unitary file {} is not valid JSON"),
+        ('{"re": [["1"]], "im": [[0]]}', "unitary file {}: field 're' must hold only numbers")],
+        ids=["missing", "malformed", "non-numeric"])
+    def test_unitary_file_errors_name_the_unitary_file(self, capsys, tmp_path, bell_file,
+                                                       content, message):
+        # these once said "state file" of a --basis file
+        path = tmp_path / "basis.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "texture", "--state", bell_file, "--basis", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message.format(path))
 
     def test_one_dimensional_state_rugosity_is_not_negative(self, capsys, tmp_path):
         path = tmp_path / "one.state"
@@ -374,11 +389,12 @@ class TestContract:
         assert not target.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--emit-plot", "--dump-decomposition"])
-    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory", "another path"])
     def test_unwritable_output_is_usage_error(self, capsys, monkeypatch, tmp_path, bell_file,
                                               flag, target):
         # each once computed everything, then ended in a FileNotFoundError
-        # traceback (--emit-plot after printing the CSV)
+        # traceback (--emit-plot after printing the CSV); an output naming the
+        # --state or another output overwrote that file and exited 0
         def computed(*args, **kwargs):
             raise AssertionError("computed before the output path was checked")
 
@@ -387,12 +403,22 @@ class TestContract:
         path = str(tmp_path / "nonexistent" / "x" if target == "missing directory" else tmp_path)
         if flag == "--dump-decomposition":
             argv = ["convexroof", "--state", bell_file, "--theory", "entangle"]
+            other = bell_file
         else:
             argv = ["ising", "scan", "--n", "8", "--axis", "h", "--from", "0", "--to", "1",
                     "--step", "0.25"]
+            other = str(tmp_path / "scan.out")
+            if target == "another path":
+                argv += ["--emit-plot" if flag == "--out" else "--out", other]
+        if target == "another path":  # the same file, spelled differently
+            path = os.path.join(os.path.dirname(other), ".", os.path.basename(other))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         code, out, err = run(capsys, *argv, flag, path)
         assert (code, out) == (2, "")
-        assert err.startswith(f"usage error: cannot write {path}")
+        # a clash is reported at the later of the two paths; --emit-plot comes after --out
+        named = other if (flag, target) == ("--out", "another path") else path
+        assert err.startswith(f"usage error: cannot write {named}")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_scan_csv_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -1,0 +1,95 @@
+"""The package namespace, and the modules that each entry point loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import statetexture
+
+PUBLIC_NAMES = [
+    "ChainSpec", "ConvergenceError", "ConvexRoofResult", "DensityMatrix",
+    "EDGroundState", "InvalidStateError", "MomentumMode", "MonotoneResult",
+    "OrthonormalBasis", "PairObservables", "PureState", "PurityReport",
+    "ResourceLimitError", "RoofConfig", "ScanGrid", "SchmidtData", "Spectrum",
+    "StateTextureError", "TextureExtrema", "TextureReport", "UsageError",
+    "analytic_rugosity", "bogoliubov_modes", "check_renyi2_bound",
+    "coherence_monotone", "computational_basis", "concurrence_two_qubit",
+    "convex_roof", "dispersion_ground_energy", "ed_ground", "ed_ground_state",
+    "ed_pair_observables", "ed_rugosity", "entanglement_monotone",
+    "fourier_basis", "gme_monotone", "load_state", "load_unitary",
+    "nonstabilizerness_monotone", "pair_observables", "partial_trace",
+    "pure_state_monotone", "random_state", "reduced_pair_state", "renyi_purity",
+    "rugosity_pure", "sampled_local_texture_bound", "save_decomposition",
+    "save_state", "scan", "schmidt_decompose", "single_qubit_clifford_group",
+    "single_shot_cost", "spectral_decompose", "texture_extrema",
+    "texture_in_basis", "texture_less_state", "texture_purity",
+]
+
+SUBMODULES = ["errors", "ising", "monotones", "purity", "roof", "stateio", "states", "texture"]
+
+
+def _python(code):
+    """Standard output of a fresh interpreter that runs ``code`` on this package."""
+    src = os.path.dirname(os.path.dirname(statetexture.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+
+
+class TestNamespace:
+    def test_all_lists_the_public_names(self):
+        assert sorted(statetexture.__all__) == PUBLIC_NAMES
+        assert statetexture.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_name_is_its_defining_modules_object(self, name):
+        obj = getattr(statetexture, name)
+        module = obj.__module__
+        assert module.rpartition(".")[0] == "statetexture"
+        assert getattr(importlib.import_module(module), name) is obj
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from statetexture import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+    def test_dir_lists_names_and_submodules(self):
+        assert set(PUBLIC_NAMES + SUBMODULES) <= set(dir(statetexture))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            statetexture.no_such_name
+        assert not hasattr(statetexture, "__wrapped__")
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        code = ("import statetexture, sys\n"
+                f"print(all(getattr(statetexture, m) is sys.modules['statetexture.' + m]"
+                f" for m in {SUBMODULES!r}))\n")
+        assert _python(code).strip() == "True"
+
+
+def _loaded_after(code):
+    """The ``statetexture.*`` modules a fresh interpreter holds after ``code``."""
+    listing = "\nprint(*sorted(m for m in sys.modules if m.startswith('statetexture.')))"
+    return set(_python("import sys\n" + code + listing).splitlines()[-1].split())
+
+
+class TestImportGraph:
+    def test_bare_import_loads_no_submodule_and_no_numpy(self):
+        assert _loaded_after("import statetexture\nassert 'numpy' not in sys.modules") == set()
+
+    @pytest.mark.parametrize("argv, used, unused", [
+        (["purity", "--state", "{state}"], {"purity", "stateio"},
+         {"ising", "roof", "monotones", "texture"}),
+        (["ising", "point", "--n", "8", "--h", "0.5"], {"ising"}, {"roof", "monotones", "purity"}),
+    ], ids=["purity", "ising-point"])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, used, unused):
+        state = tmp_path / "rho.state"
+        statetexture.save_state(state, statetexture.random_state(4, "mixed", seed=1))
+        argv = [arg.format(state=state) for arg in argv]
+        loaded = _loaded_after(f"from statetexture.cli import main\nassert main({argv!r}) == 0")
+        assert {f"statetexture.{m}" for m in used} <= loaded
+        assert not loaded & {f"statetexture.{m}" for m in unused}
