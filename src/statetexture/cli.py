@@ -83,7 +83,7 @@ def _parse_cut(text: Optional[str], dims: Tuple[int, ...]) -> Optional[Tuple[int
 def _cmd_texture(args) -> list:
     from . import stateio, texture
     state = stateio.load_state(args.state)
-    dim = density_of(state).dim
+    dim = state.dim
     if args.basis == "computational":
         basis = texture.computational_basis(dim)
     elif args.basis == "fourier":
@@ -211,6 +211,8 @@ plt.show()
 
 def _cmd_ising_scan(args) -> list:
     from . import ising
+    if args.emit_plot and not args.out:
+        raise UsageError("--emit-plot needs --out: the plot script reads the CSV from that file")
     # the swept field takes the grid's values, so a fixed one is rejected, not dropped
     if getattr(args, args.axis) is not None:
         raise UsageError(f"--{args.axis} is swept by this scan and takes no fixed value")
@@ -251,7 +253,7 @@ def _cmd_ising_scan(args) -> list:
     if args.emit_plot:
         xlabel = "transverse field h" if args.axis == "h" else "longitudinal field g"
         with open(args.emit_plot, "w") as handle:
-            handle.write(_PLOT_TEMPLATE.format(csv=str(args.out or "scan.csv"),
+            handle.write(_PLOT_TEMPLATE.format(csv=str(args.out),
                                                xlabel=xlabel))
     return [("axis", grid.axis), ("n", grid.n_sites), ("points", grid.points.size),
             ("observable", grid.observable), ("method", grid.method),
@@ -324,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, help="fixed longitudinal field for h-axis scans (default 0)")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.add_argument("--kink-window", help="window LO,HI for the curvature extremum")
-    p.add_argument("--emit-plot", help="write a plotting script referencing the CSV")
+    p.add_argument("--emit-plot", help="write a plotting script that reads the --out CSV")
 
     command("selftest", _cmd_selftest,
             "cross-check independent code paths (purity bound, analytic vs ED Ising)")

@@ -34,10 +34,10 @@ the smallest power of two >= max(8, 60 / |ln|h||), at most N/2, and an
 aliasing error of order N exp(-2K |ln|h||) <= N e^-120, far below
 rounding.  The full sum is the grid with M = N and weight 1; it is the
 one taken at h = +-1, for |h -+ 1| below about 120/N and for every chain of
-up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached,
-read-only table of cos phi_p and sin phi_p per grid, in consecutive
-blocks (see :data:`_MODE_BLOCK`); an h-scan sums the fields that share a
-grid as the rows of one block (see :func:`scan`).  Every sum is numpy's own
+up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached
+table of cos phi_p and sin phi_p per grid, in consecutive blocks (see
+:data:`_MODE_BLOCK`); an h-scan sums the fields that share a grid as the
+rows of one block (see :func:`scan`).  Every sum is numpy's own
 pairwise sum, not a BLAS dot product, so no free-fermion value depends on
 the BLAS thread count.  The rugosity is even in h and is taken at |h|.  At
 |h| > 1 its pair amplitude has a double zero at phi = 0, so its terms
@@ -53,11 +53,23 @@ symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
 g = 0 (see :func:`ed_ground`).  A sector of up to ``MAX_DENSE_SECTOR``
 orbits gets its eigenvalues from ``eigvalsh`` and its ground vector from
-one inverse-iteration solve; larger ones are solved by Lanczos.  One table
-per chain length holds the orbits and the rows of the matrix over all
-orbits, from which every sector matrix is formed; it is built once and
-cached, 0.9 MiB for every length up to 16 sites and at most 9.8 MiB for
-one longer length.  A point only forms the matrix values of its fields.
+one inverse-iteration solve; larger ones are solved by Lanczos.  One cached
+table per chain length holds the orbits and the rows of the matrix over
+all orbits, from which every sector matrix is formed; a point only forms
+the matrix values of its fields.
+
+Every cached table is read-only and held in one least-recently-used store,
+keyed by builder and size and bounded in bytes by ``_TABLE_BUDGET`` =
+12 MiB: after a table is built, the least recently used ones are dropped
+until the rest fit.  The tables are the momentum tables, 8M bytes for a
+grid of M sites; the chord columns, 4M bytes; and the ED chain tables,
+4 bytes per basis state, 5 per matrix entry and 20 per orbit: 0.9 MiB for
+all lengths up to 16 sites together, 2.5 MiB at 18 sites and 9.8 MiB at
+``MAX_ED_SITES``.  The budget holds the full table at
+``MAX_ANALYTIC_SITES`` with its chord column, 12 MB, or the chain table of
+20 sites, and no table exceeds it, so the store never holds more than
+12 MiB once a call returns; while a table is built, the store and the new
+table together take at most 12 + 9.8 MiB.
 """
 
 from __future__ import annotations
@@ -81,13 +93,9 @@ MAX_ED_SITES = 20
 # 256 keeps every sector of n <= 12 dense, so those solves never import
 # scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
-# the ED tables of chains of up to this many sites, under 2^17 states, are
-# cached for every length; see _chain_table
-_ED_KEPT_SITES = 16
 MAX_ANALYTIC_SITES = 10 ** 6
-# momentum tables (and chord columns) of up to 2 * _MODE_BLOCK sites kept,
-# one per grid; see _LengthCache
-_GRID_CACHE = 16
+# bytes of cached tables kept, in one store; see the module docstring
+_TABLE_BUDGET = 12 * 2 ** 20
 # the free-fermion kernels stream their temporaries through blocks of this
 # many modes, 128 KiB per float64 array, which stay in L2; blocks of 8192,
 # 16384 and 32768 modes took 7.5, 5.9 and 9.8 ms per analytic_rugosity at
@@ -214,86 +222,80 @@ class ScanGrid:
 
 
 # ----------------------------------------------------------------------
-# Analytic (free-fermion) branch, g = 0
+# Cached tables
 # ----------------------------------------------------------------------
 
-_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses currsize nbytes")
+# the one table store: (builder, size) -> (table, bytes), least recently used first
+_TABLES = collections.OrderedDict()
+_TABLES_LOCK = threading.Lock()
+_tables_nbytes = 0
 
 
-class _LengthCache:
-    """Cache of a builder of read-only arrays of one integer argument, the
-    size, called as ``cache(size, n=None)``: the size alone is the key, and
-    the entry serves a chain of n sites (n = size if left out).
+class _Stored:
+    """A builder of a read-only table (an array or a tuple of arrays) of one
+    integer argument, the size, whose tables are held in the one store (see
+    the module docstring); one lock guards it, so threads may share it.
 
-    Entries whose size is at most ``small`` are kept in a least-recently
-    used cache of ``entries`` entries.  Larger ones are kept for the last
-    chain length only: asking for one for another length first drops them
-    all, so a sweep over lengths never holds two lengths' large entries.
-    ``cache_info`` and ``cache_clear`` are those of ``functools.lru_cache``;
-    one lock guards the stores, so threads may share the cache.
+    ``cache_info`` gives this builder's hits and misses, and the count and
+    bytes of its tables that the store holds; ``cache_clear`` drops those
+    tables and zeroes the counts.
     """
 
-    def __init__(self, build, entries: int, small: int):
+    def __init__(self, build):
         functools.update_wrapper(self, build)
         self._build = build
-        self._entries = entries
-        self._small_size = small
-        self._lock = threading.Lock()
-        self._small = collections.OrderedDict()
-        self._large = {}
-        self._chain = None
         self._hits = self._misses = 0
 
-    def __call__(self, size: int, *, n: Optional[int] = None):
-        with self._lock:
-            store = self._small
-            if size > self._small_size:
-                store = self._large
-                chain = size if n is None else n
-                if chain != self._chain:
-                    store.clear()
-                    self._chain = chain
-            arrays = store.get(size)
-            if arrays is not None:
+    def __call__(self, size: int):
+        global _tables_nbytes
+        key = self._build, size
+        with _TABLES_LOCK:
+            entry = _TABLES.get(key)
+            if entry is not None:
                 self._hits += 1
-                if store is self._small:
-                    store.move_to_end(size)
-                return arrays
+                _TABLES.move_to_end(key)
+                return entry[0]
             self._misses += 1
-            arrays = store[size] = self._build(size)
-            if len(self._small) > self._entries:
-                self._small.popitem(last=False)
-            return arrays
+            table = self._build(size)
+            columns = (table,) if isinstance(table, np.ndarray) else table
+            nbytes = sum(column.nbytes for column in columns)
+            _TABLES[key] = table, nbytes
+            _tables_nbytes += nbytes
+            while _tables_nbytes > _TABLE_BUDGET and len(_TABLES) > 1:
+                _tables_nbytes -= _TABLES.popitem(last=False)[1][1]
+            return table
+
+    def _held(self) -> dict:
+        return {key: nbytes for key, (_, nbytes) in _TABLES.items() if key[0] is self._build}
 
     def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self._entries,
-                              len(self._small) + len(self._large))
+        with _TABLES_LOCK:
+            held = self._held()
+            return _CacheInfo(self._hits, self._misses, len(held), sum(held.values()))
 
     def cache_clear(self) -> None:
-        with self._lock:
-            self._small.clear()
-            self._large.clear()
-            self._chain = None
+        global _tables_nbytes
+        with _TABLES_LOCK:
+            for key, nbytes in self._held().items():
+                del _TABLES[key]
+                _tables_nbytes -= nbytes
             self._hits = self._misses = 0
 
 
-@functools.partial(_LengthCache, entries=_GRID_CACHE, small=2 * _MODE_BLOCK)
+# ----------------------------------------------------------------------
+# Analytic (free-fermion) branch, g = 0
+# ----------------------------------------------------------------------
+
+@_Stored
 def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
     of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
     one (see :func:`_grid_modes`).
 
     This is the only part of the free-fermion formulas that depends on the
-    grid alone.  Its arrays are read-only and take 8M bytes.  Called as
-    ``_momentum_table(m, n=n)`` for a chain of n sites (see :class:`_LengthCache`):
-    a 401-point h-scan over [0, 2] at N ~ 16 384 asks for at most 12 grids
-    of up to 2 * ``_MODE_BLOCK`` sites (every power of two from 16 to 16 384
-    sites, and N), under 0.5 MiB in all, which stay cached beside the larger grids
-    of points at a second length N' ~ 10^6.  The worst case is 16 grids of
-    2^15 sites, 4 MiB, and the larger grids of one chain length at
-    ``MAX_ANALYTIC_SITES``: its own, 8 MB, and the reduced ones of 2^16 to
-    2^19 sites, 7.5 MiB, about 20 MB in all.
+    grid alone.  Its arrays are read-only, take 8M bytes and are cached
+    (see the module docstring).
     """
     # both as sines of exact multiples of pi / 2M in [-pi/2, pi/2]:
     # cos phi = sin(pi/2 - phi) is exactly odd and sin phi exactly even under
@@ -311,14 +313,13 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-@functools.partial(_LengthCache, entries=_GRID_CACHE, small=2 * _MODE_BLOCK)
+@_Stored
 def _chord_terms(m: int) -> np.ndarray:
     """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
     that :func:`_log_pair_remainders` subtracts at |h| > 1.
 
     Built only for those fields, as no other sum reads it.  Read-only,
-    4M bytes, and cached like the table (see :func:`_momentum_table`), so
-    at most half its worst case, about 10 MB.
+    4M bytes, and cached like the table.
     """
     chord = np.arange(1.0, m, 2.0)
     chord *= np.pi / (2 * m)
@@ -352,9 +353,9 @@ def _sum_grid(n: int, modes: int, chord: bool = False) -> Tuple[tuple, float]:
     and the weight N/M of each of its terms, 1 for the full sum (see
     :func:`_grid_modes`)."""
     m = 2 * modes
-    table = _momentum_table(m, n=n)
+    table = _momentum_table(m)
     if chord:
-        table += (_chord_terms(m, n=n),)
+        table += (_chord_terms(m),)
     return table, n / m
 
 
@@ -679,15 +680,11 @@ def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return states[is_rep], orbit
 
 
-@functools.partial(_LengthCache, entries=_ED_KEPT_SITES // 2, small=_ED_KEPT_SITES)
+@_Stored
 def _chain_table(n: int) -> _ChainTable:
     """The orbit table and matrix rows of a chain of n sites (see :class:`_ChainTable`).
 
-    Built once per chain length, read-only, and cached (see
-    :class:`_LengthCache`) for every chain of up to ``_ED_KEPT_SITES`` sites,
-    0.9 MiB for all of them, and for chains of 2^17 states or more for the
-    last length only, at most 9.8 MiB at ``MAX_ED_SITES``: 4 bytes per basis
-    state, 5 per matrix entry and 20 per orbit.
+    Read-only and cached (see the module docstring).
     """
     reps, orbit = _orbits(n)
     size = np.bincount(orbit)
@@ -828,12 +825,9 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     is solved densely: ``eigvalsh`` gives the reported eigenvalues and one
     inverse-iteration solve the ground vector, as only one vector is
     reported.  Larger sectors are solved by Lanczos, which loads scipy.
-    The orbits and the matrix rows of a chain length are one table, built
-    once and cached: 0.9 MiB for every length up to 16 sites, and at most
-    9.8 MiB for the last longer length, at ``MAX_ED_SITES``, so a sweep over
-    every length holds under 11 MiB of them (see :func:`_chain_table`).  A
-    point then forms its sector matrix from the table's rows and the
-    values for its h and g.
+    The orbits and the matrix rows of a chain length are one cached table
+    (see :func:`_chain_table`), from whose rows a point forms its sector
+    matrix with the values for its h and g.
 
     Amplitudes are real with the largest-magnitude entry positive; basis
     index bit j holds chain site j, so subsystem axis k of the returned

@@ -16,10 +16,10 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidStateError, UsageError, warn_caller
-from .states import PureState, StateLike, density_of, spectral_decompose
+from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike, density_of,
+                     spectral_decompose)
 
-IMAG_RESIDUAL_LIMIT = 1e-8
-GRAND_SUM_SLACK = 1e-10
+BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,10 +34,10 @@ class OrthonormalBasis:
             raise UsageError(f"basis unitary must be square, got shape {u.shape}")
         # an entry above modulus 1 (or nan) is rejected before U^dag U can overflow
         top = np.max(np.abs(u))
-        if not top <= 1.0 + 1e-10:
+        if not top <= 1.0 + BASIS_TOL:
             raise UsageError(f"basis columns are not orthonormal: entry of modulus {top:.3e}")
         resid = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if not resid <= 1e-10:
+        if not resid <= BASIS_TOL:
             raise UsageError(f"basis columns are not orthonormal: residual {resid:.3e}")
         object.__setattr__(self, "unitary", u)
         u.setflags(write=False)
@@ -94,23 +94,33 @@ def texture_less_state(basis: OrthonormalBasis) -> PureState:
 def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport:
     """Texture report of a state relative to a basis.
 
-    The grand sum is computed as ``d <s1| U^dag rho U |s1>`` with ``|s1>``
+    The grand sum is computed as ``d <s|rho|s>`` with ``|s> = U |u>``, |u>
     the uniform superposition in basis coordinates; its imaginary part is
-    recorded and must stay below 1e-8 for Hermitian inputs.
+    recorded.  Both checks admit what the tolerances of a validated state
+    and basis allow, twice over for rounding, so only a state that bypassed
+    validation fails them.  rho differs from its Hermitian part by at most
+    ``HERMITICITY_TOL`` / 2 per entry, and sum_j |s_j| <= sqrt(d) |s|, so
+    the imaginary part is at most d^2 ``HERMITICITY_TOL`` / 2.  The real part
+    lies in d |s|^2 [lam_min, lam_max] for the eigenvalues of that Hermitian
+    part, which are within lo = ``PSD_TOL`` + d ``HERMITICITY_TOL`` / 2 of
+    [0, 1 + ``TRACE_TOL`` + (d - 1) lo], as validation bounds the spectrum of
+    one triangle, and |s|^2 is within d ``BASIS_TOL`` of 1.
     """
     rho = density_of(state)
     d = rho.dim
     if basis.dim != d:
         raise UsageError(f"basis dimension {basis.dim} does not match state dimension {d}")
-    s1 = basis.unitary @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    grand = d * np.vdot(s1, rho.matrix @ s1)
+    s = basis.unitary @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    grand = d * np.vdot(s, rho.matrix @ s)
     imag_residual = abs(grand.imag)
-    if imag_residual > IMAG_RESIDUAL_LIMIT:
+    if imag_residual > d * d * HERMITICITY_TOL:
         raise InvalidStateError(
             f"grand sum has imaginary residual {imag_residual:.3e}; input state is corrupted"
         )
     e = grand.real
-    if e < -GRAND_SUM_SLACK or e > d + GRAND_SUM_SLACK:
+    lo = PSD_TOL + d * HERMITICITY_TOL / 2
+    slack = 2 * d * (TRACE_TOL + d * (lo + BASIS_TOL))
+    if not -slack <= e <= d + slack:
         raise InvalidStateError(f"grand sum {e!r} outside [0, {d}] beyond tolerance")
     e = min(max(e, 0.0), float(d))
     return TextureReport(e, 1.0 - e / d, _rugosity(e / d), imag_residual)

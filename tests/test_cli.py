@@ -85,6 +85,17 @@ class TestTextureCommand:
         assert float(fields["grand_sum"]) == pytest.approx(2.0, abs=1e-12)
         assert float(fields["texture"]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_pure_state_builds_one_projector(self, capsys, monkeypatch, bell_file):
+        # the command built the d x d projector once to read the dimension
+        # and texture_in_basis built it again
+        calls = []
+        projector = PureState.projector
+        monkeypatch.setattr(PureState, "projector",
+                            lambda self: calls.append(1) or projector(self))
+        code, _, _ = run(capsys, "texture", "--state", bell_file)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_fourier_basis_flag(self, capsys, bell_file):
         code, out, _ = run(capsys, "texture", "--state", bell_file,
                            "--basis", "fourier", "--format", "structured")
@@ -320,6 +331,21 @@ class TestIsingCommands:
         script = plot_path.read_text()
         assert str(csv_path) in script
         compile(script, str(plot_path), "exec")
+
+    def test_emit_plot_without_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # the CSV went to stdout and the script opened scan.csv, a file
+        # nothing wrote, with exit 0; now rejected before anything is computed
+        def computed(*args, **kwargs):
+            raise AssertionError("the scan was computed")
+
+        monkeypatch.setattr(ising, "scan", computed)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ising", "scan", "--n", "16", "--axis", "h",
+                             "--from", "0.5", "--to", "1.5", "--step", "0.25",
+                             "--emit-plot", "plot.py")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --emit-plot needs --out")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("observable", ["full", "pair"])
     def test_point_huge_field_is_finite(self, capsys, observable):
@@ -679,8 +705,9 @@ class TestContract:
     @given(strat.data())
     def test_ising_scan_fuzz(self, fuzz_states, data):
         # every outcome of `ising scan` leaves through an exit code and never
-        # prints nan; an unwritable --out or --emit-plot is a usage error that
-        # prints and writes nothing, and a valid scan succeeds
+        # prints nan; an unwritable --out or --emit-plot, or --emit-plot
+        # without --out, is a usage error that prints and writes nothing, and
+        # a valid scan succeeds
         root = Path(fuzz_states["pure"]).parent
         targets = {"fresh": None, "missing": root / "missing" / "x", "directory": root}
         # at most one part is corrupted, so each bad part meets otherwise valid scans
@@ -700,17 +727,19 @@ class TestContract:
             argv += ["--method", method]
         if field is not None:
             argv.append(f"--{'g' if axis == 'h' else 'h'}={field!r}")
-        paths = {}
+        paths, flags = {}, set()
         for flag, name in (("--out", "scan.csv"), ("--emit-plot", "plot.py")):
             kind = data.draw(strat.sampled_from(
                 [None, "fresh"] + (["missing", "directory"] if bad == "path" else [])))
             if kind is not None:
+                flags.add(flag)
                 paths[kind] = path = targets[kind] or root / name
                 argv += [flag, str(path)]
                 if kind == "fresh" and path.exists():
                     path.unlink()
         code, out, err = run_quietly(argv)
-        if "missing" in paths or "directory" in paths:
+        # a plot script needs the CSV file that --out names
+        if "missing" in paths or "directory" in paths or flags == {"--emit-plot"}:
             assert (code, out) == (2, ""), (argv, err)
             assert "fresh" not in paths or not paths["fresh"].exists()
             return

@@ -326,7 +326,7 @@ def _kernel_values(n, h):
 
 class TestBlockedKernels:
     """The analytic kernels run on blocks of ``ising._MODE_BLOCK`` modes of a
-    momentum table cached per chain length."""
+    momentum table cached per grid."""
 
     @pytest.mark.parametrize("n", [2, 64, 2 * ising._MODE_BLOCK])
     def test_one_block_is_bitwise_one_slice(self, n):
@@ -407,8 +407,8 @@ class TestBlockedKernels:
         assert peak < 2 * 2 ** 20
 
     def test_length_sweep_keeps_one_lengths_tables(self):
-        # tables above one block are kept for the last chain length only, so
-        # a finite-size sweep holds one full table (8 MB) and one chord column
+        # the store keeps 12 MiB of the most recently used tables, so a
+        # finite-size sweep holds one full table (8 MB) and one chord column
         # (4 MB), not one of each per length
         full_table = 8 * ising.MAX_ANALYTIC_SITES
         tracemalloc.start()
@@ -422,21 +422,25 @@ class TestBlockedKernels:
             tracemalloc.stop()
         assert current <= 2 * full_table + 2 ** 20
 
-    def test_cache_is_shared_by_threads(self):
-        # more small grids than the cache holds, so that threads evict each
-        # other's, and the large grids of alternating chain lengths, from more
-        # threads than cores with a short switch interval: every call gets a
-        # table of its grid's size, and no hit or miss is lost
-        requests = [(m, None) for m in range(16, 16 + 2 * (ising._GRID_CACHE + 8), 2)]
-        requests += [(2 ** 16, 70000), (2 ** 16, 70002)]
-        ising._momentum_table.cache_clear()
+    def test_cache_is_shared_by_threads(self, monkeypatch):
+        # two builders share a store that holds about a third of the tables
+        # asked for, so that threads evict each other's, from more threads
+        # than cores with a short switch interval: every call gets a table of
+        # its size, no hit or miss is lost, and the store keeps its budget
+        # and its count of the bytes it holds
+        budget = 4096
+        monkeypatch.setattr(ising, "_TABLE_BUDGET", budget)
+        builders = (ising._momentum_table, ising._chord_terms)
+        requests = [(build, m) for build in builders for m in range(16, 64, 2)]
+        for build in builders:
+            build.cache_clear()
         errors, calls = [], 4 * 3000
 
         def work(seed):
             try:
                 for k in np.random.default_rng(seed).integers(0, len(requests), calls // 4):
-                    m, n = requests[k]
-                    if ising._momentum_table(m, n=n)[0].size != m // 2:
+                    build, m = requests[k]
+                    if np.shape(build(m))[-1] != m // 2:
                         errors.append(m)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -453,8 +457,35 @@ class TestBlockedKernels:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        info = ising._momentum_table.cache_info()
-        assert info.hits + info.misses == calls
+        infos = [build.cache_info() for build in builders]
+        assert sum(info.hits + info.misses for info in infos) == calls
+        assert sum(info.misses for info in infos) > len(requests)
+        assert sum(info.nbytes for info in infos) <= ising._tables_nbytes <= budget
+        assert ising._tables_nbytes == sum(nbytes for _, nbytes in ising._TABLES.values())
+
+    def test_benchmark_rounds_build_no_table_twice(self):
+        # two rounds of the ising-analytic benchmark operations at seed 11 in
+        # one process: 401-point scans at n = 16 290, and points at
+        # n = 999 744 on a grid of 65 536 modes beside the 8 MB full table of
+        # h = 1; the tables of a round fit the store, so the second builds none
+        grid = np.round(np.arange(0.0, 2.0 + 1e-9, 0.005), 10)
+        n_scan, n_point, h = 16290, 999744, 0.998845
+        assert ising._grid_modes(n_point, h) == 65536
+        builders = (ising._momentum_table, ising._chord_terms)
+
+        def benchmark_round():
+            for observable in ("full", "pair"):
+                scan(ChainSpec(n_scan, 0.0), "h", grid, observable=observable,
+                     method="analytic", kink_window=(0.8, 1.2))
+            for field in (h, -h):
+                analytic_rugosity(ChainSpec(n_point, field))
+            for field in (h, -h, 1.0):
+                pair_observables(ChainSpec(n_point, field))
+
+        benchmark_round()
+        misses = [build.cache_info().misses for build in builders]
+        benchmark_round()
+        assert [build.cache_info().misses for build in builders] == misses
 
     @pytest.mark.parametrize("observable", ["full", "pair"])
     def test_scan_peak_memory_is_a_few_blocks(self, observable):
@@ -815,8 +846,9 @@ class TestEdCaches:
                     column[0] = 0
 
     def test_length_sweep_holds_the_stated_bound(self):
-        # every length up to 16 sites, and the last longer one only: the
-        # chain tables stay under 11 MiB (ed_ground)
+        # the store keeps the most recently used tables within its budget:
+        # after the sweep, the 20-site table (9.8 MiB) alone, as the 18-site
+        # one (2.5 MiB) does not fit beside it; under 11 MiB in all
         import scipy.sparse.linalg  # noqa: F401, imported outside the measurement
         ising._chain_table.cache_clear()
         tracemalloc.start()
@@ -829,7 +861,8 @@ class TestEdCaches:
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ising._chain_table.cache_info().currsize == 8 + 1
+        info = ising._chain_table.cache_info()
+        assert info.currsize == 1 and info.nbytes <= ising._TABLE_BUDGET
         assert current <= 11 * 2 ** 20
 
 

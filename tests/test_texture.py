@@ -297,6 +297,21 @@ class TestValidation:
             with pytest.raises(UsageError):
                 OrthonormalBasis(u)
 
+    def test_states_at_the_validation_tolerances_pass(self):
+        # an eigenvalue of -9e-11 (PSD_TOL is 1e-10), in both witness bases of
+        # its extrema, gave a grand sum of -1.8e-10 or 2 + 1.8e-10, and a
+        # Hermiticity residual of 9.8e-13 (HERMITICITY_TOL is 1e-12) at d = 256
+        # an imaginary part of 3.2e-8: both were rejected as corrupted
+        rho = DensityMatrix(np.diag([1 + 9e-11, -9e-11]).astype(complex))
+        grand = [texture_in_basis(rho, OrthonormalBasis(u)).grand_sum
+                 for u in texture_extrema(rho).witness_unitaries]
+        assert sorted(grand) == [0.0, 2.0]
+        d = 256
+        skew = DensityMatrix(np.eye(d) / d + 4.9e-13j * (np.ones((d, d)) - np.eye(d)))
+        rep = texture_in_basis(skew, computational_basis(d))
+        assert rep.imag_residual > 3e-8
+        assert abs(rep.grand_sum - 1.0) <= 1e-12
+
     def test_corrupted_grand_sum_rejected(self):
         # bypass the DensityMatrix validator to hit the texture-level guard
         rho = random_state(3, "mixed", seed=0)
