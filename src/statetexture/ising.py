@@ -60,16 +60,18 @@ the matrix values of its fields.
 
 Every cached table is read-only and held in one least-recently-used store,
 keyed by builder and size and bounded in bytes by ``_TABLE_BUDGET`` =
-12 MiB: after a table is built, the least recently used ones are dropped
-until the rest fit.  The tables are the momentum tables, 8M bytes for a
-grid of M sites; the chord columns, 4M bytes; and the ED chain tables,
-4 bytes per basis state, 5 per matrix entry and 20 per orbit: 0.9 MiB for
-all lengths up to 16 sites together, 2.5 MiB at 18 sites and 9.8 MiB at
-``MAX_ED_SITES``.  The budget holds the full table at
-``MAX_ANALYTIC_SITES`` with its chord column, 12 MB, or the chain table of
-20 sites, and no table exceeds it, so the store never holds more than
-12 MiB once a call returns; while a table is built, the store and the new
-table together take at most 12 + 9.8 MiB.
+12 MiB.  The tables are the momentum tables, 8M bytes for a grid of M
+sites; the chord columns, 4M bytes; and the ED chain tables, 4 bytes per
+basis state, 5 per matrix entry and 20 per orbit: 0.9 MiB for all lengths
+up to 16 sites together, 2.5 MiB at 18 sites and 9.8 MiB at
+``MAX_ED_SITES``.  Before a momentum table or chord column is built, the
+least recently used tables are dropped until it fits beside the rest, as
+its size is known in advance; after any table is built, until the rest
+fit.  The budget holds the full table at ``MAX_ANALYTIC_SITES`` with its
+chord column, 12 MB, or the chain table of 20 sites, and no table exceeds
+it, so the store never holds more than 12 MiB once a call returns; while
+a chain table is built, the store and the new table together take at
+most 12 + 9.8 MiB.
 """
 
 from __future__ import annotations
@@ -232,19 +234,30 @@ _TABLES_LOCK = threading.Lock()
 _tables_nbytes = 0
 
 
+def _drop_tables(limit: int, keep: int) -> None:
+    """Drop the least recently used tables until the store holds at most
+    ``limit`` bytes or ``keep`` tables.  Called under ``_TABLES_LOCK``."""
+    global _tables_nbytes
+    while _tables_nbytes > limit and len(_TABLES) > keep:
+        _tables_nbytes -= _TABLES.popitem(last=False)[1][1]
+
+
 class _Stored:
     """A builder of a read-only table (an array or a tuple of arrays) of one
     integer argument, the size, whose tables are held in the one store (see
     the module docstring); one lock guards it, so threads may share it.
+    ``bytes_per_size`` times the size is what a table takes, where that is
+    known before it is built.
 
     ``cache_info`` gives this builder's hits and misses, and the count and
     bytes of its tables that the store holds; ``cache_clear`` drops those
     tables and zeroes the counts.
     """
 
-    def __init__(self, build):
+    def __init__(self, build, bytes_per_size: int = 0):
         functools.update_wrapper(self, build)
         self._build = build
+        self._bytes_per_size = bytes_per_size
         self._hits = self._misses = 0
 
     def __call__(self, size: int):
@@ -257,13 +270,13 @@ class _Stored:
                 _TABLES.move_to_end(key)
                 return entry[0]
             self._misses += 1
+            _drop_tables(_TABLE_BUDGET - self._bytes_per_size * size, keep=0)
             table = self._build(size)
             columns = (table,) if isinstance(table, np.ndarray) else table
             nbytes = sum(column.nbytes for column in columns)
             _TABLES[key] = table, nbytes
             _tables_nbytes += nbytes
-            while _tables_nbytes > _TABLE_BUDGET and len(_TABLES) > 1:
-                _tables_nbytes -= _TABLES.popitem(last=False)[1][1]
+            _drop_tables(_TABLE_BUDGET, keep=1)
             return table
 
     def _held(self) -> dict:
@@ -287,7 +300,7 @@ class _Stored:
 # Analytic (free-fermion) branch, g = 0
 # ----------------------------------------------------------------------
 
-@_Stored
+@functools.partial(_Stored, bytes_per_size=8)
 def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
     of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
@@ -313,7 +326,7 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-@_Stored
+@functools.partial(_Stored, bytes_per_size=4)
 def _chord_terms(m: int) -> np.ndarray:
     """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
     that :func:`_log_pair_remainders` subtracts at |h| > 1.
@@ -340,11 +353,17 @@ def _grid_modes(n: int, h: float) -> int:
     N e^-120, is far below rounding.  K = N/2 covers h = +-1 and every
     chain of up to 16 sites.
     """
-    gap = abs(math.log(abs(h))) if h else math.inf
-    modes = 8
-    while modes < n // 2 and modes * gap < 60.0:
-        modes *= 2
-    return min(modes, n // 2)
+    half = n // 2
+    if not h:
+        return min(8, half)
+    gap = abs(math.log(abs(h)))
+    if gap == 0.0:
+        return half
+    # 2^j gap >= 60 = 0.9375 * 2^6 holds exactly in floating point, a power of
+    # two times gap being exact; with gap = m 2^e, m in [0.5, 1), the least
+    # such j is 6 - e, one more where m < 0.9375
+    m, e = math.frexp(gap)
+    return min(half, 1 << max(3, 6 - e + (m < 0.9375)))
 
 
 def _sum_grid(n: int, modes: int, chord: bool = False) -> Tuple[tuple, float]:

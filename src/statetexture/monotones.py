@@ -407,15 +407,15 @@ def sampled_local_texture_bound(psi: PureState, cut: Iterable[int],
     dims = psi.subsystem_dims
     mat = _cut_matrices(psi.amplitudes[None, :], dims, _normalize_cut(dims, cut))[0]
     d_a, d_b = mat.shape
-    rho = PureState(mat.ravel(), (d_a, d_b)).projector()
+    cut_state = PureState(mat.ravel(), (d_a, d_b))
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(int(samples)):
         u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
-        best = min(best, texture_in_basis(rho, OrthonormalBasis(u)).texture)
+        best = min(best, texture_in_basis(cut_state, OrthonormalBasis(u)).texture)
     if include_witness:
         w = _schmidt_witness_basis(mat)
-        best = min(best, texture_in_basis(rho, OrthonormalBasis(w)).texture)
+        best = min(best, texture_in_basis(cut_state, OrthonormalBasis(w)).texture)
     return float(best)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,35 +33,46 @@ def _texture_purity(lam: np.ndarray) -> float:
     return lam.size * float(lam[0] - lam[-1])
 
 
-def _renyi_purity(lam: np.ndarray, alpha: float) -> float:
-    if not math.isfinite(alpha):
-        raise UsageError(f"alpha must be finite, got {alpha}")
-    if alpha <= 0:
-        raise UsageError(f"alpha must be positive, got {alpha}")
+def _renyi_purities(lam: np.ndarray, alphas: Sequence[float]) -> List[float]:
+    """Renyi purities of a descending spectrum at each order, all from one
+    clipped copy of it."""
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise UsageError(f"alpha must be finite, got {alpha}")
+        if alpha <= 0:
+            raise UsageError(f"alpha must be positive, got {alpha}")
     d = lam.size
-    lam = np.clip(lam, 0.0, None)
-    eps = alpha - 1.0
-    if abs(eps) < 0.5:
-        # near alpha = 1 the form below cancels (-0.37 for 0.428 at 1 + 2**-52).
+    lam = np.maximum(lam, 0.0)
+    p = lam[lam > 0.0]
+    values = {}
+    far = [alpha for alpha in alphas if abs(alpha - 1.0) >= 0.5]
+    if far:
+        # lam_max factored out: S_alpha = -log2 lam_max + log2 t / (1 - alpha)
+        # with t = lam_max sum (lam / lam_max)^alpha in [lam_max, d lam_max], so
+        # no power underflows the sum to 0 (alpha = 1e308 gives log2(d lam_max),
+        # the limit); the zero eigenvalues add nothing to the sums
+        top = float(lam[0])  # eigenvalues are descending
+        ratios = p / top
+        for alpha in far:
+            t = top * float((ratios ** alpha).sum())
+            values[alpha] = math.log2(d * top) - math.log2(t) / (1.0 - alpha)
+    near = [alpha for alpha in alphas if abs(alpha - 1.0) < 0.5]
+    if near:
+        # near alpha = 1 the form above cancels (-0.37 for 0.428 at 1 + 2**-52).
         # With delta = sum p - 1 and x = sum p expm1(eps ln p), sum p^alpha is
         # 1 + delta + x, so S_alpha of p / (1 + delta) takes no difference of
         # nearly equal terms; the renormalization matters once |eps| ~ 1e-16
-        p = lam[lam > 0.0]
-        delta = math.fsum(p) - 1.0
-        logs = np.log(p)
-        if eps == 0.0:  # the von Neumann limit of the form below
-            entropy = -float(np.sum(p * logs)) / (1.0 + delta) + math.log1p(delta)
-        else:
-            x = float(np.sum(p * np.expm1(eps * logs)))
-            entropy = -(math.log1p(delta + x) - alpha * math.log1p(delta)) / eps
-        return math.log2(d) - entropy / math.log(2.0)
-    lam = lam[lam > 0.0] if alpha < 1 else lam
-    # lam_max factored out: S_alpha = -log2 lam_max + log2 t / (1 - alpha) with
-    # t = lam_max sum (lam / lam_max)^alpha in [lam_max, d lam_max], so no power
-    # underflows the sum to 0 (alpha = 1e308 gives log2(d lam_max), the limit)
-    top = float(lam[0])  # eigenvalues are descending
-    t = top * float(np.sum((lam / top) ** alpha))
-    return math.log2(d * top) - math.log2(t) / (1.0 - alpha)
+        delta, logs = math.fsum(p) - 1.0, np.log(p)
+        for alpha in near:
+            eps = alpha - 1.0
+            if eps == 0.0:  # the von Neumann limit of the form below
+                entropy = -float((p * logs).sum()) / (1.0 + delta) + math.log1p(delta)
+            else:
+                x = float((p * np.expm1(eps * logs)).sum())
+                entropy = -(math.log1p(delta + x) - alpha * math.log1p(delta)) / eps
+            values[alpha] = math.log2(d) - entropy / math.log(2.0)
+    return [values[alpha] for alpha in alphas]
 
 
 def _single_shot_cost(lam: np.ndarray) -> Optional[int]:
@@ -78,7 +89,7 @@ def texture_purity(rho: DensityMatrix) -> float:
 def renyi_purity(rho: DensityMatrix, alpha: float) -> float:
     """Renyi purity ``log2(d) - S_alpha`` in bits, for ``alpha`` in
     (0, inf); ``alpha = 1`` gives the von Neumann limit ``log2(d) - S``."""
-    return _renyi_purity(spectral_decompose(rho).eigenvalues, alpha)
+    return _renyi_purities(spectral_decompose(rho).eigenvalues, (alpha,))[0]
 
 
 def single_shot_cost(rho: DensityMatrix) -> Optional[int]:
@@ -95,8 +106,10 @@ def check_renyi2_bound(rho: DensityMatrix,
     lam = spectral_decompose(rho).eigenvalues
     p = _texture_purity(lam)
     rhs = math.log2(1.0 + p * p / (2.0 * rho.dim))
-    renyi = {float(a): _renyi_purity(lam, float(a)) for a in alphas}
-    p2 = renyi[2.0] if 2.0 in renyi else _renyi_purity(lam, 2.0)
+    alphas = [float(a) for a in alphas]
+    values = _renyi_purities(lam, alphas if 2.0 in alphas else alphas + [2.0])
+    renyi = dict(zip(alphas, values))
+    p2 = values[alphas.index(2.0)] if 2.0 in alphas else values[-1]
     return PurityReport(
         texture_purity=p,
         renyi_purities=renyi,

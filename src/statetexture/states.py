@@ -56,7 +56,7 @@ class PureState:
             raise InvalidStateError("state vector must have at least one amplitude")
         if not np.isfinite(amp).all():
             raise InvalidStateError("state vector contains non-finite entries")
-        nrm = np.linalg.norm(amp)
+        nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state vector norm {nrm!r} is not 1 within tolerance")
         object.__setattr__(self, "subsystem_dims", _as_dims(amp.size, self.subsystem_dims))
@@ -67,8 +67,12 @@ class PureState:
         return self.amplitudes.size
 
     def projector(self) -> "DensityMatrix":
-        """Return the rank-one density matrix |psi><psi|."""
-        amp = self.amplitudes
+        """Return the rank-one density matrix |psi><psi| / <psi|psi>.
+
+        The amplitudes are normalized first: a norm within ``NORM_TOL`` of 1
+        gives a trace up to 2 ``NORM_TOL`` from 1, beyond ``TRACE_TOL``.
+        """
+        amp = self.amplitudes / np.linalg.norm(self.amplitudes)
         return DensityMatrix(np.outer(amp, amp.conj()), self.subsystem_dims)
 
 
@@ -77,13 +81,14 @@ class DensityMatrix:
     """A Hermitian, trace-one, positive-semidefinite matrix.
 
     Invariants checked on construction: ``max|rho - rho^dag| <= 1e-12``,
-    ``|tr(rho) - 1| <= 1e-12``, smallest eigenvalue ``>= -1e-10``.
+    ``|tr(rho) - 1| <= 1e-12``, smallest eigenvalue ``>= -1e-10``.  The
+    eigendecomposition that checks the last is kept as the state's spectrum
+    (see :func:`spectral_decompose`).
     """
 
     matrix: np.ndarray
     subsystem_dims: Optional[Tuple[int, ...]] = None
-    # filled by the first spectral_decompose call (see there)
-    _spectrum: Optional["Spectrum"] = field(default=None, init=False, repr=False)
+    _spectrum: "Spectrum" = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -91,15 +96,20 @@ class DensityMatrix:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise InvalidStateError("density matrix contains non-finite entries")
-        herm = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+        herm = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(f"density matrix is not Hermitian: residual {herm:.3e}")
-        tr = np.trace(mat)
+        tr = complex(mat.trace())
         if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"density matrix trace {tr!r} is not 1 within tolerance")
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < -PSD_TOL:
-            raise InvalidStateError(f"density matrix has eigenvalue {lo:.3e} below -{PSD_TOL}")
+            raise InvalidStateError(f"density matrix trace {tr} is not 1 within tolerance")
+        w, v = np.linalg.eigh(mat)
+        if w[0] < -PSD_TOL:  # eigh sorts ascending
+            raise InvalidStateError(f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL}")
+        order = np.argsort(w)[::-1]
+        w, v = w[order], v[:, order]
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "_spectrum", Spectrum(w, v))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "subsystem_dims", _as_dims(mat.shape[0], self.subsystem_dims))
         mat.setflags(write=False)
@@ -144,27 +154,17 @@ StateLike = Union[PureState, DensityMatrix]
 
 
 def spectral_decompose(rho: DensityMatrix) -> Spectrum:
-    """Eigendecompose a density matrix with eigenvalues sorted descending.
+    """Eigendecomposition of a density matrix with eigenvalues sorted descending.
 
     The reconstruction ``sum_i w_i |v_i><v_i|`` agrees with the input within
     1e-10 in max norm.
 
-    The spectrum is memoized on the state: the first call runs one ``eigh``
-    and keeps the result, and every later call on the same instance returns
-    that same ``Spectrum`` object, for as long as the state lives.  Its
-    arrays are read-only, so no caller can alter what the others see; copy
-    them before writing.
+    The spectrum is the one ``eigh`` that validated the state: every call on
+    the same instance returns that same ``Spectrum`` object, for as long as
+    the state lives.  Its arrays are read-only, so no caller can alter what
+    the others see; copy them before writing.
     """
-    spec = rho._spectrum
-    if spec is None:
-        w, v = np.linalg.eigh(rho.matrix)
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
-        w.setflags(write=False)
-        v.setflags(write=False)
-        spec = Spectrum(w, v)
-        object.__setattr__(rho, "_spectrum", spec)
-    return spec
+    return rho._spectrum
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -9,14 +9,15 @@ the logarithmic form of the same quantity.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 
 from .errors import InvalidStateError, UsageError, warn_caller
-from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike, density_of,
+from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike,
                      spectral_decompose)
 
 BASIS_TOL = 1e-10
@@ -24,9 +25,14 @@ BASIS_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """An orthonormal basis given as a unitary whose columns are the kets."""
+    """An orthonormal basis given as a unitary whose columns are the kets.
+
+    Its zero-texture ket, the uniform superposition of the kets in
+    computational coordinates, is formed once on construction.
+    """
 
     unitary: np.ndarray
+    _uniform_ket: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.array(self.unitary, dtype=complex)
@@ -41,6 +47,10 @@ class OrthonormalBasis:
             raise UsageError(f"basis columns are not orthonormal: residual {resid:.3e}")
         object.__setattr__(self, "unitary", u)
         u.setflags(write=False)
+        d = u.shape[0]
+        ket = u @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+        ket.setflags(write=False)
+        object.__setattr__(self, "_uniform_ket", ket)
 
     @property
     def dim(self) -> int:
@@ -59,11 +69,21 @@ class TextureReport:
 
 @dataclass(frozen=True, eq=False)
 class TextureExtrema:
-    """Extremal textures over all orthonormal bases, with witness bases."""
+    """Extremal textures over all orthonormal bases, with witness bases.
+
+    ``witness_unitaries`` are formed together on first read, from the unit
+    vectors that they map the uniform superposition onto: the rows of
+    ``witness_targets``, for ``t_max`` and for ``t_min``.
+    """
 
     t_max: float
     t_min: float
-    witness_unitaries: Tuple[np.ndarray, np.ndarray]
+    witness_targets: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def witness_unitaries(self) -> Tuple[np.ndarray, np.ndarray]:
+        u = _unitary_mapping_uniform_to(self.witness_targets)
+        return u[0], u[1]
 
 
 def computational_basis(d: int) -> OrthonormalBasis:
@@ -86,9 +106,7 @@ def fourier_basis(d: int) -> OrthonormalBasis:
 def texture_less_state(basis: OrthonormalBasis) -> PureState:
     """The unique zero-texture state of a basis: the uniform superposition
     of its kets, expressed in computational coordinates."""
-    d = basis.dim
-    uniform = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    return PureState(basis.unitary @ uniform)
+    return PureState(basis._uniform_ket)
 
 
 def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport:
@@ -96,28 +114,32 @@ def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport
 
     The grand sum is computed as ``d <s|rho|s>`` with ``|s> = U |u>``, |u>
     the uniform superposition in basis coordinates; its imaginary part is
-    recorded.  Both checks admit what the tolerances of a validated state
-    and basis allow, twice over for rounding, so only a state that bypassed
-    validation fails them.  rho differs from its Hermitian part by at most
-    ``HERMITICITY_TOL`` / 2 per entry, and sum_j |s_j| <= sqrt(d) |s|, so
-    the imaginary part is at most d^2 ``HERMITICITY_TOL`` / 2.  The real part
-    lies in d |s|^2 [lam_min, lam_max] for the eigenvalues of that Hermitian
-    part, which are within lo = ``PSD_TOL`` + d ``HERMITICITY_TOL`` / 2 of
-    [0, 1 + ``TRACE_TOL`` + (d - 1) lo], as validation bounds the spectrum of
-    one triangle, and |s|^2 is within d ``BASIS_TOL`` of 1.
+    recorded.  A pure state psi gives ``d |<s|psi>|^2`` from its amplitudes,
+    with no projector formed, and no imaginary part.  Both checks admit what
+    the tolerances of a validated state and basis allow, twice over for
+    rounding, so only a state that bypassed validation fails them.  rho
+    differs from its Hermitian part by at most ``HERMITICITY_TOL`` / 2 per
+    entry, and sum_j |s_j| <= sqrt(d) |s|, so the imaginary part is at most
+    d^2 ``HERMITICITY_TOL`` / 2.  The real part lies in d |s|^2 [lam_min,
+    lam_max] for the eigenvalues of that Hermitian part, which are within
+    lo = ``PSD_TOL`` + d ``HERMITICITY_TOL`` / 2 of [0, 1 + ``TRACE_TOL`` +
+    (d - 1) lo], as validation bounds the spectrum of one triangle, and
+    |s|^2 is within d ``BASIS_TOL`` of 1.
     """
-    rho = density_of(state)
-    d = rho.dim
+    d = state.dim
     if basis.dim != d:
         raise UsageError(f"basis dimension {basis.dim} does not match state dimension {d}")
-    s = basis.unitary @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    grand = d * np.vdot(s, rho.matrix @ s)
+    s = basis._uniform_ket
+    if isinstance(state, PureState):
+        grand = d * abs(np.vdot(s, state.amplitudes)) ** 2
+    else:
+        grand = d * np.vdot(s, state.matrix @ s)
     imag_residual = abs(grand.imag)
     if imag_residual > d * d * HERMITICITY_TOL:
         raise InvalidStateError(
             f"grand sum has imaginary residual {imag_residual:.3e}; input state is corrupted"
         )
-    e = grand.real
+    e = float(grand.real)
     lo = PSD_TOL + d * HERMITICITY_TOL / 2
     slack = 2 * d * (TRACE_TOL + d * (lo + BASIS_TOL))
     if not -slack <= e <= d + slack:
@@ -135,34 +157,51 @@ def _rugosity(overlap: float) -> float:
 
 
 def _unitary_mapping_uniform_to(target: np.ndarray) -> np.ndarray:
-    """Build a unitary U with U |uniform> = |target>, phase included.
+    """Build a unitary U with U |uniform> = |target>, phase included, or one
+    for each row of a stack of targets.
 
     With c = <uniform|target> and e^{i theta} = c / |c| (1 when c = 0), the
     Householder reflection along w = e^{i theta} |uniform> + |target> sends
     |uniform> to -e^{-i theta} |target>, so U = -e^{i theta} (I - 2 w w^dag
     / |w|^2).  |w|^2 = 2 + 2|c| >= 2 for unit vectors: nothing cancels.
     """
-    d = target.size
-    uniform = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    d = target.shape[-1]
+    uniform = np.full(d, 1.0 / math.sqrt(d))
     # exp(i angle(c)) is c / |c| to rounding even for subnormal c, and 1 at c = 0
-    phase = np.exp(1j * np.angle(np.vdot(uniform, target)))
+    phase = np.exp(1j * np.angle(target @ uniform))[..., None]
     w = phase * uniform + target
-    u = np.outer(w, w.conj())
-    u *= 2.0 * phase / np.vdot(w, w).real
-    u.flat[:: d + 1] -= phase
+    scale = 2.0 * phase / np.sum(w.real ** 2 + w.imag ** 2, axis=-1, keepdims=True)
+    u = (scale * w)[..., :, None] * w[..., None, :].conj()
+    u.reshape(u.shape[:-2] + (d * d,))[..., :: d + 1] -= phase
     return u
 
 
 def texture_extrema(state: StateLike) -> TextureExtrema:
     """Extremal textures over all bases: ``1 - smallest`` and ``1 - largest``
     eigenvalue of the state, with witness bases mapping the matching
-    eigenvector onto the uniform superposition."""
-    rho = density_of(state)
-    spec = spectral_decompose(rho)
+    eigenvector onto the uniform superposition.
+
+    A pure state psi is read from its amplitudes, with no projector formed:
+    its projector's eigenvalues are |psi|^2 and, for d > 1, 0, so t_min =
+    1 - |psi|^2 and t_max = 1.  The t_min target is psi / |psi|; the t_max
+    target is the basis ket e_k at the smallest |psi_k| less its projection
+    on psi, which keeps at least 1 - 1/d of its squared norm.
+    """
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        norm2 = float(np.vdot(psi, psi).real)
+        top = psi / math.sqrt(norm2)
+        if state.dim == 1:
+            return TextureExtrema(1.0 - norm2, 1.0 - norm2, np.stack([top, top]))
+        k = int(np.argmin(np.abs(top)))
+        low = -top[k].conjugate() * top
+        low[k] += 1.0
+        low /= np.linalg.norm(low)
+        return TextureExtrema(1.0, 1.0 - norm2, np.stack([low, top]))
+    spec = spectral_decompose(state)
     lam = spec.eigenvalues
-    witnesses = (_unitary_mapping_uniform_to(spec.eigenvectors[:, -1]),
-                 _unitary_mapping_uniform_to(spec.eigenvectors[:, 0]))
-    return TextureExtrema(1.0 - float(lam[-1]), 1.0 - float(lam[0]), witnesses)
+    return TextureExtrema(1.0 - float(lam[-1]), 1.0 - float(lam[0]),
+                          spec.eigenvectors[:, [-1, 0]].T)
 
 
 def rugosity_pure(psi: PureState) -> float:

@@ -85,16 +85,15 @@ class TestTextureCommand:
         assert float(fields["grand_sum"]) == pytest.approx(2.0, abs=1e-12)
         assert float(fields["texture"]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_pure_state_builds_one_projector(self, capsys, monkeypatch, bell_file):
-        # the command built the d x d projector once to read the dimension
-        # and texture_in_basis built it again
+    def test_pure_state_builds_no_projector(self, capsys, monkeypatch, bell_file):
+        # texture_in_basis reads a pure state from its amplitudes
         calls = []
         projector = PureState.projector
         monkeypatch.setattr(PureState, "projector",
                             lambda self: calls.append(1) or projector(self))
         code, _, _ = run(capsys, "texture", "--state", bell_file)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == []
 
     def test_fourier_basis_flag(self, capsys, bell_file):
         code, out, _ = run(capsys, "texture", "--state", bell_file,
@@ -271,6 +270,24 @@ class TestConvexRoofCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+
+class TestNearlyUnitPureState:
+    # a norm within NORM_TOL (1e-12) of 1 gave a raw projector whose trace
+    # was up to 2e-12 from 1, beyond TRACE_TOL, so these commands exited 1
+    @pytest.mark.parametrize("scale", [1 + 0.9e-12, 1 - 0.9e-12], ids=["above", "below"])
+    @pytest.mark.parametrize("argv", [
+        ["texture"],
+        ["texture", "extrema"],
+        ["purity"],
+        ["convexroof", "--theory", "coherence", "--restarts", "1", "--cardinality", "2"],
+    ], ids=["texture", "extrema", "purity", "convexroof"])
+    def test_command_accepts_the_state(self, capsys, tmp_path, scale, argv):
+        path = tmp_path / "near.state"
+        save_state(path, PureState(np.array([1.0, 1.0]) / math.sqrt(2.0) * scale))
+        code, out, err = run(capsys, *argv, "--state", str(path), "--format", "structured")
+        assert code == 0, err
+        assert "nan" not in out
 
 
 class TestIsingCommands:

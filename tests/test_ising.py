@@ -409,7 +409,9 @@ class TestBlockedKernels:
     def test_length_sweep_keeps_one_lengths_tables(self):
         # the store keeps 12 MiB of the most recently used tables, so a
         # finite-size sweep holds one full table (8 MB) and one chord column
-        # (4 MB), not one of each per length
+        # (4 MB), not one of each per length; and it drops the previous
+        # length's tables before it builds the next (the peak was 19.1 MiB
+        # when it dropped them after)
         full_table = 8 * ising.MAX_ANALYTIC_SITES
         tracemalloc.start()
         try:
@@ -417,10 +419,11 @@ class TestBlockedKernels:
                 for h in (1.0, -1.0001):
                     assert ising._grid_modes(n, h) == n // 2
                     analytic_rugosity(ChainSpec(n, h))
-            current = tracemalloc.get_traced_memory()[0]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert current <= 2 * full_table + 2 ** 20
+        assert peak <= ising._TABLE_BUDGET + 2 ** 20
 
     def test_cache_is_shared_by_threads(self, monkeypatch):
         # two builders share a store that holds about a third of the tables
@@ -556,6 +559,40 @@ class TestReducedGrid:
             assert ising._grid_modes(n, h) == n // 2
         # every chain of up to 16 sites keeps the full sum
         assert all(ising._grid_modes(m, 0.0) == m // 2 for m in range(2, 18, 2))
+
+    def test_grid_rule_matches_the_doubling_loop(self):
+        # the closed form against the rule it replaced, a doubling loop of
+        # float products, on 1e5 fields: 0, +-1, subnormals, +-2^+-1000, the
+        # extremes, fields a few ulps either side of |ln|h|| = 60/K for every
+        # K, and log-uniform ones, each with chain lengths from 2 to 1e6
+        def looped(n, h):
+            gap = abs(math.log(abs(h))) if h else math.inf
+            modes = 8
+            while modes < n // 2 and modes * gap < 60.0:
+                modes *= 2
+            return min(modes, n // 2)
+
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        fields = [0.0, 1.0, tiny, 2.2250738585072014e-308, 2.0 ** -1000, 2.0 ** 1000, huge,
+                  math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e300]
+        for j in range(3, 21):
+            for h in (math.exp(60.0 / 2 ** j), math.exp(-60.0 / 2 ** j)):
+                for _ in range(5):
+                    h = math.nextafter(h, 0.0)
+                for _ in range(10):
+                    h = math.nextafter(h, 2.0)
+                    fields.append(h)
+        rng = np.random.default_rng(3)
+        fields += list(10.0 ** rng.uniform(-320, 308, 10 ** 5 // 2 - len(fields)))
+        fields += [-h for h in fields]
+        assert len(fields) >= 10 ** 5
+        lengths = [2, 4, 6, 8, 14, 16, 18, 30, 254, 256, 258, 10 ** 6, *range(2, 10 ** 6, 4462)]
+        for k, h in enumerate(fields):
+            n = lengths[k % len(lengths)]
+            assert ising._grid_modes(n, h) == looped(n, h), (n, h)
+        for n in lengths:
+            for h in fields[:10]:
+                assert ising._grid_modes(n, h) == looped(n, h), (n, h)
 
     @pytest.mark.parametrize("n", [2, 6, 100, 16458, 2 ** 19])
     def test_chord_sum(self, n):

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as strat
+from hypothesis import assume, given, settings, strategies as strat
 
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, UsageError, check_renyi2_bound,
@@ -26,6 +26,78 @@ def spectra(draw):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(0.5 * (rho + rho.conj().T))
+
+
+def _inverse_sqrt(s):
+    w, v = np.linalg.eigh(s)
+    return (v / np.sqrt(w)) @ v.conj().T
+
+
+@strat.composite
+def unital_channels(draw):
+    """Kraus operators of a unital channel on d = 2..5, 2 to 4 of them.
+
+    Gaussian operators are scaled alternately to trace preservation
+    (sum K^dag K = I) and to unitality (sum K K^dag = I), which is operator
+    Sinkhorn scaling.  It converges for almost every draw, mostly within 100
+    rounds; a draw whose trace-preservation residual is still above 1e-13
+    after 500 rounds is discarded (``assume``).
+    """
+    d = draw(strat.integers(2, 5))
+    k = draw(strat.integers(2, 4))
+    rng = np.random.default_rng(draw(strat.integers(0, 2 ** 32 - 1)))
+    kraus = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    for _ in range(500):
+        kraus = kraus @ _inverse_sqrt(np.einsum("kji,kjl->il", kraus.conj(), kraus))
+        kraus = _inverse_sqrt(np.einsum("kij,klj->il", kraus, kraus.conj())) @ kraus
+        tp = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+        if np.max(np.abs(tp - np.eye(d))) <= 1e-13:
+            return kraus
+    assume(False)
+
+
+def _purity_change(kraus, rho):
+    """Texture purity of the channel's output less that of its input."""
+    out = np.einsum("kij,jl,kml->im", kraus, rho.matrix, kraus.conj())
+    return texture_purity(DensityMatrix(0.5 * (out + out.conj().T))) - texture_purity(rho)
+
+
+class TestUnitalChannels:
+    """The texture purity does not rise under unital channels (the paper's
+    claim, in every dimension), with a non-unital channel as the control."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(unital_channels(), strat.integers(0, 2 ** 32 - 1))
+    def test_monotone_under_unital_channels(self, kraus, seed):
+        rho = DensityMatrix(random_density(kraus.shape[-1], np.random.default_rng(seed)))
+        assert _purity_change(kraus, rho) <= 1e-10
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(0, 2 ** 32 - 1))
+    def test_monotone_under_werner_holevo(self, seed):
+        # rho -> (I - rho^T) / 2 on d = 3 is unital but not a mixture of
+        # unitaries; its Kraus operators are (|i><j| - |j><i|) / sqrt(2), i < j
+        kraus = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            k = np.zeros((3, 3))
+            k[i, j], k[j, i] = 1.0, -1.0
+            kraus.append(k / math.sqrt(2.0))
+        rho = DensityMatrix(random_density(3, np.random.default_rng(seed)))
+        out = np.einsum("kij,jl,kml->im", np.array(kraus), rho.matrix, np.array(kraus))
+        assert np.allclose(out, (np.eye(3) - rho.matrix.T) / 2, rtol=0, atol=1e-15)
+        assert _purity_change(np.array(kraus), rho) <= 1e-10
+
+    def test_amplitude_damping_raises_it(self):
+        # the control: amplitude damping is not unital, and the same check
+        # flags it on at least one draw of a qubit state and a damping rate
+        rng = np.random.default_rng(5)
+        changes = []
+        for _ in range(20):
+            gamma = rng.uniform(0.05, 0.95)
+            kraus = np.array([[[1.0, 0.0], [0.0, math.sqrt(1 - gamma)]],
+                              [[0.0, math.sqrt(gamma)], [0.0, 0.0]]])
+            changes.append(_purity_change(kraus, DensityMatrix(random_density(2, rng))))
+        assert max(changes) > 1e-3
 
 
 class TestTexturePurity:

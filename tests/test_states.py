@@ -82,6 +82,26 @@ class TestSpectralDecompose:
         assert abs(spec.eigenvalues.sum() - 1.0) < 1e-10
 
 
+class TestNearlyUnitNorm:
+    @pytest.mark.parametrize("scale", [1 + 0.9e-12, 1 - 0.9e-12])
+    def test_projector_is_valid(self, scale):
+        # the norm passes NORM_TOL, and the raw projector's trace, 1 +- 1.8e-12,
+        # would not pass TRACE_TOL
+        psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0) * scale)
+        rho = psi.projector()
+        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-15
+        assert np.allclose(rho.matrix, 0.5, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("make, number", [
+        (lambda: PureState([1.5, 0.0]), "1.5"),
+        (lambda: DensityMatrix(np.eye(2, dtype=complex)), "(2+0j)"),
+    ], ids=["norm", "trace"])
+    def test_messages_print_plain_numbers(self, make, number):
+        with pytest.raises(InvalidStateError) as info:
+            make()
+        assert number in str(info.value) and "np." not in str(info.value)
+
+
 class TestSpectrumMemo:
     def test_repeated_calls_return_the_same_spectrum(self):
         rho = random_state(5, "mixed", seed=3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as strat
 
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, InvalidStateError, OrthonormalBasis,
-                          PureState, UsageError, check_renyi2_bound,
-                          computational_basis, fourier_basis, random_state,
+                          PureState, RoofConfig, UsageError, check_renyi2_bound,
+                          computational_basis, convex_roof, fourier_basis, random_state,
                           renyi_purity, rugosity_pure, single_shot_cost,
                           spectral_decompose, texture_extrema, texture_in_basis,
                           texture_less_state, texture_purity)
@@ -138,24 +139,89 @@ class TestExtrema:
             assert abs(texture_in_basis(rho, OrthonormalBasis(u_min)).texture - ex.t_min) < 1e-10
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Every np.linalg.eigh and eigvalsh call, as (name, shape)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 class TestOneSpectrumPerState:
-    def test_every_spectral_quantity_shares_one_eigh(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        rho = random_state(5, "mixed", seed=8)
+    def test_every_spectral_quantity_shares_one_eigh(self, decompositions):
+        # validation's eigh is the spectrum of every report
+        rho = random_state(4, "mixed", seed=8, subsystem_dims=(2, 2))
         spectral_decompose(rho)
-        texture_extrema(rho)
+        texture_extrema(rho).witness_unitaries
         check_renyi2_bound(rho, (0.5, 2.0, 3.0))
         texture_purity(rho)
         renyi_purity(rho, 2.0)
         single_shot_cost(rho)
-        assert calls == [(5, 5)]
+        convex_roof(rho, "entanglement_bipartite", RoofConfig(restarts=1, max_iterations=20))
+        assert decompositions == [("eigh", (4, 4))]
+
+    def test_pure_states_form_no_projector(self, decompositions):
+        # 12 qubits: a d x d complex array takes 268 MB; the basis of the
+        # computational kets is given without its O(d^3) check and its
+        # unitary, as texture_in_basis reads only its dimension and its
+        # zero-texture ket
+        d = 2 ** 12
+        psi = random_state(d, "pure", seed=5)
+        basis = object.__new__(OrthonormalBasis)
+        object.__setattr__(basis, "unitary", np.broadcast_to(np.complex128(0), (d, d)))
+        object.__setattr__(basis, "_uniform_ket", np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+        tracemalloc.start()
+        try:
+            rep = texture_in_basis(psi, basis)
+            ex = texture_extrema(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decompositions == []
+        assert peak <= 8 * 16 * d
+        assert rep.grand_sum == pytest.approx(abs(np.sum(psi.amplitudes)) ** 2, rel=1e-12)
+        assert ex.t_max == 1.0 and abs(ex.t_min) <= 1e-15
+
+
+class TestPureStates:
+    """Pure states are read from their amplitudes; the numbers are their
+    projector's, to rounding."""
+
+    def test_texture_matches_the_projector(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            d = int(rng.integers(1, 9))
+            psi = PureState(_random_ket(d, rng))
+            basis = OrthonormalBasis(haar_unitary(d, rng))
+            rep, ref = texture_in_basis(psi, basis), texture_in_basis(psi.projector(), basis)
+            assert rep.imag_residual == 0.0
+            assert abs(rep.grand_sum - ref.grand_sum) <= 1e-12 * d
+            assert abs(rep.rugosity - ref.rugosity) <= 1e-10 or rep.rugosity > 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_extrema_and_witnesses(self, d):
+        rng = np.random.default_rng(d)
+        psi = PureState(_random_ket(d, rng))
+        ex, ref = texture_extrema(psi), texture_extrema(psi.projector())
+        norm2 = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
+        assert ex.t_max == (1.0 if d > 1 else 1.0 - norm2)
+        assert ex.t_min == 1.0 - norm2
+        assert abs(ex.t_max - ref.t_max) <= 1e-12 and abs(ex.t_min - ref.t_min) <= 1e-12
+        for u, t in zip(ex.witness_unitaries, (ex.t_max, ex.t_min)):
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
+            assert abs(texture_in_basis(psi, OrthonormalBasis(u)).texture - t) <= 1e-12
+
+    def test_basis_ket_state(self):
+        # psi = e_0 has its smallest amplitude elsewhere; psi = uniform has
+        # all amplitudes equal, so the t_max target is e_0 less its projection
+        for psi in (PureState(np.eye(4)[0]), texture_less_state(computational_basis(4))):
+            u_max, u_min = texture_extrema(psi).witness_unitaries
+            assert abs(texture_in_basis(psi, OrthonormalBasis(u_max)).texture - 1.0) <= 1e-12
+            assert abs(texture_in_basis(psi, OrthonormalBasis(u_min)).texture) <= 1e-12
 
 
 def _random_ket(d, rng):
@@ -311,6 +377,13 @@ class TestValidation:
         rep = texture_in_basis(skew, computational_basis(d))
         assert rep.imag_residual > 3e-8
         assert abs(rep.grand_sum - 1.0) <= 1e-12
+
+    def test_grand_sum_message_prints_a_plain_number(self):
+        bad = object.__new__(DensityMatrix)
+        object.__setattr__(bad, "matrix", 3.0 * np.eye(2, dtype=complex))
+        object.__setattr__(bad, "subsystem_dims", None)
+        with pytest.raises(InvalidStateError, match=r"^grand sum [0-9.]+ outside"):
+            texture_in_basis(bad, computational_basis(2))
 
     def test_corrupted_grand_sum_rejected(self):
         # bypass the DensityMatrix validator to hit the texture-level guard
