@@ -36,17 +36,19 @@ rounding.  The full sum is the grid with M = N and weight 1; it is the
 one taken at h = +-1, for |h -+ 1| below about 120/N and for every chain of
 up to 16 sites (see :func:`_grid_modes`).  Every sum reads one cached
 table of cos phi_p and sin phi_p per grid, in consecutive blocks (see
-:data:`_MODE_BLOCK`); an h-scan sums the fields that share a grid as the
-rows of one block (see :func:`scan`).  Every sum is numpy's own
-pairwise sum, not a BLAS dot product, so no free-fermion value depends on
-the BLAS thread count.  The rugosity is even in h and is taken at |h|.  At
-|h| > 1 its pair amplitude has a double zero at phi = 0, so its terms
-subtract ln(4 sin^2(phi/2)), tabulated from sin(phi/2) itself and built
-only for those fields, whose N/2-mode sum is ln 2 in exact arithmetic, and
-sum the analytic remainder.  Every term is relatively accurate, ln(1 - q)
-being taken as log1p(-q), since the N/M factor would amplify an absolute
-error.  Fields too large to square are first scaled by a power of two (see
-:func:`_field_scale`).
+:data:`_MODE_BLOCK`).  One evaluator, :func:`_free_fermion`, serves points
+and h-scans alike: it sums the fields that share a grid and a field scale
+as the rows of one block, and a lone field on its own row, bitwise alike.
+Every sum is numpy's own pairwise sum, not a BLAS dot product, so no
+free-fermion value depends on the BLAS thread count.  The rugosity is even
+in h and is taken at |h|.  At |h| > 1 its pair amplitude has a double zero
+at phi = 0, so its terms subtract ln(4 sin^2(phi/2)), tabulated from
+sin(phi/2) itself and built only for those fields, whose N/2-mode sum is
+ln 2 in exact arithmetic, and sum the analytic remainder.  Every term is
+relatively accurate, ln(1 - q) being taken as log1p(-q), since the N/M
+factor would amplify an absolute error.  Fields too large to square are
+first scaled by a power of two (see :func:`_field_scale`), which every
+kernel takes as an argument.
 
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
@@ -384,16 +386,16 @@ def _blocks(table: tuple):
         yield tuple(column[start:start + _MODE_BLOCK] for column in table)
 
 
-def _table_sum(terms, table: tuple, h):
-    """Sum of ``terms(block, h)`` over the blocks of a table; for a column of
-    fields, a row block of :func:`scan` on a table of one block, the sum of
-    each row."""
+def _table_sum(terms, table: tuple, h, s: float):
+    """Sum of ``terms(block, h, s)`` over the blocks of a table; for a column
+    of fields, a row block of :func:`_free_fermion` on a table of one block,
+    the sum of each row."""
     # the block sums accumulate from -0.0, the exact identity of +, so one
     # block gives bitwise the unblocked sum, and a row of a C-ordered block
     # sums in the order of a 1-D array of its length
     total = -0.0
     for block in _blocks(table):
-        total += np.sum(terms(block, h), axis=-1)
+        total += np.sum(terms(block, h, s), axis=-1)
     return total
 
 
@@ -412,25 +414,24 @@ def _field_scale(h: float) -> float:
     return math.ldexp(1.0, math.frexp(h)[1] - 1)
 
 
-def _dispersion(table: tuple, h) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _dispersion(table: tuple, h, s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """delta_p = cos phi_p - h, sin^2 phi_p and lam_p = sqrt(delta_p^2 + sin^2 phi_p),
-    divided by s, s^2 and s, and the scale s = :func:`_field_scale` (h).
+    divided by s, s^2 and s, for the scale s = :func:`_field_scale` (h).
 
-    h is one field, or a (P, 1) column of fields for the P rows of a block
-    of :func:`scan`, which holds no field above 2^256, so s = 1.
+    h is one field, or a (P, 1) column of fields of one scale for the P rows
+    of a block of :func:`_free_fermion`.
     """
     cos_phi, sin_phi = table[0], table[1]
-    s = 1.0 if isinstance(h, np.ndarray) else _field_scale(h)
     delta = cos_phi - h
     if s == 1.0:
         sin2 = np.multiply(sin_phi, sin_phi, out=np.empty_like(delta))
     else:
         delta /= s
-        sin2 = sin_phi / s
+        sin2 = np.divide(sin_phi, s, out=np.empty_like(delta))
         sin2 *= sin2
     lam = delta * delta
     lam += sin2
-    return delta, sin2, np.sqrt(lam, out=lam), s
+    return delta, sin2, np.sqrt(lam, out=lam)
 
 
 def _ratio(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> tuple:
@@ -498,22 +499,23 @@ def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
     ``cos theta = -sqrt((lam - delta) / 2 lam)`` and
     ``sin theta = sqrt((lam + delta) / 2 lam)``, delta = cos phi - h."""
     _require_analytic(spec)
-    delta, sin2, lam, s = _dispersion(_momentum_table(spec.n), spec.h)
+    s = _field_scale(spec.h)
+    delta, sin2, lam = _dispersion(_momentum_table(spec.n), spec.h, s)
     sin_t = np.sqrt(_half_sum(lam, delta, sin2))
     cos_t = -np.sqrt(_half_sum(lam, delta, sin2, minus=True))
     theta = np.arctan2(sin_t, cos_t)
     phi = np.arange(1, spec.n, 2) * np.pi / spec.n
     return [
-        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i] * s), theta=float(theta[i]),
+        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i]) * s, theta=float(theta[i]),
                      u=float(cos_t[i]), v_im=float(sin_t[i]))
         for i in range(phi.size)
     ]
 
 
-def _pair_terms(table: tuple, h) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_terms(table: tuple, h, s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam, a = 1 - h cos phi and h^2 sin^2 phi of every mode, divided by s,
     s and s^2 (see :func:`analytic_rugosity`)."""
-    delta, sin2, lam, s = _dispersion(table, h)
+    delta, sin2, lam = _dispersion(table, h, s)
     hs = h / s
     a = np.multiply(table[0], -hs, out=delta)
     a += 1.0 / s
@@ -523,7 +525,7 @@ def _pair_terms(table: tuple, h) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam, a, sin2
 
 
-def _log_pair_remainders(table: tuple, h) -> np.ndarray:
+def _log_pair_remainders(table: tuple, h, s: float) -> np.ndarray:
     """ln sin^2(theta_p - phi_p / 2) of every mode of a table, at h >= 0,
     less its third column, ln(4 sin^2(phi_p / 2)), if it has one, as it
     does at h > 1.
@@ -533,7 +535,7 @@ def _log_pair_remainders(table: tuple, h) -> np.ndarray:
     |Im phi| < ln h.  Each logarithm is relatively accurate, as a reduced
     sum is scaled by N/M: ln(1 - q) is taken as log1p(-q).
     """
-    q, negative, rest = _ratio(*_pair_terms(table, h))
+    q, negative, rest = _ratio(*_pair_terms(table, h, s))
     _in_place(np.log, q, negative)
     _in_place(np.negative, q, rest)
     _in_place(np.log1p, q, rest)
@@ -542,20 +544,15 @@ def _log_pair_remainders(table: tuple, h) -> np.ndarray:
     return q
 
 
-def _rugosity_sum(table: tuple, weight: float, h):
+def _rugosity_sum(table: tuple, weight: float, h, s: float):
     """The rugosity at |h| from the terms of a grid table of weight N/M, for
-    one field or for each of a column of fields."""
+    one field or for each of a column of fields of scale s."""
     # the amplitudes are even in h; at |h| > 1 the table holds the chord
     # column and the terms leave out ln(4 sin^2(phi_p / 2)), whose sum over
     # the N/2 modes is ln 2, as prod_p 2 sin((2p - 1) pi / 2N) = sqrt(2);
     # that leaves no large term to cancel against the sum
     base = 0.0 if len(table) > 2 else math.log(2.0)
-    return base - weight * _table_sum(_log_pair_remainders, table, abs(h))
-
-
-def _rugosity(n: int, h: float) -> float:
-    table, weight = _sum_grid(n, _grid_modes(n, h), chord=abs(h) > 1.0)
-    return float(_rugosity_sum(table, weight, h))
+    return base - weight * _table_sum(_log_pair_remainders, table, abs(h), s)
 
 
 def analytic_rugosity(spec: ChainSpec) -> float:
@@ -585,16 +582,32 @@ def analytic_rugosity(spec: ChainSpec) -> float:
     :func:`_grid_modes`, a reduced one away from h = +-1.
     """
     _require_analytic(spec)
-    return _rugosity(spec.n, spec.h)
+    return float(_free_fermion(spec.n, np.array([spec.h], dtype=float), True)[0, 0])
 
 
-def _pair_correlators(table: tuple, h):
+def _pair_correlators(table: tuple, h, s: float):
     """m_z at |h| and the correlators G(+1) and G(-1) from the sums over a
-    grid table, for one field or for each of a column of fields."""
+    grid table, for one field or for each of a column of fields of scale s.
+
+    They are the two-point contractions of the even-sector ground state,
+
+        G(r) = (4/N) sum_p [sin^2 theta cos(phi r) - sin theta cos theta sin(phi r)]
+               - [r = 0],
+
+    needed at r = 0, +1 and -1 only, so three sums: of sin^2 theta =
+    (lam + delta) / (2 lam), of sin^2 theta cos phi, and of
+    -sin theta cos theta sin phi = sin^2 phi / (2 lam).  Each sum over a
+    reduced grid of M sites is M/N times the chain's, so the same formulas
+    with M for N give the chain's values.
+
+    The correlators are even in h and m_z is odd, as the table is symmetric
+    under phi -> pi - phi, so all are taken at |h|: for h << 0 every
+    sin^2 theta is near 1 and the hopping sum would cancel to its rounding.
+    """
     sites = 2 * table[0].size
     diagonal = hopping = pairing = -0.0
     for cos_phi, sin_phi in _blocks(table):
-        delta, sin2, lam, s = _dispersion((cos_phi, sin_phi), abs(h))
+        delta, sin2, lam = _dispersion((cos_phi, sin_phi), abs(h), s)
         sin2_t = _half_sum(lam, delta, sin2)
         diagonal += np.sum(sin2_t, axis=-1)
         # a product and a sum, not a dot product, whose BLAS kernel sums in
@@ -610,34 +623,49 @@ def _pair_correlators(table: tuple, h):
     return m_z, 4.0 * (hopping + pairing) / sites, 4.0 * (hopping - pairing) / sites
 
 
-def _pair_observables(n: int, h: float) -> PairObservables:
-    """Magnetization and nearest-neighbor correlators from the two-point
-    contractions of the even-sector ground state,
+def _free_fermion(n: int, fields: np.ndarray, full: bool) -> np.ndarray:
+    """The rugosity (``full``), or m_z at |h|, G(+1) and G(-1) (see
+    :func:`_pair_correlators`), at every field of an array: one row per
+    quantity, one column per field.
 
-        G(r) = (4/N) sum_p [sin^2 theta cos(phi r) - sin theta cos theta sin(phi r)]
-               - [r = 0],
-
-    needed at r = 0, +1 and -1 only, so three sums: of sin^2 theta =
-    (lam + delta) / (2 lam), of sin^2 theta cos phi, and of
-    -sin theta cos theta sin phi = sin^2 phi / (2 lam).  Each sum over a
-    reduced grid of M sites is M/N times the chain's, so the same formulas
-    with M for N give the chain's values.
-
-    The correlators are even in h and m_z is odd, as the table is symmetric
-    under phi -> pi - phi, so all are taken at |h|: for h << 0 every
-    sin^2 theta is near 1 and the hopping sum would cancel to its rounding.
+    The fields that share a grid, a scale (see :func:`_field_scale`) and,
+    for the rugosity, a side of |h| = 1 are evaluated together, as the rows
+    of blocks of at most ``_ROW_BLOCK`` terms.  Each row sums its terms in
+    the order of a lone field's single block, so every value is bitwise the
+    same whichever fields share its block.  A block of one field, as every
+    field of a grid above ``_ROW_BLOCK`` modes is, is evaluated on that
+    field's slices (see :func:`_ratio`), which beat a one-row mask.
     """
-    table, _ = _sum_grid(n, _grid_modes(n, h))
-    m_z, g_plus, g_minus = map(float, _pair_correlators(table, h))
-    return PairObservables(-m_z if h < 0.0 else m_z, g_plus, g_minus,
-                           m_z * m_z - g_plus * g_minus)
+    values = np.empty((1 if full else 3, fields.size))
+    listed = fields.tolist()
+    groups = {}
+    for k, h in enumerate(listed):
+        key = _grid_modes(n, h), full and abs(h) > 1.0, _field_scale(h)
+        groups.setdefault(key, []).append(k)
+    for (modes, chord, s), group in groups.items():
+        table, weight = _sum_grid(n, modes, chord)
+        column = fields[group, None] if len(group) > 1 else None
+        rows = max(1, _ROW_BLOCK // modes)
+        for start in range(0, len(group), rows):
+            at = group[start:start + rows]
+            if len(at) == 1:
+                at, h = at[0], listed[at[0]]
+            else:
+                h = column[start:start + rows]
+            values[:, at] = (_rugosity_sum(table, weight, h, s) if full
+                             else _pair_correlators(table, h, s))
+    return values
 
 
 def pair_observables(spec: ChainSpec) -> PairObservables:
     """Magnetization, nearest-neighbor correlators and pair rugosity of the
-    g = 0 ground state, from the fermionic two-point contractions."""
+    g = 0 ground state, from the fermionic two-point contractions (see
+    :func:`_pair_correlators`)."""
     _require_analytic(spec)
-    return _pair_observables(spec.n, spec.h)
+    m_z, g_plus, g_minus = _free_fermion(spec.n, np.array([spec.h], dtype=float),
+                                         False)[:, 0].tolist()
+    return PairObservables(-m_z if spec.h < 0.0 else m_z, g_plus, g_minus,
+                           m_z * m_z - g_plus * g_minus)
 
 
 # ----------------------------------------------------------------------
@@ -919,50 +947,15 @@ def dispersion_ground_energy(spec: ChainSpec) -> float:
     """Free-fermion ground energy ``-sum_p lam_p`` of the g = 0 chain."""
     _require_analytic(spec)
     table, weight = _sum_grid(spec.n, _grid_modes(spec.n, spec.h))
-    total = _table_sum(lambda block, h: _dispersion(block, h)[2], table, spec.h)
-    return float(-total * _field_scale(spec.h) * weight)
+    s = _field_scale(spec.h)
+    total = _table_sum(lambda block, h, s: _dispersion(block, h, s)[2], table, spec.h, s)
+    # in Python floats, which overflow to -inf silently, as ED's energies do
+    return -float(total) * s * weight
 
 
 # ----------------------------------------------------------------------
 # Criticality scans
 # ----------------------------------------------------------------------
-
-def _analytic_values(n: int, pts: np.ndarray, observable: str) -> np.ndarray:
-    """The rugosity or the pair rugosity at every field of an analytic scan,
-    one array pass per grid.
-
-    The fields that share a grid, and for the rugosity a side of |h| = 1,
-    are evaluated together, as the rows of blocks of at most ``_ROW_BLOCK``
-    terms.  Each row sums its terms in the order of a point's single block,
-    so every value is bitwise the point's.  A block of one row, as every
-    field of a grid above ``_ROW_BLOCK`` modes is, and a field above 2^256
-    are evaluated as points: their slices beat a one-row mask, and a block
-    is never scaled.
-    """
-    full = observable == "full"
-    point = _rugosity if full else lambda n, h: _pair_observables(n, h).pair_rugosity
-    fields = pts.tolist()
-    values = np.empty(pts.size)
-    groups = {}
-    for k, h in enumerate(fields):
-        if abs(h) > _UNSCALED_FIELD:
-            values[k] = point(n, h)
-        else:
-            groups.setdefault((_grid_modes(n, h), full and abs(h) > 1.0), []).append(k)
-    for (modes, chord), group in groups.items():
-        table, weight = _sum_grid(n, modes, chord)
-        rows = max(1, _ROW_BLOCK // modes)
-        for start in range(0, len(group), rows):
-            at = group[start:start + rows]
-            if len(at) == 1:
-                values[at[0]] = point(n, fields[at[0]])
-            elif full:
-                values[at] = _rugosity_sum(table, weight, pts[at, None])
-            else:
-                c_xx = _pair_correlators(table, pts[at, None])[1]
-                values[at] = [_pair_rugosity(c) for c in c_xx.tolist()]
-    return values
-
 
 def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "full",
          method: str = "analytic",
@@ -970,11 +963,10 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
     """Evaluate the rugosity observable over a sorted parameter grid and
     differentiate it.
 
-    An analytic scan runs one array pass per momentum grid: the fields that
-    share a grid are evaluated together, as rows of blocks of at most
-    ``_ROW_BLOCK`` terms, and each value is bitwise the one of the point
-    functions (:func:`analytic_rugosity`, :func:`pair_observables`).  An
-    ED scan solves one chain per grid point.
+    An analytic scan runs one array pass per momentum grid and field scale
+    through the evaluator of the point functions (see :func:`_free_fermion`),
+    so each value is bitwise the one of :func:`analytic_rugosity` or
+    :func:`pair_observables`.  An ED scan solves one chain per grid point.
 
     Parameters
     ----------
@@ -1020,7 +1012,9 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         if axis == "g" or spec.g != 0.0:
             raise UsageError("the analytic method requires g = 0 and an h-axis scan")
         _require_analytic(spec)
-        values = _analytic_values(spec.n, pts, observable)
+        values = _free_fermion(spec.n, pts, observable == "full")
+        values = values[0] if observable == "full" else np.array(
+            [_pair_rugosity(c_xx) for c_xx in values[1].tolist()])
     else:
         values = np.empty(pts.size)
         for k, x in enumerate(pts):

@@ -7,6 +7,7 @@ import functools
 import math
 
 import numpy as np
+import pytest
 
 from oracles import (entanglement_value_of_concurrence, haar_unitary,
                      random_density, wootters_concurrence)
@@ -160,15 +161,17 @@ def test_criterion_5_roof_vs_concurrence():
 
 @criterion(6, "analytic rugosity matches exact diagonalization at 1e-8")
 def test_criterion_6_analytic_vs_ed():
-    for n in (4, 6, 8, 10, 12):
-        for h in (0.2, 0.5, 1.0, 1.5, 3.0):
-            spec = ChainSpec(n, h)
-            assert abs(analytic_rugosity(spec) - ed_rugosity(spec)) <= 1e-8
-            for mode in bogoliubov_modes(spec):
-                direct = math.sin(mode.theta - mode.phi / 2.0) ** 2
-                amp = 1j * mode.v_im * math.cos(mode.phi / 2.0) \
-                    - 1j * mode.u * math.sin(mode.phi / 2.0)
-                assert abs(direct - abs(amp) ** 2) <= 1e-10
+    # at n = 12, h = 0.2 the odd-parity partner lies 6.8e-10 above the ground state
+    with pytest.warns(RuntimeWarning, match="near-degenerate"):
+        for n in (4, 6, 8, 10, 12):
+            for h in (0.2, 0.5, 1.0, 1.5, 3.0):
+                spec = ChainSpec(n, h)
+                assert abs(analytic_rugosity(spec) - ed_rugosity(spec)) <= 1e-8
+                for mode in bogoliubov_modes(spec):
+                    direct = math.sin(mode.theta - mode.phi / 2.0) ** 2
+                    amp = 1j * mode.v_im * math.cos(mode.phi / 2.0) \
+                        - 1j * mode.u * math.sin(mode.phi / 2.0)
+                    assert abs(direct - abs(amp) ** 2) <= 1e-10
 
 
 @criterion(7, "full-state rugosity curve: flat start, ln2 plateau, kink near h=1")

@@ -129,8 +129,9 @@ class TestTextureCommand:
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read unitary file {}: "), ("{not json", "unitary file {} is not valid JSON"),
-        ('{"re": [["1"]], "im": [[0]]}', "unitary file {}: field 're' must hold only numbers")],
-        ids=["missing", "malformed", "non-numeric"])
+        ('{"re": [["1"]], "im": [[0]]}', "unitary file {}: field 're' must hold only numbers"),
+        ('{"im": [[0]]}', "unitary file {}: field 're' must be a nested list")],
+        ids=["missing", "malformed", "non-numeric", "no-re"])
     def test_unitary_file_errors_name_the_unitary_file(self, capsys, tmp_path, bell_file,
                                                        content, message):
         # these once said "state file" of a --basis file
@@ -423,6 +424,35 @@ class TestContract:
         _, out2, _ = run(capsys, "texture", "--state", bell_file, "--format", "structured")
         assert out1 == out2
 
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 0]", "state file {} must hold a JSON object"),
+        ('{"dims": [2], "kind": "pure"}', "state file {} lacks fields ['im', 're']"),
+        ('{"dims": [2], "kind": "qubit", "re": [1, 0], "im": [0, 0]}',
+         "state file {}: kind must be 'pure' or 'mixed', got 'qubit'"),
+        ('{"dims": [2], "kind": "mixed", "re": [[1, 0]], "im": [[0, 0], [0, 0]]}',
+         "state file {}: field 're' must be a 2x2 nested list"),
+    ], ids=["not-an-object", "missing-fields", "bad-kind", "mixed-not-square"])
+    def test_malformed_state_file_rejected(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.state"
+        path.write_text(content)
+        code, out, err = run(capsys, "texture", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message.format(path))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("monotone", "entangle", "--state", "bell", "--cut", "0:x"), "malformed cut '0:x'"),
+        (("convexroof", "--theory", "entangle", "--state", "mixed", "--cut", "0;1"),
+         "malformed cut '0;1'"),
+        (("purity", "--state", "mixed", "--alpha", "2,x"), "malformed --alpha list '2,x'"),
+    ], ids=["cut", "roof-cut", "alpha"])
+    def test_malformed_list_is_usage_error(self, capsys, bell_file, mixed_file, argv, message):
+        files = {"bell": bell_file, "mixed": mixed_file}
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: " + message)
+        assert "Traceback" not in err
+
     def test_nothing_written_on_usage_error(self, capsys, tmp_path):
         target = tmp_path / "never.csv"
         code, _, _ = run(capsys, "ising", "scan", "--n", "32", "--axis", "h",
@@ -473,10 +503,10 @@ class TestContract:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_inputs_never_mutated(self, capsys, bell_file):
-        before = hashlib.sha256(open(bell_file, "rb").read()).hexdigest()
+        before = hashlib.sha256(Path(bell_file).read_bytes()).hexdigest()
         run(capsys, "texture", "--state", bell_file)
         run(capsys, "texture", "extrema", "--state", bell_file)
-        after = hashlib.sha256(open(bell_file, "rb").read()).hexdigest()
+        after = hashlib.sha256(Path(bell_file).read_bytes()).hexdigest()
         assert before == after
 
     def test_usage_error_exit_code(self, capsys, bell_file):

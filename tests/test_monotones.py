@@ -138,6 +138,10 @@ class TestEntanglement:
         with pytest.raises(UsageError):
             entanglement_monotone(bell_state, [0, 1])
 
+    def test_three_parties_need_a_cut(self, ghz3):
+        with pytest.raises(UsageError, match="explicit cut is required"):
+            pure_state_monotone(ghz3, "entanglement_bipartite")
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(strat.integers(2, 4), strat.integers(2, 4), strat.integers(2, 4),
            strat.integers(0, 1), strat.integers(0, 2 ** 32 - 1))
@@ -490,6 +494,11 @@ class TestConcurrence:
             ours = concurrence_two_qubit(rho)
             ref = wootters_concurrence(rho.matrix)
             assert abs(ours - ref) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_other_dimensions_rejected(self, d):
+        with pytest.raises(UsageError, match="two qubits"):
+            concurrence_two_qubit(random_state(d, "mixed", seed=d))
 
     def test_bell_and_product(self, bell_state):
         assert abs(concurrence_two_qubit(bell_state) - 1.0) < 1e-10

@@ -37,6 +37,16 @@ class TestInvariants:
         with pytest.raises(UsageError):
             PureState(np.eye(4)[0], (2, 3))
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: PureState(np.eye(4)[0], (-2, -2)), UsageError, "must be positive"),
+        (lambda: PureState([]), InvalidStateError, "at least one amplitude"),
+        (lambda: PureState([math.inf, 0.0]), InvalidStateError, "non-finite"),
+        (lambda: DensityMatrix(np.eye(2, 3) / 2), InvalidStateError, "must be square"),
+    ], ids=["non-positive-dims", "empty", "non-finite", "non-square"])
+    def test_malformed_input_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_dims_product_is_not_wrapped(self):
         # (2^32 + 1)(2^32 - 1) = 2^64 - 1, whose square is 1 modulo 2^64
         with pytest.raises(UsageError):
@@ -157,6 +167,12 @@ class TestPartialTrace:
         with pytest.raises(UsageError):
             partial_trace(rho, keep=[0])
 
+    @pytest.mark.parametrize("keep, message", [([], "non-empty"), ([2], "out of range"),
+                                               ([-1, 0], "out of range")])
+    def test_bad_keep_rejected(self, bell_state, keep, message):
+        with pytest.raises(UsageError, match=message):
+            partial_trace(bell_state.projector(), keep=keep)
+
     def test_trace_preserved_and_linear(self):
         rng = np.random.default_rng(7)
         rho1 = DensityMatrix(random_density(8, rng), (2, 2, 2))
@@ -192,6 +208,10 @@ class TestSchmidt:
         with pytest.raises(UsageError):
             schmidt_decompose(bell_state, [])
 
+    def test_cut_requires_dims(self):
+        with pytest.raises(UsageError, match="requires subsystem_dims"):
+            schmidt_decompose(random_state(4, "pure", seed=0), [0])
+
     def test_matches_reduced_eigenvalues(self):
         for seed in range(5):
             psi = random_state(12, "pure", seed=seed, subsystem_dims=(2, 3, 2))
@@ -220,3 +240,8 @@ class TestRandomState:
     def test_bad_kind(self):
         with pytest.raises(UsageError):
             random_state(2, "thermal", seed=0)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_bad_dimension(self, kind):
+        with pytest.raises(UsageError, match="dimension must be >= 1"):
+            random_state(0, kind)

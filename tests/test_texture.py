@@ -352,6 +352,17 @@ class TestValidation:
         with pytest.raises(UsageError):
             OrthonormalBasis(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("unitary", [np.eye(2, 3), np.ones(4), np.ones((1, 1, 1))],
+                             ids=["2x3", "vector", "stack"])
+    def test_basis_must_be_square(self, unitary):
+        with pytest.raises(UsageError, match="must be square"):
+            OrthonormalBasis(unitary)
+
+    @pytest.mark.parametrize("make", [computational_basis, fourier_basis])
+    def test_basis_dimension_must_be_positive(self, make):
+        with pytest.raises(UsageError, match="dimension must be >= 1"):
+            make(0)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308, 1 + 1e-9])
     def test_non_finite_or_huge_basis_entry_rejected(self, entry):
         # nan passed the orthonormality test (resid > tol is false for nan),
