@@ -88,7 +88,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError, warn_caller
-from .states import DensityMatrix, PureState, _cut_matrices
+from .states import DensityMatrix, PureState, _count, _cut_matrices
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
@@ -141,7 +141,8 @@ class ChainSpec:
     g: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+        object.__setattr__(self, "n", _count(self.n, "site count", 2))
+        if self.n % 2 != 0:
             raise UsageError(f"site count must be even and >= 2, got {self.n}")
         if not (math.isfinite(self.h) and math.isfinite(self.g)):
             raise UsageError(f"fields must be finite, got h = {self.h}, g = {self.g}")

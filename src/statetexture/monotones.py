@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .states import (Cut, PureState, density_of, _cut_layout, _cut_matrices,
+from .states import (Cut, PureState, density_of, _count, _cut_layout, _cut_matrices,
                      _normalize_cut)
 from .texture import OrthonormalBasis, _unitary_mapping_uniform_to, texture_in_basis
 
@@ -404,13 +404,14 @@ def sampled_local_texture_bound(psi: PureState, cut: Iterable[int],
     """Minimum texture over sampled product bases of the given cut: an upper
     bound on the entanglement monotone, tight when the Schmidt-aligned
     witness basis is included."""
+    samples = _count(samples, "samples", 0)
     dims = psi.subsystem_dims
     mat = _cut_matrices(psi.amplitudes[None, :], dims, _normalize_cut(dims, cut))[0]
     d_a, d_b = mat.shape
     cut_state = PureState(mat.ravel(), (d_a, d_b))
     rng = np.random.default_rng(seed)
     best = np.inf
-    for _ in range(int(samples)):
+    for _ in range(samples):
         u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
         best = min(best, texture_in_basis(cut_state, OrthonormalBasis(u)).texture)
     if include_witness:

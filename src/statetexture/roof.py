@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UsageError
 from .monotones import Oracle, concurrence_two_qubit, free_state_oracle
-from .states import DensityMatrix, PureState, spectral_decompose
+from .states import DensityMatrix, PureState, _count, spectral_decompose
 
 RANK_CUTOFF = 1e-12
 ARMIJO_SLOPE = 1e-4
@@ -47,16 +47,12 @@ class RoofConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.restarts < 1:
-            raise UsageError(f"restarts must be at least 1, got {self.restarts}")
-        if self.cardinality is not None and self.cardinality < 1:
-            raise UsageError(f"cardinality must be at least 1, got {self.cardinality}")
+        if self.cardinality is not None:
+            object.__setattr__(self, "cardinality", _count(self.cardinality, "cardinality"))
+        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise UsageError(f"tolerance must be finite and non-negative, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise UsageError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +97,7 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
 
     value, w, xi = evaluate(iso)
     step = 1.0
-    for _ in range(int(cfg.max_iterations)):
+    for _ in range(cfg.max_iterations):
         slope = float(np.vdot(xi, xi).real)
         # a huge tolerance squares to inf here, where tolerance ** 2 raises OverflowError
         if slope < cfg.tolerance * cfg.tolerance:
@@ -169,7 +165,7 @@ def convex_roof(rho: DensityMatrix, theory: str,
     best_value = math.inf
     best_branches = None
     best_converged = False
-    for start in range(int(cfg.restarts)):
+    for start in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, start))
         if start == 0:
             iso = np.eye(m, r, dtype=complex)
@@ -202,7 +198,7 @@ def convex_roof(rho: DensityMatrix, theory: str,
     return ConvexRoofResult(
         value=float(best_value),
         decomposition=decomposition,
-        restarts_used=int(cfg.restarts),
+        restarts_used=cfg.restarts,
         converged=best_converged,
         gap_to_oracle=gap,
     )

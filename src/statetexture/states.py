@@ -21,12 +21,20 @@ PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 
 
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer of at least ``minimum``.
+    A bool, a float or a string raises ``UsageError``, as does a smaller value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _as_dims(dim: int, subsystem_dims: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
     if subsystem_dims is None:
         return None
-    dims = tuple(int(k) for k in subsystem_dims)
-    if any(k < 1 for k in dims):
-        raise UsageError(f"subsystem dimensions must be positive, got {dims}")
+    dims = tuple(_count(k, "subsystem dimension") for k in subsystem_dims)
     if math.prod(dims) != dim:  # exact; a numpy product wraps modulo 2^64
         raise UsageError(
             f"product of subsystem dimensions {dims} does not equal the total dimension {dim}"
@@ -250,8 +258,7 @@ def random_state(dim: int, kind: str = "pure", seed: int = 0,
 
     Deterministic for a given ``seed``.
     """
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
+    dim = _count(dim, "dimension")
     rng = np.random.default_rng(seed)
     if kind == "pure":
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidStateError, UsageError, warn_caller
-from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike,
+from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike, _count,
                      spectral_decompose)
 
 BASIS_TOL = 1e-10
@@ -88,16 +88,14 @@ class TextureExtrema:
 
 def computational_basis(d: int) -> OrthonormalBasis:
     """The computational basis of dimension ``d`` (identity unitary)."""
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     return OrthonormalBasis(np.eye(d, dtype=complex))
 
 
 def fourier_basis(d: int) -> OrthonormalBasis:
     """Discrete-Fourier basis: column j holds amplitudes w^(k j)/sqrt(d)
     with w = exp(2 pi i / d)."""
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     k = np.arange(d)
     u = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
     return OrthonormalBasis(u)

@@ -1,17 +1,25 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles used by the test suite; none calls the code it checks.
 
-Everything here is implemented without calling the code paths it checks:
-a hand-rolled Jacobi eigensolver, a Wootters concurrence built from the
-spin-flip spectrum, and a kron-assembled Ising Hamiltonian.
+The Pauli matrices ``SX``, ``SY``, ``SZ``, ``haar_unitary``,
+``wootters_concurrence``, ``entanglement_roof_of_concurrence``,
+``kron_ising_terms`` and the chain's eigenpair ``residual`` are the
+benchmark's, loaded from ``bench/oracles.py``, which imports numpy and scipy
+only.
 """
 
-import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# by path, under its own name: a plain ``import oracles`` finds this file
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sys.modules[_spec.name])
+from bench_oracles import (SX, SY, SZ, entanglement_roof_of_concurrence,  # noqa: E402, F401
+                           haar_unitary, kron_ising_terms, residual, wootters_concurrence)
 
 
 def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):
@@ -43,60 +51,12 @@ def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):
     return np.sort(np.real(np.diag(a)))[::-1]
 
 
-def wootters_concurrence(rho):
-    """Two-qubit concurrence from the spin-flip spectrum."""
-    yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-    m = rho @ yy @ np.conj(rho) @ yy
-    ev = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    roots = np.sqrt(ev)
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-
-
-def entanglement_value_of_concurrence(c):
-    """Convex roof of 1 - lambda_1 for two qubits as a function of the
-    concurrence: f(C) = (1 - sqrt(1 - C^2)) / 2, convex and increasing."""
-    return 0.5 * (1.0 - np.sqrt(max(0.0, 1.0 - c * c)))
-
-
-def _chain_op(ops, n):
-    """Kronecker product with ops[site] on each listed site and the identity
-    elsewhere; site j is bit j of the basis index."""
-    mat = np.array([[1.0]])
-    for j in range(n - 1, -1, -1):
-        mat = np.kron(mat, ops.get(j, np.eye(2)))
-    return mat
-
-
-@functools.lru_cache(maxsize=2)
-def kron_ising_terms(n):
-    """The three real term matrices of the periodic chain, sum sx sx,
-    sum sz and sum sx, assembled from Kronecker products and returned
-    read-only; the last two chain lengths are kept, so a test that sweeps
-    h and g at one n builds them once."""
-    sx, sz = SX.real, SZ.real
-    terms = (sum(_chain_op({j: sx, (j + 1) % n: sx}, n) for j in range(n)),
-             sum(_chain_op({j: sz}, n) for j in range(n)),
-             sum(_chain_op({j: sx}, n) for j in range(n)))
-    for term in terms:
-        term.setflags(write=False)
-    return terms
-
-
 def kron_ising_hamiltonian(n, h, g):
-    """Dense periodic-chain Hamiltonian assembled from Kronecker products:
-    H = -(1/2) sum sx sx - (h/2) sum sz + (g/2) sum sx.
-
-    Site j maps to bit j of the basis index (little-endian), matching the
-    package's amplitude convention.
-    """
+    """Dense periodic-chain Hamiltonian H = -(1/2) sum sx sx - (h/2) sum sz
+    + (g/2) sum sx from the Kronecker terms; site j is bit j of the basis
+    index (little-endian), matching the package's amplitude convention."""
     bonds, z_sum, x_sum = kron_ising_terms(n)
     return -0.5 * bonds - (h / 2.0) * z_sum + (g / 2.0) * x_sum
-
-
-def haar_unitary(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_density(d, rng):

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (entanglement_value_of_concurrence, haar_unitary,
+from oracles import (entanglement_roof_of_concurrence, haar_unitary,
                      random_density, wootters_concurrence)
 from statetexture import (ChainSpec, DensityMatrix, OrthonormalBasis, PureState,
                           RoofConfig, analytic_rugosity, bogoliubov_modes,
@@ -153,7 +153,7 @@ def test_criterion_5_roof_vs_concurrence():
         targets.append(random_state(4, "mixed", seed=5000 + seed,
                                     subsystem_dims=(2, 2)))
     for rho in targets:
-        oracle = entanglement_value_of_concurrence(wootters_concurrence(rho.matrix))
+        oracle = entanglement_roof_of_concurrence(wootters_concurrence(rho.matrix))
         value = convex_roof(rho, "entanglement_bipartite", cfg).value
         assert value >= oracle - 1e-9, "optimizer fell below the exact roof"
         assert value <= oracle + 1e-3, f"optimizer {value} missed oracle {oracle}"

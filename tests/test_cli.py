@@ -820,6 +820,10 @@ def _other_qubit(f):
     return lambda rho: f(DensityMatrix(np.diag([0.6, 0.4]).astype(complex)))
 
 
+def _bound_violated(f):
+    return lambda rho: dataclasses.replace(f(rho), bound_satisfied=False)
+
+
 class TestSelftest:
     def test_passes_and_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "selftest")
@@ -830,19 +834,24 @@ class TestSelftest:
         assert len(lines) == 5 and lines[-1] == "4/4 checks passed"
         assert all(line.startswith("PASS  ") for line in lines[:-1])
 
-    @pytest.mark.parametrize("module, name, corrupt, check", [
+    @pytest.mark.parametrize("module, name, corrupt, check, message", [
         (purity, "spectral_decompose", _other_qubit,
-         "purity: Renyi values and qubit bound equality"),
-        (ising, "analytic_rugosity", _shifted, "ising: analytic vs ED at N=8"),
-        (ising, "pair_observables", _shifted_c_xx, "ising: pair forms agree at N=8"),
-        (ising, "dispersion_ground_energy", _shifted, "ising: ED energy vs dispersion sum at N=8"),
-    ], ids=["purity.spectral_decompose", "ising.analytic_rugosity", "ising.pair_observables",
-            "ising.dispersion_ground_energy"])
-    def test_detects_corruption(self, monkeypatch, capsys, module, name, corrupt, check):
-        # a wrong number on one check's path fails that check and only it
+         "purity: Renyi values and qubit bound equality", ""),
+        (purity, "check_renyi2_bound", _bound_violated,
+         "purity: Renyi values and qubit bound equality", "Renyi-2 bound violated on a qubit state"),
+        (ising, "analytic_rugosity", _shifted, "ising: analytic vs ED at N=8", ""),
+        (ising, "pair_observables", _shifted_c_xx, "ising: pair forms agree at N=8", ""),
+        (ising, "dispersion_ground_energy", _shifted,
+         "ising: ED energy vs dispersion sum at N=8", ""),
+    ], ids=["purity.spectral_decompose", "purity.check_renyi2_bound", "ising.analytic_rugosity",
+            "ising.pair_observables", "ising.dispersion_ground_energy"])
+    def test_detects_corruption(self, monkeypatch, capsys, module, name, corrupt, check, message):
+        # a wrong number on one check's path fails that check and only it;
+        # where the check has a message of its own, the line ends with it
         monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(fails) == 1 and fails[0].startswith(f"FAIL  {check}: ")
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL  {check}: {message}")
+        assert not message or fails[0] == f"FAIL  {check}: {message}"
         assert out.splitlines()[-1] == "3/4 checks passed"

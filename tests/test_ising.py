@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as strat
 
 import statetexture
 import statetexture.ising as ising
-from oracles import kron_ising_hamiltonian, kron_ising_terms
+from oracles import kron_ising_hamiltonian, kron_ising_terms, residual
 from statetexture import (ChainSpec, ConvergenceError, PureState, ResourceLimitError, UsageError,
                           analytic_rugosity, bogoliubov_modes,
                           computational_basis, dispersion_ground_energy,
@@ -739,17 +739,6 @@ class TestEdGroundState:
             assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
             assert (a.energy, a.gap) == (b.energy, b.gap)
 
-
-def _flip_matvec(psi, n, h, g):
-    """Full-space chain Hamiltonian applied through bit flips of the basis index."""
-    idx = np.arange(1 << n)
-    out = np.zeros_like(psi)
-    for j in range(n):
-        out -= 0.5 * psi[idx ^ ((1 << j) | (1 << ((j + 1) % n)))]
-        out -= (h / 2.0) * (1.0 - 2.0 * ((idx >> j) & 1)) * psi
-        out += (g / 2.0) * psi[idx ^ (1 << j)]
-    return out
-
     def test_lanczos_non_convergence_is_convergence_error(self, monkeypatch):
         import scipy.sparse.linalg as sparse_linalg
 
@@ -797,7 +786,7 @@ class TestSymmetrySector:
             res = ed_ground(ChainSpec(n, h, g))
             psi = res.state.amplitudes.real
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-            assert np.linalg.norm(_flip_matvec(psi, n, h, g) - res.energy * psi) <= 1e-8
+            assert residual(psi, res.energy, n, h, g) <= 1e-8
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_quasi_degenerate_lanczos_sector_is_even(self, n):
@@ -859,8 +848,7 @@ class TestDenseSolve:
         assert abs(res.gap - (evals[1] - evals[0])) <= 1e-12
         assert res.degenerate == (abs(g) < 1e-100)
         psi = res.state.amplitudes.real
-        residual = np.linalg.norm(_flip_matvec(psi, 12, 0.2, g) - res.energy * psi)
-        assert residual <= 1e-12 * max(1.0, abs(res.energy))
+        assert residual(psi, res.energy, 12, 0.2, g) <= 1e-12 * max(1.0, abs(res.energy))
         if not res.degenerate:
             want = (evecs[:, 0] / np.sqrt(table.size))[table.orbit]
             assert abs(want @ psi) > 1.0 - 1e-9
@@ -874,8 +862,8 @@ class TestDenseSolve:
                 spec = ChainSpec(10, float(h), float(g))
                 ham, table, parity = _sector_matrix(spec, "all" if g else "even")
                 evals, vec = ising._lowest(spec, table, 1, 1.0, parity)
-                residual = np.linalg.norm(ham @ vec - evals[0] * vec)
-                assert residual <= 1e-13 * max(1.0, abs(evals[0])), (h, g)
+                resid = np.linalg.norm(ham @ vec - evals[0] * vec)
+                assert resid <= 1e-13 * max(1.0, abs(evals[0])), (h, g)
 
     @pytest.mark.parametrize("n", range(2, 16, 2))
     def test_parity_matrices_are_blocks_of_the_all_orbit_matrix(self, n):

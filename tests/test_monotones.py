@@ -63,6 +63,33 @@ class TestCoherence:
             val = coherence_monotone(random_state(d, "pure", seed=seed)).value
             assert -1e-15 <= val <= 1.0 - 1.0 / d + 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(2, 6), strat.integers(2, 4), strat.integers(0, 2 ** 32 - 1))
+    def test_not_increased_by_incoherent_operations_on_average(self, d, branches, seed):
+        # strictly incoherent Kraus operators K_i = P_i D_i, a permutation
+        # times a diagonal with sum_i |D_i|^2 = I: the branch average of the
+        # monotone over the outcomes cannot exceed its value before
+        rng = np.random.default_rng(seed)
+        amp = haar_ket(d, rng)
+        weights = rng.random((branches, d))
+        phases = np.exp(2j * np.pi * rng.random((branches, d)))
+        diagonals = np.sqrt(weights / weights.sum(axis=0)) * phases
+        average = 0.0
+        for diagonal in diagonals:
+            branch = (diagonal * amp)[rng.permutation(d)]
+            p = np.vdot(branch, branch).real
+            average += p * coherence_monotone(PureState(branch / math.sqrt(p))).value
+        assert average <= coherence_monotone(PureState(amp)).value + 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_raised_by_the_fourier_unitary(self, d):
+        # negative control: the Fourier unitary is not incoherent, and takes
+        # |0>, where the monotone is 0, to the uniform ket, where it is 1 - 1/d
+        zero = np.eye(d)[:, 0]
+        assert coherence_monotone(PureState(zero)).value == 0.0
+        moved = coherence_monotone(PureState(fourier_basis(d).unitary @ zero)).value
+        assert abs(moved - (1.0 - 1.0 / d)) < 1e-12
+
 
 class TestNonstabilizerness:
     def test_stabilizer_states_free(self):

@@ -93,3 +93,11 @@ class TestImportGraph:
         loaded = _loaded_after(f"from statetexture.cli import main\nassert main({argv!r}) == 0")
         assert {f"statetexture.{m}" for m in used} <= loaded
         assert not loaded & {f"statetexture.{m}" for m in unused}
+
+    def test_oracles_load_without_the_package(self):
+        # the suite's oracles, those it shares with the benchmark among them,
+        # must not compute a value through the code they check
+        tests = os.path.dirname(os.path.abspath(__file__))
+        code = (f"import sys\nsys.path.insert(0, {tests!r})\nimport oracles\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'statetexture'))")
+        assert _python(code).strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from oracles import (SX, SY, SZ, entanglement_value_of_concurrence, random_density,
+from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, random_density,
                      wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
                           convex_roof, pure_state_monotone, random_state, roof)
@@ -35,7 +35,7 @@ class TestExamples:
     @pytest.mark.parametrize("p", [0.6, 0.8, 1.0])
     def test_werner_matches_concurrence_oracle(self, p):
         rho = werner(p)
-        oracle = entanglement_value_of_concurrence(wootters_concurrence(rho.matrix))
+        oracle = entanglement_roof_of_concurrence(wootters_concurrence(rho.matrix))
         res = convex_roof(rho, "entanglement_bipartite", FAST)
         assert res.value >= oracle - 1e-9
         assert res.value <= oracle + 1e-3
@@ -205,7 +205,7 @@ class TestOctahedron:
 def pure_entanglement(amplitudes):
     """1 - lambda_1 of a two-qubit pure state from its concurrence 2|ad - bc|."""
     a, b, c, d = amplitudes
-    return entanglement_value_of_concurrence(min(1.0, 2.0 * abs(a * d - b * c)))
+    return entanglement_roof_of_concurrence(min(1.0, 2.0 * abs(a * d - b * c)))
 
 
 class TestProperties:
@@ -215,7 +215,7 @@ class TestProperties:
         mat = random_density(4, np.random.default_rng(seed))
         rho = DensityMatrix(mat, (2, 2))
         res = convex_roof(rho, "entanglement_bipartite", FAST)
-        oracle = entanglement_value_of_concurrence(wootters_concurrence(mat))
+        oracle = entanglement_roof_of_concurrence(wootters_concurrence(mat))
         assert oracle - 1e-9 <= res.value <= oracle + 1e-3
         rebuilt = sum(p * np.outer(s.amplitudes, s.amplitudes.conj())
                       for p, s in res.decomposition)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import jacobi_eigenvalues, random_density
-from statetexture import (DensityMatrix, InvalidStateError, PureState,
-                          UsageError, partial_trace, random_state,
-                          schmidt_decompose, spectral_decompose)
+from statetexture import (ChainSpec, DensityMatrix, InvalidStateError, PureState, RoofConfig,
+                          UsageError, computational_basis, fourier_basis, partial_trace,
+                          random_state, sampled_local_texture_bound, schmidt_decompose,
+                          spectral_decompose)
 
 
 class TestInvariants:
@@ -38,7 +39,7 @@ class TestInvariants:
             PureState(np.eye(4)[0], (2, 3))
 
     @pytest.mark.parametrize("make, error, message", [
-        (lambda: PureState(np.eye(4)[0], (-2, -2)), UsageError, "must be positive"),
+        (lambda: PureState(np.eye(4)[0], (-2, -2)), UsageError, "must be >= 1"),
         (lambda: PureState([]), InvalidStateError, "at least one amplitude"),
         (lambda: PureState([math.inf, 0.0]), InvalidStateError, "non-finite"),
         (lambda: DensityMatrix(np.eye(2, 3) / 2), InvalidStateError, "must be square"),
@@ -245,3 +246,33 @@ class TestRandomState:
     def test_bad_dimension(self, kind):
         with pytest.raises(UsageError, match="dimension must be >= 1"):
             random_state(0, kind)
+
+
+_BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2))
+
+# each entry point that takes a count: a call on one value, and that count's minimum
+COUNT_ARGUMENTS = {
+    "ChainSpec.n": (lambda k: ChainSpec(k, 0.5), 2),
+    "RoofConfig.cardinality": (lambda k: RoofConfig(cardinality=k), 1),
+    "RoofConfig.restarts": (lambda k: RoofConfig(restarts=k), 1),
+    "RoofConfig.max_iterations": (lambda k: RoofConfig(max_iterations=k), 1),
+    "RoofConfig.seed": (lambda k: RoofConfig(seed=k), 0),
+    "random_state": (random_state, 1),
+    "computational_basis": (computational_basis, 1),
+    "fourier_basis": (fourier_basis, 1),
+    "PureState.subsystem_dims": (lambda k: PureState(np.eye(4)[0], (k,)), 1),
+    "sampled_local_texture_bound": (
+        lambda k: sampled_local_texture_bound(_BELL, [0], samples=k), 0),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_are_integers_at_least_their_minimum(name):
+    call, minimum = COUNT_ARGUMENTS[name]
+    for value in (4.0, True, "4"):
+        with pytest.raises(UsageError, match="must be an integer, got"):
+            call(value)
+    with pytest.raises(UsageError, match=f"must be >= {minimum}, got {minimum - 2}"):
+        call(minimum - 2)
+    for value in (4, np.int64(4), np.int32(4), np.uint8(4)):
+        call(value)
