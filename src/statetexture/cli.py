@@ -253,8 +253,7 @@ def _cmd_ising_scan(args) -> list:
     if args.emit_plot:
         xlabel = "transverse field h" if args.axis == "h" else "longitudinal field g"
         with open(args.emit_plot, "w") as handle:
-            handle.write(_PLOT_TEMPLATE.format(csv=str(args.out),
-                                               xlabel=xlabel))
+            handle.write(_PLOT_TEMPLATE.format(csv=str(args.out), xlabel=xlabel))
     return [("axis", grid.axis), ("n", grid.n_sites), ("points", grid.points.size),
             ("observable", grid.observable), ("method", grid.method),
             ("kink_estimate", grid.kink_estimate), ("out", args.out or "-")]
@@ -273,6 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("human", "structured"), default="human")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True)
     chain = argparse.ArgumentParser(add_help=False)
     chain.add_argument("--n", type=int, required=True)
     chain.add_argument("--method", choices=("analytic", "ed"))
@@ -284,26 +285,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, writes=writes)
         return p
 
-    p = command("texture", _cmd_texture, "texture report of a state in a basis")
-    p.add_argument("--state", required=True)
+    p = command("texture", _cmd_texture, "texture report of a state in a basis",
+                parents=[state])
     p.add_argument("--basis", default="computational",
                    help="computational, fourier, or a unitary file path")
 
-    p = command("texture-extrema", _cmd_texture_extrema, "extremal textures over all bases")
-    p.add_argument("--state", required=True)
+    command("texture-extrema", _cmd_texture_extrema, "extremal textures over all bases",
+            parents=[state])
 
-    p = command("purity", _cmd_purity, "texture purity and Renyi purities")
-    p.add_argument("--state", required=True)
+    p = command("purity", _cmd_purity, "texture purity and Renyi purities", parents=[state])
     p.add_argument("--alpha", default="2", help="comma list of Renyi orders")
 
-    p = command("monotone", _cmd_monotone, "closed-form pure-state monotones")
-    p.add_argument("theory", choices=sorted(_THEORY_BY_FLAG))
-    p.add_argument("--state", required=True)
+    # a parent, so that the positional stays ahead of --state in usage errors
+    theory = argparse.ArgumentParser(add_help=False)
+    theory.add_argument("theory", choices=sorted(_THEORY_BY_FLAG))
+    p = command("monotone", _cmd_monotone, "closed-form pure-state monotones",
+                parents=[theory, state])
     p.add_argument("--cut", help="bipartition such as 0,1:2,3")
 
     p = command("convexroof", _cmd_convexroof, "convex-roof upper bound for mixed states",
-                writes=("dump_decomposition",))
-    p.add_argument("--state", required=True)
+                parents=[state], writes=("dump_decomposition",))
     p.add_argument("--theory", choices=sorted(_THEORY_BY_FLAG), required=True)
     p.add_argument("--cut", help="bipartition such as 0:1")
     for flag, kind in (("--restarts", int), ("--cardinality", int), ("--tolerance", float),

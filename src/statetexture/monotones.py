@@ -108,7 +108,6 @@ class _Bipartitions(Sequence):
         return cut
 
 
-@functools.lru_cache(maxsize=64)
 def _digits(side: Tuple[int, ...]) -> np.ndarray:
     """Every multi-index of subsystems with dimensions ``side``, row-major,
     one per column."""
@@ -349,7 +348,7 @@ def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult
         witness = {"axis": "zxy"[choice // 2], "magnetization": sign * (2.0 * overlap - 1.0)}
     else:
         witness = {"cut": cuts[choice], "largest_schmidt": overlap}
-    return MonotoneResult(theory, 1.0 - overlap, witness)
+    return MonotoneResult(theory, max(1.0 - overlap, 0.0), witness)
 
 
 def coherence_monotone(psi: PureState) -> MonotoneResult:
@@ -421,31 +420,11 @@ def sampled_local_texture_bound(psi: PureState, cut: Iterable[int],
 
 
 def single_qubit_clifford_group() -> List[np.ndarray]:
-    """The 24 single-qubit Clifford unitaries (modulo global phase),
-    generated by closure of the Hadamard and phase gates."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    s = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
-
-    def canon(u: np.ndarray) -> Tuple:
-        flat = u.ravel()
-        k = np.argmax(np.abs(flat) > 1e-9)
-        u = u * (np.conj(flat[k]) / abs(flat[k]))
-        return tuple(np.round(u.ravel(), 9))
-
-    group: Dict[Tuple, np.ndarray] = {}
-    frontier = [np.eye(2, dtype=complex)]
-    group[canon(frontier[0])] = frontier[0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (h, s):
-                v = g @ u
-                key = canon(v)
-                if key not in group:
-                    group[key] = v
-                    nxt.append(v)
-        frontier = nxt
-    return list(group.values())
+    """The 24 single-qubit Clifford unitaries (modulo global phase): each
+    ``head @ S^k`` for k = 0..3, where S = diag(1, i) and ``head``'s columns
+    are a stabilizer ket and its antipode (I, X, H, HX, SH and SHX)."""
+    return [np.stack([STABILIZER_KETS[j], 1j ** k * STABILIZER_KETS[j ^ 1]], axis=1)
+            for j in range(6) for k in range(4)]
 
 
 def concurrence_two_qubit(state) -> float:

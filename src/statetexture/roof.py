@@ -189,6 +189,7 @@ def convex_roof(rho: DensityMatrix, theory: str,
     total_p = sum(p for p, _ in decomposition)
     decomposition = [(p / total_p, state) for p, state in decomposition]
 
+    best_value = max(best_value, 0.0)  # a roof of zero can round below it
     gap = None
     if theory == "entanglement_bipartite" and rho.dim == 4 and tuple(dims) == (2, 2):
         c = concurrence_two_qubit(rho)

@@ -244,10 +244,7 @@ def schmidt_decompose(psi: PureState, cut: Iterable[int]) -> SchmidtData:
     """
     cut = _normalize_cut(psi.subsystem_dims, cut)
     mat = _cut_matrices(psi.amplitudes[None, :], psi.subsystem_dims, cut)[0]
-    s = np.linalg.svd(mat, compute_uv=False)
-    lam = np.zeros(min(mat.shape))
-    lam[: s.size] = s ** 2
-    lam = np.sort(lam)[::-1]
+    lam = np.linalg.svd(mat, compute_uv=False) ** 2
     lam /= lam.sum()
     return SchmidtData(cut, lam)
 

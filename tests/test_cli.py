@@ -250,6 +250,15 @@ class TestConvexRoofCommand:
         doc = json.loads(dump.read_text())
         assert abs(sum(doc["probabilities"]) - 1.0) < 1e-10
 
+    def test_product_state_prints_zero(self, capsys, tmp_path):
+        # a roof that rounds below 0 (-4.4e-16 here) prints as 0
+        path = tmp_path / "product.state"
+        save_state(path, PureState(np.eye(4)[0], (2, 2)))
+        code, out, _ = run(capsys, "convexroof", "--state", str(path), "--theory", "entangle",
+                           "--format", "structured")
+        assert code == 0
+        fields = parse_structured(out)
+        assert (fields["value"], fields["gap_to_oracle"]) == ("0", "0")
 
     @pytest.mark.parametrize("flags", [
         ("--restarts", "0"),

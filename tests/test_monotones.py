@@ -91,6 +91,18 @@ class TestCoherence:
         assert abs(moved - (1.0 - 1.0 / d)) < 1e-12
 
 
+@pytest.mark.parametrize("theory,dims", [
+    ("coherence", None), ("nonstabilizerness", None),
+    ("entanglement_bipartite", (2, 2)), ("gme", (2, 2)),
+])
+def test_free_state_above_unit_norm_is_zero(theory, dims):
+    # a norm of 1 + 4e-13 is within NORM_TOL, and its overlap 1 + 8e-13
+    # with the free state is above 1
+    amp = np.zeros(2 if dims is None else math.prod(dims))
+    amp[0] = 1 + 4e-13
+    assert pure_state_monotone(PureState(amp, dims), theory).value == 0.0
+
+
 class TestNonstabilizerness:
     def test_stabilizer_states_free(self):
         for amp in STABILIZER_QUBITS:
@@ -129,6 +141,19 @@ class TestNonstabilizerness:
         assert len(group) == 24
         for u in group:
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+        def index(v):
+            """The elements equal to ``v`` up to a global phase."""
+            return [k for k, u in enumerate(group) if abs(abs(np.vdot(u, v)) - 2.0) < 1e-12]
+
+        # 24 distinct elements closed under products, each preserving the
+        # stabilizer kets: the whole Clifford group modulo phase
+        assert [index(u) for u in group] == [[k] for k in range(24)]
+        for u, v in itertools.product(group, repeat=2):
+            assert len(index(u @ v)) == 1
+        for u in group:
+            for ket in STABILIZER_QUBITS:
+                assert max(abs(np.vdot(s, u @ ket)) for s in STABILIZER_QUBITS) > 1 - 1e-12
 
 
 class TestEntanglement:

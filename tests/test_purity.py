@@ -246,6 +246,14 @@ class TestRenyi2Bound:
         if rho.dim == 2:
             assert abs(report.renyi_purities[2.0] - rhs) < 1e-14
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.5])
+    def test_bound_fails_below_order_two(self, alpha):
+        # negative control: P_alpha < P_2 for a mixed qubit, so the bound of
+        # test_bound_holds_on_random_states is restricted to alpha >= 2
+        report = check_renyi2_bound(DensityMatrix(np.diag([0.7, 0.3]).astype(complex)),
+                                    (alpha,))
+        assert report.renyi_purities[alpha] < report.renyi2_bound_rhs - BOUND_SLACK
+
     def test_qubit_equality_on_random_states(self):
         rng = np.random.default_rng(14)
         for seed in range(50):

@@ -174,6 +174,14 @@ class TestOtherTheories:
                           RoofConfig(cardinality=4, restarts=4, seed=3))
         assert res.value < 1e-6
 
+    @pytest.mark.parametrize("theory", ["entanglement_bipartite", "gme", "coherence"])
+    def test_product_projector_roof_is_zero(self, theory):
+        # the optimizer's weighted sum can round below 0 (-4.4e-16 here)
+        res = convex_roof(PureState(np.eye(4)[0], (2, 2)).projector(), theory)
+        assert res.value == 0.0
+        if theory == "entanglement_bipartite":
+            assert res.gap_to_oracle == 0.0
+
     def test_gme_roof_on_pure_ghz(self, ghz3):
         res = convex_roof(ghz3.projector(), "gme",
                           RoofConfig(cardinality=2, restarts=1, seed=4))
