@@ -103,7 +103,7 @@ def _cmd_texture_extrema(args) -> list:
 
 def _cmd_purity(args) -> list:
     from . import purity, stateio
-    state = density_of(stateio.load_state(args.state))
+    state = stateio.load_state(args.state)
     try:
         alphas = [float(tok) for tok in args.alpha.split(",") if tok != ""]
     except ValueError as exc:

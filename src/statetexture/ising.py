@@ -55,10 +55,12 @@ symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
 g = 0 (see :func:`ed_ground`).  A sector of up to ``MAX_DENSE_SECTOR``
 orbits gets its eigenvalues from ``eigvalsh`` and its ground vector from
-one inverse-iteration solve; larger ones are solved by Lanczos.  One cached
-table per chain length holds the orbits and the rows of the matrix over
-all orbits, from which every sector matrix is formed; a point only forms
-the matrix values of its fields.
+one inverse-iteration solve; larger ones are solved by the module's own
+Lanczos with full reorthogonalization (see :func:`_lanczos`), on the
+sector matrix as a ``scipy.sparse`` CSR array, the one part of scipy the
+package loads.  One cached table per chain length holds the orbits and the
+rows of the matrix over all orbits, from which every sector matrix is
+formed; a point only forms the matrix values of its fields.
 
 Every cached table is read-only and held in one least-recently-used store,
 keyed by builder and size and bounded in bytes by ``_TABLE_BUDGET`` =
@@ -92,8 +94,8 @@ from .states import DensityMatrix, PureState, _count, _cut_matrices
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
-# at 224 orbits the dense solve (eigvalsh and one linear solve) took 5.7 ms,
-# a full eigh 9.2 ms and Lanczos 4.3 ms (2-core machine, one BLAS thread);
+# at 224 orbits the dense solve (eigvalsh and one linear solve) took 5.4 ms,
+# a full eigh 7.8 ms and _lanczos 4.2 ms (2-core machine, one BLAS thread);
 # 256 keeps every sector of n <= 12 dense, so those solves never import
 # scipy, and sends every sector of n >= 14 to Lanczos
 MAX_DENSE_SECTOR = 256
@@ -113,6 +115,13 @@ _MODE_BLOCK = 16384
 # the point-by-point scan, against 0-0.2 MB at this size (2-core VM)
 _ROW_BLOCK = _MODE_BLOCK // 2
 DEGENERACY_GAP = 1e-8
+# Lanczos (see _lanczos): the Ritz residual tolerance relative to ||T||, the
+# cap on the Krylov dimension, and the decades per step by which a failed
+# Ritz check extrapolates the residuals to place the next one
+LANCZOS_TOL = 1e-13
+MAX_LANCZOS_STEPS = 300
+_RITZ_DECADES = 0.4
+_SQRT_HALF = math.sqrt(0.5)
 _UNSCALED_FIELD = 2.0 ** 256  # see _field_scale
 
 _I2 = np.eye(2)
@@ -813,6 +822,76 @@ def _ground_vector(ham: np.ndarray, evals: np.ndarray, start: np.ndarray) -> np.
     return vec / np.linalg.norm(vec)
 
 
+def _lanczos(ham, k: int, start: np.ndarray, vector: bool
+             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The k lowest eigenvalues and, if ``vector``, the lowest eigenvector
+    (None otherwise) of a symmetric sparse matrix, by Lanczos with full
+    reorthogonalization from ``start``.
+
+    Each step takes the three-term recurrence, then reorthogonalizes the new
+    vector against the whole basis by classical Gram-Schmidt, with a second
+    pass (DGKS) only where the first cancels more than 1/sqrt(2) of its
+    norm.  The solve stops once the k lowest Ritz residuals beta_j |s_ji|
+    are at most ``LANCZOS_TOL`` times ||T|| = max |theta|, and forms the
+    Ritz vector then, once.  The tridiagonal matrix T is diagonalized as
+    soon as the basis holds k vectors, then log10(r) / ``_RITZ_DECADES``
+    steps (at least one) after each check that failed by the factor r; the
+    residuals rarely fall faster than that over a skipped stretch, and over
+    84 sector solves at 14 and 16 sites the solve stopped at most one step
+    later than a check at every step would have.  Where the Krylov space
+    turns invariant to rounding, T is diagonalized at once.
+
+    The basis is filled in place in one array of at most
+    ``MAX_LANCZOS_STEPS`` rows, and never more than the m rows of the
+    matrix.  Its pages are touched only as the steps fill it, so a solve of
+    j steps holds 8 j m bytes of basis, at most 8 MAX_LANCZOS_STEPS m:
+    65 MB for the 27 012 orbits of the g != 0 sector of ``MAX_ED_SITES``.
+    A solve that has not converged within that many steps raises
+    ``ConvergenceError``.
+    """
+    m = start.size
+    steps = min(MAX_LANCZOS_STEPS, m)
+    basis = np.empty((steps, m))
+    np.divide(start, np.linalg.norm(start), out=basis[0])
+    # T's lower triangle: alpha on the diagonal, beta below it
+    tri = np.zeros((steps + 1, steps))
+    beta = largest = 0.0
+    check = k - 1
+    for j in range(steps):
+        w = ham @ basis[j]
+        if j:
+            w -= beta * basis[j - 1]
+        alpha = basis[j] @ w
+        w -= alpha * basis[j]
+        head = basis[:j + 1]
+        before = np.linalg.norm(w)
+        c = head @ w
+        w -= c @ head
+        beta = np.linalg.norm(w)
+        if beta < before * _SQRT_HALF:
+            d = head @ w
+            w -= d @ head
+            c += d
+            beta = np.linalg.norm(w)
+        alpha += c[j]
+        tri[j, j], tri[j + 1, j] = alpha, beta
+        # max |alpha| <= ||T||: below half the tolerance of it, beta leaves
+        # every Ritz residual converged, and w is rounding noise
+        largest = max(largest, abs(alpha))
+        invariant = beta <= 0.5 * LANCZOS_TOL * largest
+        if j >= check or (invariant and j + 1 >= k):
+            theta, s = np.linalg.eigh(tri[:j + 1, :j + 1])
+            excess = beta * np.max(np.abs(s[-1, :k])) / (LANCZOS_TOL * max(-theta[0], theta[-1]))
+            if excess <= 1.0:
+                return theta[:k], (s[:, 0] @ head if vector else None)
+            check = j + max(1, int(math.log10(excess) / _RITZ_DECADES))
+        if invariant or j + 1 == steps:
+            break
+        np.divide(w, beta, out=basis[j + 1])
+    raise ConvergenceError(f"Lanczos did not converge to {k} eigenpairs in {j + 1} steps "
+                           f"on a sector of {m} orbits")
+
+
 def _lowest(spec: ChainSpec, table: _ChainTable, k: int, scale: float,
             parity: Optional[int] = None, vector: bool = True
             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -825,7 +904,8 @@ def _lowest(spec: ChainSpec, table: _ChainTable, k: int, scale: float,
     the orbit basis up to the gauge (-1)^popcount at g > 0 (see
     :func:`ed_ground`); its overlap with the ground vector is then at least
     1/sqrt(m), where a random start can be orthogonal to it.  A CSR matrix
-    is solved by Lanczos (ARPACK ``eigsh``) from a start vector seeded by n.
+    is solved by :func:`_lanczos` from a normal start vector seeded by n,
+    to Ritz residuals of at most ``LANCZOS_TOL`` ||T||.
     """
     ham = _sector_hamiltonian(spec, table, scale, parity)
     if isinstance(ham, np.ndarray):
@@ -837,22 +917,8 @@ def _lowest(spec: ChainSpec, table: _ChainTable, k: int, scale: float,
             # at g != 0 the rows are those of all orbits
             start[table.odd] = -1.0
         return evals[:k], _ground_vector(ham, evals, start)
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    m = ham.shape[0]
-    start = np.random.default_rng(0x1517 + spec.n).standard_normal(m)
-    try:
-        found = eigsh(ham, k=k, which="SA", v0=start, tol=0, maxiter=100 * m,
-                      return_eigenvectors=vector)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"Lanczos failed to converge for {spec}: "
-            f"{len(exc.eigenvalues)} of {k} eigenpairs found"
-        ) from exc
-    if not vector:
-        return np.sort(found), None
-    evals, evecs = found
-    order = np.argsort(evals)
-    return evals[order], evecs[:, order[0]]
+    start = np.random.default_rng(0x1517 + spec.n).standard_normal(ham.shape[0])
+    return _lanczos(ham, k, start, vector)
 
 
 def ed_ground(spec: ChainSpec) -> EDGroundState:
@@ -872,7 +938,10 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     A sector of up to ``MAX_DENSE_SECTOR`` orbits (every sector of n <= 12)
     is solved densely: ``eigvalsh`` gives the reported eigenvalues and one
     inverse-iteration solve the ground vector, as only one vector is
-    reported.  Larger sectors are solved by Lanczos, which loads scipy.
+    reported.  Larger sectors are solved by Lanczos with full
+    reorthogonalization (see :func:`_lanczos`) on a CSR matrix, which loads
+    ``scipy.sparse`` and no other part of scipy; a solve that does not
+    converge within ``MAX_LANCZOS_STEPS`` steps raises ``ConvergenceError``.
     The orbits and the matrix rows of a chain length are one cached table
     (see :func:`_chain_table`), from whose rows a point forms its sector
     matrix with the values for its h and g.

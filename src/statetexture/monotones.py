@@ -339,7 +339,9 @@ def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult
     dims = psi.subsystem_dims if psi.subsystem_dims is not None else (psi.dim,)
     nearest, cuts = free_state_oracle(theory, dims, cut)
     overlap, _, choice = nearest(psi.amplitudes[None, :])
-    overlap, choice = float(overlap[0]), int(choice[0])
+    # clamped, as a state within NORM_TOL of unit norm can overlap a free
+    # state by up to 1 + 2 NORM_TOL, and every witness is bounded by 1
+    overlap, choice = min(max(float(overlap[0]), 0.0), 1.0), int(choice[0])
     if theory == "coherence":
         witness = {"index": choice, "probability": overlap}
     elif theory == "nonstabilizerness":
@@ -348,7 +350,7 @@ def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult
         witness = {"axis": "zxy"[choice // 2], "magnetization": sign * (2.0 * overlap - 1.0)}
     else:
         witness = {"cut": cuts[choice], "largest_schmidt": overlap}
-    return MonotoneResult(theory, max(1.0 - overlap, 0.0), witness)
+    return MonotoneResult(theory, 1.0 - overlap, witness)
 
 
 def coherence_monotone(psi: PureState) -> MonotoneResult:

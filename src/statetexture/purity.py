@@ -2,7 +2,9 @@
 
 The texture purity is ``d * (largest - smallest eigenvalue)``: zero exactly
 on the maximally mixed state, ``d`` on pure states, non-increasing under
-unital channels.  Renyi purities are reported in bits.
+unital channels.  Renyi purities are reported in bits.  Every quantity
+takes a density matrix or a pure state, whose spectrum is known without a
+decomposition (see :func:`_spectrum`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .states import DensityMatrix, spectral_decompose
+from .states import PureState, StateLike, spectral_decompose
 
 RANK_TOL = 1e-10
 BOUND_SLACK = 1e-10
@@ -27,6 +29,17 @@ class PurityReport:
     renyi2_bound_rhs: float
     bound_satisfied: bool
     single_shot_cost: Optional[int]
+
+
+def _spectrum(state: StateLike) -> np.ndarray:
+    """The descending spectrum of a state.  A pure state stands for its
+    projector |psi><psi| / <psi|psi> (see :meth:`PureState.projector`), whose
+    spectrum is 1, then d - 1 zeros; no projector is formed or decomposed."""
+    if isinstance(state, PureState):
+        lam = np.zeros(state.dim)
+        lam[0] = 1.0
+        return lam
+    return spectral_decompose(state).eigenvalues
 
 
 def _texture_purity(lam: np.ndarray) -> float:
@@ -81,29 +94,29 @@ def _single_shot_cost(lam: np.ndarray) -> Optional[int]:
     return int(math.ceil(math.log2(_texture_purity(lam)) - 1e-12))
 
 
-def texture_purity(rho: DensityMatrix) -> float:
+def texture_purity(rho: StateLike) -> float:
     """``d * (lambda_max - lambda_min)`` of the state's spectrum."""
-    return _texture_purity(spectral_decompose(rho).eigenvalues)
+    return _texture_purity(_spectrum(rho))
 
 
-def renyi_purity(rho: DensityMatrix, alpha: float) -> float:
+def renyi_purity(rho: StateLike, alpha: float) -> float:
     """Renyi purity ``log2(d) - S_alpha`` in bits, for ``alpha`` in
     (0, inf); ``alpha = 1`` gives the von Neumann limit ``log2(d) - S``."""
-    return _renyi_purities(spectral_decompose(rho).eigenvalues, (alpha,))[0]
+    return _renyi_purities(_spectrum(rho), (alpha,))[0]
 
 
-def single_shot_cost(rho: DensityMatrix) -> Optional[int]:
+def single_shot_cost(rho: StateLike) -> Optional[int]:
     """``ceil(log2 P)`` for non-full-rank states (smallest eigenvalue at or
     below the rank tolerance 1e-10); ``None`` for full-rank states."""
-    return _single_shot_cost(spectral_decompose(rho).eigenvalues)
+    return _single_shot_cost(_spectrum(rho))
 
 
-def check_renyi2_bound(rho: DensityMatrix,
+def check_renyi2_bound(rho: StateLike,
                        alphas: Sequence[float] = (2.0,)) -> PurityReport:
     """Evaluate the Renyi-2 purity against its texture-purity lower bound
     ``log2[1 + P^2 / (2d)]``; the two coincide for qubits.  One spectrum
     serves every quantity."""
-    lam = spectral_decompose(rho).eigenvalues
+    lam = _spectrum(rho)
     p = _texture_purity(lam)
     rhs = math.log2(1.0 + p * p / (2.0 * rho.dim))
     alphas = [float(a) for a in alphas]

@@ -42,12 +42,15 @@ class OrthonormalBasis:
         top = np.max(np.abs(u))
         if not top <= 1.0 + BASIS_TOL:
             raise UsageError(f"basis columns are not orthonormal: entry of modulus {top:.3e}")
-        resid = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+        d = u.shape[0]
+        # U^dag U - 1, with the 1 taken from its diagonal in place
+        gram = u.conj().T @ u
+        gram.reshape(-1)[::d + 1] -= 1.0
+        resid = np.max(np.abs(gram))
         if not resid <= BASIS_TOL:
             raise UsageError(f"basis columns are not orthonormal: residual {resid:.3e}")
         object.__setattr__(self, "unitary", u)
         u.setflags(write=False)
-        d = u.shape[0]
         ket = u @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
         ket.setflags(write=False)
         object.__setattr__(self, "_uniform_ket", ket)

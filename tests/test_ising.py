@@ -739,17 +739,14 @@ class TestEdGroundState:
             assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
             assert (a.energy, a.gap) == (b.energy, b.gap)
 
-    def test_lanczos_non_convergence_is_convergence_error(self, monkeypatch):
-        import scipy.sparse.linalg as sparse_linalg
-
-        def fail(ham, k, **options):
-            raise sparse_linalg.ArpackNoConvergence("ARPACK error -1", np.zeros(1),
-                                                    np.zeros((ham.shape[0], 1)))
-
-        monkeypatch.setattr(sparse_linalg, "eigsh", fail)
-        monkeypatch.setattr(ising, "MAX_DENSE_SECTOR", 0)
-        with pytest.raises(ConvergenceError, match="1 of 2 eigenpairs found"):
-            ed_ground(ChainSpec(8, 0.5, 0.1))
+    def test_lanczos_non_convergence_is_convergence_error(self, monkeypatch, capsys):
+        from statetexture.cli import main
+        monkeypatch.setattr(ising, "MAX_LANCZOS_STEPS", 8)
+        with pytest.raises(ConvergenceError, match="did not converge to 2 eigenpairs in 8 steps"):
+            ed_ground(ChainSpec(14, 0.5, 0.1))
+        argv = ["ising", "point", "--n", "14", "--h", "0.5", "--g", "0.1", "--method", "ed"]
+        assert main(argv) == 1
+        assert "Lanczos" in capsys.readouterr().err
 
 
 class TestSymmetrySector:
@@ -795,6 +792,47 @@ class TestSymmetrySector:
             res = ed_ground(ChainSpec(n, 0.2))
         assert res.degenerate
         assert abs(rugosity_pure(res.state) - analytic_rugosity(ChainSpec(n, 0.2))) < 1e-8
+
+    @pytest.mark.parametrize("h", [0.2, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("g, sector", [(0.0, "even"), (0.0, "odd"), (1e-9, "all"),
+                                           (-1e-9, "all"), (0.3, "all"), (-0.3, "all")])
+    def test_lanczos_matches_eigh(self, h, g, sector):
+        # the two lowest levels of every Lanczos sector of n = 14, against a
+        # dense eigh of the same matrix; at |g| = 1e-9 the odd partner of the
+        # g = 0 ground state lies just above it
+        spec = ChainSpec(14, h, g)
+        ham, table, parity = _sector_matrix(spec, sector)
+        assert not isinstance(ham, np.ndarray)
+        evals, evecs = np.linalg.eigh(ham.toarray())
+        got, vec = ising._lowest(spec, table, 2, 1.0, parity)
+        scale = max(1.0, abs(evals[0]))
+        assert np.max(np.abs(got - evals[:2])) <= 1e-12 * scale
+        assert abs((got[1] - got[0]) - (evals[1] - evals[0])) <= 1e-12 * scale
+        assert np.linalg.norm(ham @ vec - got[0] * vec) <= 1e-12 * max(1.0, abs(got[0]))
+        if evals[1] - evals[0] > 1e-8:
+            assert abs(vec @ evecs[:, 0]) > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("h, g", [(1e308, 0.0), (-1e308, 0.0),
+                                      (0.5, -1.7976931348623157e308)])
+    def test_lanczos_huge_fields(self, h, g):
+        # the scaled matrix is all but diagonal, so the Krylov space turns
+        # invariant within a few steps; the ground energy lies beyond the
+        # float range, the gap, |h| or |g| to rounding, does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ed_ground(ChainSpec(14, h, g))
+        field = max(abs(h), abs(g))
+        assert res.energy == -math.inf
+        assert abs(res.gap - field) <= 1e-12 * field and not res.degenerate
+
+    def test_lanczos_solves_leave_scipy_linalg_unloaded(self):
+        # only scipy.sparse, for the CSR matrix, is loaded above 12 sites
+        code = ("import sys, statetexture as st\n"
+                "for n in (14, 16):\n"
+                "    st.ed_ground(st.ChainSpec(n, 0.5, 0.3)); st.ed_ground(st.ChainSpec(n, 0.5))\n"
+                "print('scipy.sparse' in sys.modules, sorted(m for m in sys.modules\n"
+                "      if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))\n")
+        assert _run_python(code).strip() == "True []"
 
     def test_import_and_small_solves_leave_scipy_unloaded(self):
         code = ("import sys, statetexture as st\n"
@@ -915,8 +953,10 @@ class TestEdCaches:
     def test_length_sweep_holds_the_stated_bound(self):
         # the store keeps the most recently used tables within its budget:
         # after the sweep, the 20-site table (9.8 MiB) alone, as the 18-site
-        # one (2.5 MiB) does not fit beside it; under 11 MiB in all
-        import scipy.sparse.linalg  # noqa: F401, imported outside the measurement
+        # one (2.5 MiB) does not fit beside it; under 11 MiB in all.  The
+        # sectors of n >= 14 load scipy.sparse for their CSR matrix, whose
+        # module objects (1.3 MB) are loaded here, outside the measurement
+        import scipy.sparse  # noqa: F401
         ising._chain_table.cache_clear()
         tracemalloc.start()
         try:

@@ -97,10 +97,16 @@ class TestCoherence:
 ])
 def test_free_state_above_unit_norm_is_zero(theory, dims):
     # a norm of 1 + 4e-13 is within NORM_TOL, and its overlap 1 + 8e-13
-    # with the free state is above 1
-    amp = np.zeros(2 if dims is None else math.prod(dims))
-    amp[0] = 1 + 4e-13
-    assert pure_state_monotone(PureState(amp, dims), theory).value == 0.0
+    # with the free state is above 1; the witness stays within its bound of
+    # 1, and the magnetization of |1> at -1
+    witness = {"coherence": "probability", "nonstabilizerness": "magnetization"}.get(
+        theory, "largest_schmidt")
+    for at in (0, -1):
+        amp = np.zeros(2 if dims is None else math.prod(dims))
+        amp[at] = 1 + 4e-13
+        result = pure_state_monotone(PureState(amp, dims), theory)
+        assert result.value == 0.0
+        assert result.witness[witness] == (-1.0 if witness == "magnetization" and at else 1.0)
 
 
 class TestNonstabilizerness:

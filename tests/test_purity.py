@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as strat
 
 from oracles import haar_unitary, random_density
-from statetexture import (DensityMatrix, UsageError, check_renyi2_bound,
+from statetexture import (DensityMatrix, PureState, UsageError, check_renyi2_bound,
                           random_state, renyi_purity, single_shot_cost,
                           spectral_decompose, texture_purity)
 from statetexture.purity import BOUND_SLACK
@@ -263,6 +263,35 @@ class TestRenyi2Bound:
     def test_requested_alphas_reported(self):
         report = check_renyi2_bound(random_state(3, "mixed", seed=9), alphas=(0.5, 3.0))
         assert set(report.renyi_purities) == {0.5, 3.0}
+
+
+class TestPureStateSpectrum:
+    """A pure state is read as its normalized projector, without one."""
+
+    @pytest.mark.parametrize("psi", [
+        random_state(8, "pure", seed=5, subsystem_dims=(2, 2, 2)),
+        # within NORM_TOL of unit norm: the projector is normalized
+        PureState(np.array([1.0, 1.0]) / np.sqrt(2.0) * (1 + 0.9e-12)),
+        PureState(np.array([1.0])),
+    ], ids=["three-qubit", "above-unit-norm", "one-dimensional"])
+    def test_matches_the_projector(self, psi):
+        got = check_renyi2_bound(psi, (0.5, 1.0, 2.0, 3.0))
+        want = check_renyi2_bound(psi.projector(), (0.5, 1.0, 2.0, 3.0))
+        assert abs(got.texture_purity - want.texture_purity) <= 1e-12 * psi.dim
+        for alpha, value in want.renyi_purities.items():
+            # the projector's rounding, eigenvalues near 1e-17, shifts the
+            # alpha = 0.5 purity by their square roots
+            assert abs(got.renyi_purities[alpha] - value) <= (1e-6 if alpha < 1 else 1e-12)
+        assert (got.bound_satisfied, got.single_shot_cost) == (want.bound_satisfied,
+                                                                want.single_shot_cost)
+        assert got.renyi2_bound_rhs == pytest.approx(want.renyi2_bound_rhs, abs=1e-12)
+
+    def test_no_decomposition(self, monkeypatch):
+        psi = random_state(1024, "pure", seed=6)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert texture_purity(psi) == 1024.0
+        assert renyi_purity(psi, 0.5) == renyi_purity(psi, 2.0) == 10.0
+        assert single_shot_cost(psi) == 10
 
 
 class TestSingleShotCost:
