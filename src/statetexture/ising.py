@@ -53,12 +53,17 @@ kernel takes as an argument.
 For g != 0 the chain is solved by exact diagonalization, which works in the
 symmetry sector that holds the ground state: states symmetric under
 rotations and reversal of the ring, restricted to even spin-flip parity at
-g = 0 (see :func:`ed_ground`).  A sector of up to ``MAX_DENSE_SECTOR``
-orbits gets its eigenvalues from ``eigvalsh`` and its ground vector from
-one inverse-iteration solve; larger ones are solved by the module's own
-Lanczos with full reorthogonalization (see :func:`_lanczos`), on the
-sector matrix as a ``scipy.sparse`` CSR array, the one part of scipy the
-package loads.  One cached table per chain length holds the orbits and the
+g = 0 (see :func:`ed_ground`).  How a sector is solved and how its matrix
+is stored are two size limits.  A sector of up to ``MAX_DENSE_SECTOR`` =
+128 orbits gets its eigenvalues from ``eigvalsh`` and its ground vector
+from one inverse-iteration solve; larger ones are solved by the module's
+own Lanczos with full reorthogonalization (see :func:`_lanczos`).  The
+matrix is a dense numpy array up to ``_MAX_DENSE_MATRIX`` = 256 orbits,
+every sector of up to 12 sites, and a ``scipy.sparse`` CSR array above,
+the one part of scipy the package loads.  So the one sector of up to 12
+sites above 128 orbits, n = 12 at g != 0 with 224, is solved by Lanczos
+on its dense array, and its output is bitwise the same under one and two
+BLAS threads.  One cached table per chain length holds the orbits and the
 rows of the matrix over all orbits, from which every sector matrix is
 formed; a point only forms the matrix values of its fields.
 
@@ -94,11 +99,17 @@ from .states import DensityMatrix, PureState, _count, _cut_matrices
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
-# at 224 orbits the dense solve (eigvalsh and one linear solve) took 5.4 ms,
-# a full eigh 7.8 ms and _lanczos 4.2 ms (2-core machine, one BLAS thread);
-# 256 keeps every sector of n <= 12 dense, so those solves never import
-# scipy, and sends every sector of n >= 14 to Lanczos
-MAX_DENSE_SECTOR = 256
+# sectors of up to this many orbits are solved by eigvalsh and one linear
+# solve, larger ones by _lanczos; dense against _lanczos per sector solve,
+# matrix included (h in {0.2, 0.5, 1, 1.5}, 2-core machine, one BLAS
+# thread): 78 orbits 0.4-0.7 against 0.7-2.0 ms, 102 orbits 0.6 against
+# 0.8-1.5 ms, 122 orbits 1.0 against 0.9-2.1 ms, 224 orbits 3.7-5.8
+# against 1.9-3.7 ms
+MAX_DENSE_SECTOR = 128
+# sector matrices of up to this many orbits are dense numpy arrays, larger
+# ones CSR; 256 keeps every sector of n <= 12 dense, so no solve of up to
+# 12 sites imports scipy, and makes every sector of n >= 14 CSR
+_MAX_DENSE_MATRIX = 256
 MAX_ANALYTIC_SITES = 10 ** 6
 # bytes of cached tables kept, in one store; see the module docstring
 _TABLE_BUDGET = 12 * 2 ** 20
@@ -779,7 +790,7 @@ def _sector_hamiltonian(spec: ChainSpec, table: _ChainTable, scale: float,
     members, so <b|H|a> = sum c sqrt(N_a / N_b) over the flip terms c that
     take the representative of a into orbit b.  The matrix is affine in h
     and g, so a point only forms the few values its entries take and looks
-    up the cached codes.  Dense up to ``MAX_DENSE_SECTOR`` orbits, a CSR
+    up the cached codes.  Dense up to ``_MAX_DENSE_MATRIX`` orbits, a CSR
     array above.  The scale is a power of two (see :func:`_field_scale`), so
     dividing by it is exact and keeps the entries of fields up to the float
     maximum finite.
@@ -796,7 +807,7 @@ def _sector_hamiltonian(spec: ChainSpec, table: _ChainTable, scale: float,
     values = np.concatenate((np.multiply(n - 2.0 * np.arange(n + 1), -(spec.h / scale / 2.0)),
                              ratios * (-0.5 / scale), ratios * (spec.g / scale / 2.0)))
     value = np.take(values, code, mode="clip").ravel()
-    if m <= MAX_DENSE_SECTOR:
+    if m <= _MAX_DENSE_MATRIX:
         flat = (np.arange(0, m * m, m)[:, None] + index).ravel()
         return np.bincount(flat, weights=value, minlength=m * m).reshape(m, m)
     from scipy.sparse import csr_array
@@ -825,8 +836,9 @@ def _ground_vector(ham: np.ndarray, evals: np.ndarray, start: np.ndarray) -> np.
 def _lanczos(ham, k: int, start: np.ndarray, vector: bool
              ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The k lowest eigenvalues and, if ``vector``, the lowest eigenvector
-    (None otherwise) of a symmetric sparse matrix, by Lanczos with full
-    reorthogonalization from ``start``.
+    (None otherwise) of a symmetric matrix, a dense array or a CSR array, by
+    Lanczos with full reorthogonalization from ``start``; the matrix enters
+    only through ``ham @ v``.
 
     Each step takes the three-term recurrence, then reorthogonalizes the new
     vector against the whole basis by classical Gram-Schmidt, with a second
@@ -836,10 +848,13 @@ def _lanczos(ham, k: int, start: np.ndarray, vector: bool
     Ritz vector then, once.  The tridiagonal matrix T is diagonalized as
     soon as the basis holds k vectors, then log10(r) / ``_RITZ_DECADES``
     steps (at least one) after each check that failed by the factor r; the
-    residuals rarely fall faster than that over a skipped stretch, and over
-    84 sector solves at 14 and 16 sites the solve stopped at most one step
-    later than a check at every step would have.  Where the Krylov space
-    turns invariant to rounding, T is diagonalized at once.
+    residuals rarely fall faster than that over a skipped stretch.  Over 84
+    sector solves at 14 and 16 sites, and over the 90 solves of the
+    224-orbit sector of 12 sites on the README and benchmark g-scans
+    (h = 0.5, 40 to 55 steps), the solve stopped at most one step later than
+    a check at every step would have; at g = 8.9e-16 that sector stopped
+    three steps later.  Where the Krylov space turns invariant to rounding,
+    T is diagonalized at once.
 
     The basis is filled in place in one array of at most
     ``MAX_LANCZOS_STEPS`` rows, and never more than the m rows of the
@@ -898,26 +913,29 @@ def _lowest(spec: ChainSpec, table: _ChainTable, k: int, scale: float,
     """The k lowest eigenvalues and, if ``vector``, the lowest eigenvector
     (None otherwise) of a sector matrix (see :func:`_sector_hamiltonian`).
 
-    A dense matrix gets its eigenvalues from ``eigvalsh`` and its vector from
-    one inverse-iteration solve (see :func:`_ground_vector`).  That solve
-    starts from the sign pattern of the ground vector, which is positive in
-    the orbit basis up to the gauge (-1)^popcount at g > 0 (see
-    :func:`ed_ground`); its overlap with the ground vector is then at least
-    1/sqrt(m), where a random start can be orthogonal to it.  A CSR matrix
-    is solved by :func:`_lanczos` from a normal start vector seeded by n,
-    to Ritz residuals of at most ``LANCZOS_TOL`` ||T||.
+    A sector of up to ``MAX_DENSE_SECTOR`` orbits gets its eigenvalues from
+    ``eigvalsh`` and its vector from one inverse-iteration solve (see
+    :func:`_ground_vector`).  That solve starts from the sign pattern of the
+    ground vector, which is positive in the orbit basis up to the gauge
+    (-1)^popcount at g > 0 (see :func:`ed_ground`); its overlap with the
+    ground vector is then at least 1/sqrt(m), where a random start can be
+    orthogonal to it.  A larger
+    sector, a dense array up to ``_MAX_DENSE_MATRIX`` orbits and a CSR array
+    above, is solved by :func:`_lanczos` from a normal start vector seeded
+    by n, to Ritz residuals of at most ``LANCZOS_TOL`` ||T||.
     """
     ham = _sector_hamiltonian(spec, table, scale, parity)
-    if isinstance(ham, np.ndarray):
+    m = ham.shape[0]
+    if m <= MAX_DENSE_SECTOR:
         evals = np.linalg.eigvalsh(ham)
         if not vector:
             return evals[:k], None
-        start = np.ones(ham.shape[0])
+        start = np.ones(m)
         if spec.g > 0.0:
             # at g != 0 the rows are those of all orbits
             start[table.odd] = -1.0
         return evals[:k], _ground_vector(ham, evals, start)
-    start = np.random.default_rng(0x1517 + spec.n).standard_normal(ham.shape[0])
+    start = np.random.default_rng(0x1517 + spec.n).standard_normal(m)
     return _lanczos(ham, k, start, vector)
 
 
@@ -935,13 +953,15 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     the odd partner is quasi-degenerate; the odd sector supplies only its
     lowest eigenvalue, for the gap.
 
-    A sector of up to ``MAX_DENSE_SECTOR`` orbits (every sector of n <= 12)
-    is solved densely: ``eigvalsh`` gives the reported eigenvalues and one
-    inverse-iteration solve the ground vector, as only one vector is
-    reported.  Larger sectors are solved by Lanczos with full
-    reorthogonalization (see :func:`_lanczos`) on a CSR matrix, which loads
-    ``scipy.sparse`` and no other part of scipy; a solve that does not
-    converge within ``MAX_LANCZOS_STEPS`` steps raises ``ConvergenceError``.
+    A sector of up to ``MAX_DENSE_SECTOR`` = 128 orbits (every sector of
+    n <= 10, and the parity sectors of n = 12) is solved densely:
+    ``eigvalsh`` gives the reported eigenvalues and one inverse-iteration
+    solve the ground vector, as only one vector is reported.  Larger
+    sectors are solved by Lanczos with full reorthogonalization (see
+    :func:`_lanczos`): at n = 12 and g != 0 on the dense array of its 224
+    orbits, for n >= 14 on a CSR matrix, which loads ``scipy.sparse`` and
+    no other part of scipy; a solve that does not converge within
+    ``MAX_LANCZOS_STEPS`` steps raises ``ConvergenceError``.
     The orbits and the matrix rows of a chain length are one cached table
     (see :func:`_chain_table`), from whose rows a point forms its sector
     matrix with the values for its h and g.

@@ -182,23 +182,23 @@ def texture_extrema(state: StateLike) -> TextureExtrema:
     eigenvalue of the state, with witness bases mapping the matching
     eigenvector onto the uniform superposition.
 
-    A pure state psi is read from its amplitudes, with no projector formed:
-    its projector's eigenvalues are |psi|^2 and, for d > 1, 0, so t_min =
-    1 - |psi|^2 and t_max = 1.  The t_min target is psi / |psi|; the t_max
-    target is the basis ket e_k at the smallest |psi_k| less its projection
-    on psi, which keeps at least 1 - 1/d of its squared norm.
+    A pure state psi stands for its normalized projector, as in
+    :meth:`PureState.projector`, and is read from its amplitudes with no
+    projector formed: the eigenvalues are 1 and, for d > 1, 0, so t_min = 0
+    and t_max = 1 (0 at d = 1), whatever the norm within ``NORM_TOL``.  The
+    t_min target is psi / |psi|; the t_max target is the basis ket e_k at
+    the smallest |psi_k| less its projection on psi, which keeps at least
+    1 - 1/d of its squared norm.
     """
     if isinstance(state, PureState):
-        psi = state.amplitudes
-        norm2 = float(np.vdot(psi, psi).real)
-        top = psi / math.sqrt(norm2)
+        top = state.amplitudes / np.linalg.norm(state.amplitudes)
         if state.dim == 1:
-            return TextureExtrema(1.0 - norm2, 1.0 - norm2, np.stack([top, top]))
+            return TextureExtrema(0.0, 0.0, np.stack([top, top]))
         k = int(np.argmin(np.abs(top)))
         low = -top[k].conjugate() * top
         low[k] += 1.0
         low /= np.linalg.norm(low)
-        return TextureExtrema(1.0, 1.0 - norm2, np.stack([low, top]))
+        return TextureExtrema(1.0, 0.0, np.stack([low, top]))
     spec = spectral_decompose(state)
     lam = spec.eigenvalues
     return TextureExtrema(1.0 - float(lam[-1]), 1.0 - float(lam[0]),

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from statetexture import (DensityMatrix, PureState, ising, load_state, purity, random_state,
-                          roof, save_state)
+from statetexture import (DensityMatrix, PureState, InvalidStateError, ising, load_state, purity,
+                          random_state, roof, save_state, stateio)
 from statetexture.cli import MAX_SCAN_POINTS, main
 from statetexture.ising import MAX_ANALYTIC_SITES, MAX_ED_SITES
 
@@ -156,6 +156,13 @@ class TestTextureCommand:
         fields = parse_structured(out)
         assert float(fields["t_max"]) == pytest.approx(1.0, abs=1e-10)
         assert float(fields["t_min"]) == pytest.approx(0.0, abs=1e-10)
+
+    def test_extrema_of_a_pure_state_above_unit_norm(self, capsys, tmp_path):
+        # a norm of 1 + 0.9e-12, within NORM_TOL, printed t_min -1.79989356752e-12
+        path = tmp_path / "near.state"
+        save_state(path, PureState(np.array([1.0 + 0.9e-12, 0.0])))
+        code, out, _ = run(capsys, "texture", "extrema", "--state", str(path))
+        assert (code, out) == (0, "t_max  1\nt_min  0\n")
 
 
 class TestPurityCommand:
@@ -541,6 +548,29 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+    def test_file_size_checked_before_reading(self, capsys, tmp_path, monkeypatch):
+        class Read(Exception):
+            pass
+
+        def read_text(*args, **kwargs):
+            raise Read
+
+        # a sparse file, grown by truncate without writing its bytes
+        path = tmp_path / "huge.state"
+        path.touch()
+        os.truncate(path, stateio.MAX_FILE_BYTES + 1)
+        monkeypatch.setattr(Path, "read_text", read_text)
+        code, out, err = run(capsys, "texture", "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: state file {path} holds {stateio.MAX_FILE_BYTES + 1} "
+                              f"bytes, more than the {stateio.MAX_FILE_BYTES} a file may hold")
+        with pytest.raises(InvalidStateError, match="unitary file .* more than"):
+            stateio.load_unitary(path)
+        # a file of exactly the limit passes the check and is read
+        os.truncate(path, stateio.MAX_FILE_BYTES)
+        with pytest.raises(Read):
+            load_state(path)
 
     def test_invalid_state_file_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.state"

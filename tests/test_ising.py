@@ -794,16 +794,21 @@ class TestSymmetrySector:
         assert abs(rugosity_pure(res.state) - analytic_rugosity(ChainSpec(n, 0.2))) < 1e-8
 
     @pytest.mark.parametrize("h", [0.2, 0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("g, sector", [(0.0, "even"), (0.0, "odd"), (1e-9, "all"),
-                                           (-1e-9, "all"), (0.3, "all"), (-0.3, "all")])
-    def test_lanczos_matches_eigh(self, h, g, sector):
-        # the two lowest levels of every Lanczos sector of n = 14, against a
-        # dense eigh of the same matrix; at |g| = 1e-9 the odd partner of the
-        # g = 0 ground state lies just above it
-        spec = ChainSpec(14, h, g)
+    @pytest.mark.parametrize("g, sector, n", [
+        *(pytest.param(g, sector, 14, id=f"{g}-{sector}")
+          for g, sector in [(0.0, "even"), (0.0, "odd"), (1e-9, "all"), (-1e-9, "all"),
+                            (0.3, "all"), (-0.3, "all")]),
+        *(pytest.param(g, "all", 12, id=f"n12-{g}-all") for g in (1e-9, -1e-9, 0.3, -0.3))])
+    def test_lanczos_matches_eigh(self, h, g, sector, n):
+        # the two lowest levels of every Lanczos sector of n = 14, a CSR
+        # matrix, and of the one of n = 12, the 224 orbits at g != 0, a dense
+        # array, against a dense eigh of the same matrix; at |g| = 1e-9 the
+        # odd partner of the g = 0 ground state lies just above it
+        spec = ChainSpec(n, h, g)
         ham, table, parity = _sector_matrix(spec, sector)
-        assert not isinstance(ham, np.ndarray)
-        evals, evecs = np.linalg.eigh(ham.toarray())
+        assert ham.shape[0] > ising.MAX_DENSE_SECTOR
+        assert isinstance(ham, np.ndarray) == (n == 12)
+        evals, evecs = np.linalg.eigh(ham if n == 12 else ham.toarray())
         got, vec = ising._lowest(spec, table, 2, 1.0, parity)
         scale = max(1.0, abs(evals[0]))
         assert np.max(np.abs(got - evals[:2])) <= 1e-12 * scale
@@ -834,6 +839,49 @@ class TestSymmetrySector:
                 "      if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))\n")
         assert _run_python(code).strip() == "True []"
 
+    def test_lanczos_serves_the_sectors_above_the_dense_size(self, monkeypatch):
+        # of the sectors of up to 12 sites only the 224 orbits of n = 12 at
+        # g != 0 exceed MAX_DENSE_SECTOR = 128 orbits; the g = 0 parity
+        # sectors of n = 12, 122 and 102 orbits, stay with eigvalsh
+        lanczos, sizes = ising._lanczos, []
+
+        def counted(ham, *args):
+            sizes.append(ham.shape[0])
+            return lanczos(ham, *args)
+
+        monkeypatch.setattr(ising, "_lanczos", counted)
+        for n in range(2, 14, 2):
+            for g in (0.0, 0.3, -0.6, 1e-9):
+                sizes.clear()
+                ed_ground(ChainSpec(n, 0.5, g))
+                assert sizes == ([224] if n == 12 and g else []), (n, g)
+
+    def test_n12_output_is_independent_of_blas_threads(self, tmp_path):
+        # the 224 orbits of n = 12 at g != 0 are solved by _lanczos on their
+        # dense array, whose products come out bitwise alike under one and two
+        # BLAS threads; the README g-scan writes the same bytes, its g = 0
+        # point's parity solves differing at most below the printed digits
+        code = ("import hashlib, statetexture as st\n"
+                "from statetexture.cli import main\n"
+                "main(['ising', 'scan', '--n', '12', '--axis', 'g', '--from', '-1', '--to', '1',\n"
+                "      '--step', '0.05', '--h', '0.5', '--method', 'ed', '--out', {out!r}])\n"
+                "for h in (0.2, 0.5, 1.0, 1.5, 3.0):\n"
+                "    for g in (-0.9, -0.3, -0.05, -1e-9, 1e-9, 0.05, 0.3, 0.9):\n"
+                "        r = st.ed_ground(st.ChainSpec(12, h, g))\n"
+                "        print(repr((r.energy, r.gap)),\n"
+                "              hashlib.sha256(r.state.amplitudes.tobytes()).hexdigest())\n")
+        outputs = []
+        for k in ("1", "2"):
+            csv = tmp_path / f"gscan{k}.csv"
+            stdout = _run_python(code.format(out=str(csv)), OPENBLAS_NUM_THREADS=k,
+                                 OMP_NUM_THREADS=k)
+            points = [line for line in stdout.splitlines() if line.startswith("(")]
+            outputs.append((csv.read_bytes(), points))
+        rows = outputs[0][0].splitlines()
+        assert rows[0].startswith(b"point,rugosity,") and rows[41].startswith(b"1,")
+        assert len(outputs[0][1]) == 40
+        assert outputs[0] == outputs[1]
+
     def test_import_and_small_solves_leave_scipy_unloaded(self):
         code = ("import sys, statetexture as st\n"
                 "st.ed_ground(st.ChainSpec(12, 0.5, 0.3)); st.ed_ground(st.ChainSpec(12, 0.5))\n"
@@ -850,18 +898,26 @@ def _sector_matrix(spec, sector):
 
 
 class TestDenseSolve:
-    """The dense sector solve, eigvalsh and one inverse-iteration solve,
-    against a full eigh of the same sector matrix."""
+    """The solves of the dense sector matrices, every one of n <= 12,
+    against a full eigh of the same matrix.  Sectors of up to
+    ``MAX_DENSE_SECTOR`` = 128 orbits take eigvalsh and one inverse-iteration
+    solve; the largest are the even sector of n = 12 (122 orbits) and n = 10
+    over all orbits (78).  The one larger dense sector, n = 12 at g != 0
+    (224 orbits), is solved by _lanczos on its dense array."""
 
     @pytest.mark.parametrize("n, h, g, sector", [
-        (2, 0.7, 0.0, "odd"), (2, 0.7, 0.0, "even"), (4, 0.7, 0.0, "odd"),  # m = 1, 2, 2
+        # inverse iteration: m = 1, 2, 2, 3, 6, 122, 78, 78, 78
+        (2, 0.7, 0.0, "odd"), (2, 0.7, 0.0, "even"), (4, 0.7, 0.0, "odd"),
         (2, 0.3, 0.5, "all"), (4, 1.5, -0.4, "all"), (12, 0.2, 0.0, "even"),
+        (10, 0.2, 1e-9, "all"), (10, 0.2, -1e-9, "all"), (10, 0.5, 0.3, "all"),
+        # _lanczos on the dense array: m = 224
         (12, 0.2, 1e-9, "all"), (12, 0.2, -1e-9, "all"),
         (12, 0.2, 1e-300, "all"), (12, 0.2, -1e-300, "all")])
     def test_matches_eigh(self, n, h, g, sector):
         spec = ChainSpec(n, h, g)
         ham, table, parity = _sector_matrix(spec, sector)
         assert isinstance(ham, np.ndarray)
+        assert (ham.shape[0] > ising.MAX_DENSE_SECTOR) == (n == 12 and g != 0.0)
         evals, evecs = np.linalg.eigh(ham)
         k = min(2, evals.size)
         got, vec = ising._lowest(spec, table, k, 1.0, parity)
@@ -875,7 +931,8 @@ class TestDenseSolve:
     @pytest.mark.parametrize("g", [1e-9, -1e-9, 1e-300, -1e-300])
     def test_ed_ground_matches_eigh_near_degeneracy(self, g):
         # the odd partner of the g = 0 ground state lies 6.8e-10 above it,
-        # split to 1.2e-8 at |g| = 1e-9 and left below the threshold at 1e-300
+        # split to 1.2e-8 at |g| = 1e-9 and left below the threshold at 1e-300;
+        # the 224-orbit sector is solved by _lanczos on its dense array
         spec = ChainSpec(12, 0.2, g)
         ham, table, _ = _sector_matrix(spec, "all")
         evals, evecs = np.linalg.eigh(ham)
@@ -912,7 +969,10 @@ class TestDenseSolve:
         table = ising._chain_table(n)
         matrices = [ising._sector_hamiltonian(spec, table, 1.0, parity)
                     for parity in (None, 0, 1)]
-        # dense up to n = 12, CSR at n = 14, the Lanczos size
+        # stored dense up to n = 12 (_MAX_DENSE_MATRIX = 256 orbits), CSR at
+        # n = 14; solved by eigvalsh up to MAX_DENSE_SECTOR = 128 orbits, so at
+        # n = 12 the parity blocks (122 and 102 orbits) take eigvalsh and the
+        # all-orbit matrix (224) _lanczos on its dense array, as do all at n = 14
         assert all(isinstance(ham, np.ndarray) == (n <= 12) for ham in matrices)
         full, even, odd = (ham if n <= 12 else ham.toarray() for ham in matrices)
         assert np.array_equal(even, full[np.ix_(table.even, table.even)])

@@ -207,13 +207,24 @@ class TestPureStates:
         rng = np.random.default_rng(d)
         psi = PureState(_random_ket(d, rng))
         ex, ref = texture_extrema(psi), texture_extrema(psi.projector())
-        norm2 = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
-        assert ex.t_max == (1.0 if d > 1 else 1.0 - norm2)
-        assert ex.t_min == 1.0 - norm2
+        assert ex.t_max == (1.0 if d > 1 else 0.0)
+        assert ex.t_min == 0.0
         assert abs(ex.t_max - ref.t_max) <= 1e-12 and abs(ex.t_min - ref.t_min) <= 1e-12
         for u, t in zip(ex.witness_unitaries, (ex.t_max, ex.t_min)):
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
             assert abs(texture_in_basis(psi, OrthonormalBasis(u)).texture - t) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1 + 0.9e-12, 1 - 0.9e-12])
+    def test_extrema_within_the_norm_tolerance(self, scale):
+        # read with its raw norm, the state above unit norm had t_min = -1.8e-12
+        for amplitudes in ([scale, 0.0], [scale]):
+            psi = PureState(np.array(amplitudes))
+            ex, ref = texture_extrema(psi), texture_extrema(psi.projector())
+            assert ex.t_min == 0.0 and ex.t_max == (1.0 if psi.dim > 1 else 0.0)
+            assert abs(ex.t_min - ref.t_min) <= 1e-15 and abs(ex.t_max - ref.t_max) <= 1e-15
+            # the t_min target is the amplitudes normalized as the projector's
+            target = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+            assert np.array_equal(ex.witness_targets[1], target)
 
     def test_basis_ket_state(self):
         # psi = e_0 has its smallest amplitude elsewhere; psi = uniform has
