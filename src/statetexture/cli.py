@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import StateTextureError, UsageError
-from .states import PureState, density_of
+from .states import PureState
 
 _THEORY_BY_FLAG = {
     "coherence": "coherence",
@@ -133,7 +133,7 @@ def _cmd_monotone(args) -> list:
 
 def _cmd_convexroof(args) -> list:
     from . import roof, stateio
-    state = density_of(stateio.load_state(args.state))
+    state = stateio.load_state(args.state)
     theory = _THEORY_BY_FLAG[args.theory]
     cut = _parse_cut(args.cut, state.subsystem_dims)
     # optimizer flags left out are absent from args, so RoofConfig's defaults apply

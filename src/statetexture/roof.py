@@ -7,13 +7,17 @@ of its theory, and the roof runs on that theory's batched oracle from
 ``monotones``, which returns the maximum and a maximizer for each branch.
 Decompositions are the rows ``w_i`` of ``W = U B``, with ``B = sqrt(mu) V^T``
 built from the eigenpairs of ``rho`` and ``U`` an m x r isometry.  The
-objective ``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by steepest
+objective ``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by gradient
 descent on the complex Stiefel manifold: the Euclidean gradient
 ``G = -(phi_i <phi_i|w_i>)_i B^+`` follows from Danskin's theorem, it is
 projected onto the tangent space, and steps are retracted by a QR
-factorization and sized by Armijo backtracking.  Where the maximizer switches
-the gradient is only a subgradient, which the seeded restarts guard against.
-The result is always an upper bound on the roof.
+factorization.  The trial steps alternate the two Barzilai-Borwein steps, and
+a step is accepted by a nonmonotone Armijo test against a running average of
+the objective (Wen & Yin, Math. Program. 142, 397 (2013); Zhang & Hager, SIAM
+J. Optim. 14, 1043 (2004)).  Where the maximizer switches the gradient is only
+a subgradient, which the seeded restarts guard against.  Each restart returns
+the best decomposition it met, so the result is always an upper bound on the
+roof, never above the spectral decomposition's average.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ import numpy as np
 
 from .errors import UsageError
 from .monotones import Oracle, concurrence_two_qubit, free_state_oracle
-from .states import DensityMatrix, PureState, _count, spectral_decompose
+from .states import PureState, StateLike, _count, spectral_decompose
 
 RANK_CUTOFF = 1e-12
 ARMIJO_SLOPE = 1e-4
+# weight of the past in the Zhang-Hager reference of the Armijo test
+NONMONOTONE_WEIGHT = 0.85
 MIN_STEP = 1e-14
 
 
@@ -80,13 +86,20 @@ def _tangent(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
              cfg: RoofConfig) -> Tuple[float, np.ndarray, bool]:
-    """Riemannian steepest descent from ``iso``; returns the objective, the
-    final branches and whether the stopping test was met.
+    """Riemannian descent from ``iso``; returns the best objective met, its
+    branches and whether the stopping test was met.
 
-    The trial step is the Barzilai-Borwein step ``<s, s> / |<s, y>|`` of the
-    previous iteration, halved until the Armijo condition holds.  The test is
-    met when the Riemannian gradient norm falls below ``cfg.tolerance`` or
-    when no step longer than ``MIN_STEP`` decreases the objective.
+    The trial step alternates the two Barzilai-Borwein steps of the previous
+    iteration, ``<s, s> / |<s, y>|`` after odd iterations and
+    ``|<s, y>| / <y, y>`` after even ones, and is halved until the Armijo
+    condition holds against the Zhang-Hager reference ``C``, a running
+    average of the accepted objective values in which the past carries the
+    weight eta = ``NONMONOTONE_WEIGHT`` (Wen & Yin, Math. Program. 142, 397
+    (2013)).  The objective may rise above its last value but not above
+    ``C``, so the best iterate, not the last, is returned; it is never above
+    the start.  The test is met when the Riemannian gradient norm falls
+    below ``cfg.tolerance`` or when no step longer than ``MIN_STEP`` passes
+    the Armijo test.
     """
     def evaluate(u):
         w = u @ base
@@ -95,38 +108,52 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
         xi = _tangent(u, -(phi * c[:, None]) @ base.conj().T)
         return 1.0 - float(overlap.sum()), w, xi
 
-    value, w, xi = evaluate(iso)
+    best, best_w, xi = evaluate(iso)
+    reference, weight = best, 1.0
     step = 1.0
-    for _ in range(cfg.max_iterations):
+    for k in range(cfg.max_iterations):
         slope = float(np.vdot(xi, xi).real)
         # a huge tolerance squares to inf here, where tolerance ** 2 raises OverflowError
         if slope < cfg.tolerance * cfg.tolerance:
-            return value, w, True
+            return best, best_w, True
         while step > MIN_STEP:
             trial = _retract(iso - step * xi)
             t_value, t_w, t_xi = evaluate(trial)
-            if value - t_value >= 2.0 * ARMIJO_SLOPE * step * slope:
+            if reference - t_value >= 2.0 * ARMIJO_SLOPE * step * slope:
                 break
             step *= 0.5
         else:
-            return value, w, True
+            return best, best_w, True
         # s = -step xi and y = t_xi - (xi moved to the new tangent space)
-        sy = step * abs(float(np.vdot(xi, t_xi - _tangent(trial, xi)).real))
-        step = step * step * slope / sy if sy > 0.0 else 2.0 * step
-        iso, value, w, xi = trial, t_value, t_w, t_xi
-    return value, w, False
+        y = t_xi - _tangent(trial, xi)
+        sy = step * abs(float(np.vdot(xi, y).real))
+        if not sy > 0.0:
+            step *= 2.0
+        elif k % 2 == 0:
+            step = step * step * slope / sy
+        else:
+            step = sy / float(np.vdot(y, y).real)
+        # C <- (eta Q C + f) / (eta Q + 1), then Q <- eta Q + 1
+        weight *= NONMONOTONE_WEIGHT
+        reference = (weight * reference + t_value) / (weight + 1.0)
+        weight += 1.0
+        iso, xi = trial, t_xi
+        if t_value < best:
+            best, best_w = t_value, t_w
+    return best, best_w, False
 
 
-def convex_roof(rho: DensityMatrix, theory: str,
+def convex_roof(rho: StateLike, theory: str,
                 config: Optional[RoofConfig] = None,
                 cut=None) -> ConvexRoofResult:
     """Upper bound on the convex roof of the chosen pure-state monotone.
 
     Parameters
     ----------
-    rho : DensityMatrix
-        Mixed state to decompose (``subsystem_dims`` required for the
-        entanglement theories).
+    rho : DensityMatrix or PureState
+        State to decompose (``subsystem_dims`` required for the entanglement
+        theories).  A pure state is read as rank one, its normalized
+        amplitudes the one eigenvector, with no projector formed.
     theory : str
         One of ``coherence``, ``nonstabilizerness``,
         ``entanglement_bipartite``, ``gme``.
@@ -147,11 +174,15 @@ def convex_roof(rho: DensityMatrix, theory: str,
     dims = rho.subsystem_dims if rho.subsystem_dims is not None else (rho.dim,)
     nearest, _ = free_state_oracle(theory, dims, cut)
 
-    spec = spectral_decompose(rho)
-    keep = spec.eigenvalues > RANK_CUTOFF
-    mu = spec.eigenvalues[keep]
-    mu = mu / mu.sum()
-    vecs = spec.eigenvectors[:, keep]
+    if isinstance(rho, PureState):
+        mu = np.ones(1)
+        vecs = (rho.amplitudes / np.linalg.norm(rho.amplitudes))[:, None]
+    else:
+        spec = spectral_decompose(rho)
+        keep = spec.eigenvalues > RANK_CUTOFF
+        mu = spec.eigenvalues[keep]
+        mu = mu / mu.sum()
+        vecs = spec.eigenvectors[:, keep]
     r = mu.size
     m = cfg.cardinality if cfg.cardinality is not None else r * r
     if m < r:

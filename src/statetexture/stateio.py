@@ -9,7 +9,9 @@ A state file is a JSON document with exactly these fields:
              for a mixed one
 
 Inconsistent shapes and entries that are not JSON numbers (strings,
-booleans, null) are rejected rather than coerced.
+booleans, null) are rejected rather than coerced.  A file above
+``MAX_FILE_BYTES`` is refused before it is read, and a mixed state or
+unitary above ``MAX_MATRIX_DIM`` before its entries are converted.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .states import DensityMatrix, PureState, StateLike
 # machine): its file holds 2 x 1024^2 numbers of at most 24 characters, at
 # most 55 MB, 50 MB for random_state(1024, 'mixed')
 MAX_FILE_BYTES = 64 * 2 ** 20
+# mixed states and basis unitaries of a larger dimension are refused before
+# their entries are converted: the 10-qubit limit above
+MAX_MATRIX_DIM = 1024
 
 
 def _read_json(path, source: str) -> dict:
@@ -59,6 +64,12 @@ def _numbers(entries: list, field: str, source: str) -> np.ndarray:
     if not all(map(_is_number, entries)):
         raise InvalidStateError(f"{source}: field {field!r} must hold only numbers")
     return np.asarray(entries, dtype=float)
+
+
+def _check_dim(dim: int, what: str, source: str) -> None:
+    if dim > MAX_MATRIX_DIM:
+        raise InvalidStateError(f"{source}: {what} of dimension {dim} exceeds the limit "
+                                f"of {MAX_MATRIX_DIM}")
 
 
 def _vector(doc: dict, field: str, length: int, source: str) -> np.ndarray:
@@ -93,6 +104,7 @@ def load_state(path) -> StateLike:
         amp = _vector(doc, "re", total, source) + 1j * _vector(doc, "im", total, source)
         return PureState(amp, tuple(dims))
     if kind == "mixed":
+        _check_dim(total, "a mixed state", source)
         mat = _matrix(doc, "re", total, source) + 1j * _matrix(doc, "im", total, source)
         return DensityMatrix(mat, tuple(dims))
     raise InvalidStateError(f"{source}: kind must be 'pure' or 'mixed', got {kind!r}")
@@ -119,6 +131,7 @@ def load_unitary(path) -> np.ndarray:
     if not isinstance(re, list) or not re:
         raise InvalidStateError(f"{source}: field 're' must be a nested list")
     dim = len(re)
+    _check_dim(dim, "a unitary", source)
     u = _matrix(doc, "re", dim, source) + 1j * _matrix(doc, "im", dim, source)
     if not np.isfinite(u).all():
         raise InvalidStateError(f"{source} contains non-finite entries")

@@ -49,8 +49,22 @@ class OrthonormalBasis:
         resid = np.max(np.abs(gram))
         if not resid <= BASIS_TOL:
             raise UsageError(f"basis columns are not orthonormal: residual {resid:.3e}")
-        object.__setattr__(self, "unitary", u)
+        self._adopt(u)
+
+    @classmethod
+    def _orthonormal(cls, u: np.ndarray) -> "OrthonormalBasis":
+        """The basis of a fresh complex unitary that is orthonormal by
+        construction, without the O(d^3) check; only the package's own bases
+        come here, and the tests check their orthonormality instead."""
+        basis = cls.__new__(cls)
+        basis._adopt(u)
+        return basis
+
+    def _adopt(self, u: np.ndarray) -> None:
+        """Keep ``u``, read-only, and form its zero-texture ket."""
+        d = u.shape[0]
         u.setflags(write=False)
+        object.__setattr__(self, "unitary", u)
         ket = u @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
         ket.setflags(write=False)
         object.__setattr__(self, "_uniform_ket", ket)
@@ -92,7 +106,7 @@ class TextureExtrema:
 def computational_basis(d: int) -> OrthonormalBasis:
     """The computational basis of dimension ``d`` (identity unitary)."""
     d = _count(d, "dimension")
-    return OrthonormalBasis(np.eye(d, dtype=complex))
+    return OrthonormalBasis._orthonormal(np.eye(d, dtype=complex))
 
 
 def fourier_basis(d: int) -> OrthonormalBasis:
@@ -101,7 +115,7 @@ def fourier_basis(d: int) -> OrthonormalBasis:
     d = _count(d, "dimension")
     k = np.arange(d)
     u = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
-    return OrthonormalBasis(u)
+    return OrthonormalBasis._orthonormal(u)
 
 
 def texture_less_state(basis: OrthonormalBasis) -> PureState:

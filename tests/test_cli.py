@@ -267,6 +267,23 @@ class TestConvexRoofCommand:
         fields = parse_structured(out)
         assert (fields["value"], fields["gap_to_oracle"]) == ("0", "0")
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_pure_state_prints_the_monotone(self, capsys, tmp_path, monkeypatch, n):
+        # a pure-state file is read as rank one, with no projector formed
+        path = tmp_path / "pure.state"
+        save_state(path, random_state(2 ** n, "pure", seed=n, subsystem_dims=(2,) * n))
+
+        def projector(self):
+            raise AssertionError("projector formed")
+
+        monkeypatch.setattr(PureState, "projector", projector)
+        values = []
+        for argv in (("monotone", "coherence"), ("convexroof", "--theory", "coherence")):
+            code, out, err = run(capsys, *argv, "--state", str(path), "--format", "structured")
+            assert code == 0, err
+            values.append(parse_structured(out)["value"])
+        assert values[0] == values[1]
+
     @pytest.mark.parametrize("flags", [
         ("--restarts", "0"),
         ("--restarts", "-3"),
@@ -571,6 +588,34 @@ class TestContract:
         os.truncate(path, stateio.MAX_FILE_BYTES)
         with pytest.raises(Read):
             load_state(path)
+
+    def test_matrix_dimension_checked_before_conversion(self, capsys, tmp_path, monkeypatch,
+                                                        bell_file):
+        # full-shaped files of dimension 1025, far below MAX_FILE_BYTES
+        d = stateio.MAX_MATRIX_DIM + 1
+        zeros = "[" + ",".join(["[" + ",".join("0" * d) + "]"] * d) + "]"
+        mixed, unitary = tmp_path / "big.state", tmp_path / "big.unitary"
+        mixed.write_text(f'{{"dims": [{d}], "kind": "mixed", "re": {zeros}, "im": {zeros}}}')
+        unitary.write_text(f'{{"re": {zeros}, "im": {zeros}}}')
+        assert max(mixed.stat().st_size, unitary.stat().st_size) < stateio.MAX_FILE_BYTES // 8
+
+        def matrix(*args):
+            raise AssertionError("entries converted")
+
+        monkeypatch.setattr(stateio, "_matrix", matrix)
+        for argv, message in [
+            (("purity", "--state", str(mixed)),
+             f"error: state file {mixed}: a mixed state of dimension {d} exceeds the limit of 1024"),
+            (("texture", "--state", bell_file, "--basis", str(unitary)),
+             f"error: unitary file {unitary}: a unitary of dimension {d} exceeds the limit of 1024"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(message) and "Traceback" not in err
+        # pure states are not capped
+        path = tmp_path / "pure.state"
+        save_state(path, random_state(2 * d, "pure", seed=0))
+        assert load_state(path).dim == 2 * d
 
     def test_invalid_state_file_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.state"

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as strat
 from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, random_density,
                      wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
-                          convex_roof, pure_state_monotone, random_state, roof)
+                          convex_roof, pure_state_monotone, random_state, roof,
+                          spectral_decompose)
+from statetexture.monotones import free_state_oracle
 
 FAST = RoofConfig(cardinality=5, restarts=2, tolerance=1e-7, seed=7)
 
@@ -76,8 +78,10 @@ class TestResultContract:
     def test_rank_one_roof_is_the_closed_form(self, theory, d, dims):
         for seed in range(3):
             psi = random_state(d, "pure", seed=seed, subsystem_dims=dims)
-            res = convex_roof(psi.projector(), theory, RoofConfig(restarts=1))
-            assert abs(res.value - pure_state_monotone(psi, theory).value) < 1e-12
+            # a pure state is read as rank one, with no projector formed
+            for state in (psi.projector(), psi):
+                res = convex_roof(state, theory, RoofConfig(restarts=1))
+                assert abs(res.value - pure_state_monotone(psi, theory).value) < 1e-12
 
     def test_more_restarts_never_worse(self):
         rho = random_state(4, "mixed", seed=23, subsystem_dims=(2, 2))
@@ -231,3 +235,62 @@ class TestProperties:
         mu, vecs = np.linalg.eigh(mat)
         eigen_average = sum(p * pure_entanglement(v) for p, v in zip(mu, vecs.T) if p > 0)
         assert res.value <= eigen_average + 1e-9
+
+
+def rank_two_three_qubits(seed):
+    """A rank-2 three-qubit state g g^+ / tr, g an 8 x 2 complex Ginibre matrix."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    mat = g @ g.conj().T
+    mat /= np.trace(mat).real
+    return DensityMatrix(0.5 * (mat + mat.conj().T), (2, 2, 2))
+
+
+DESCENT_CASES = {
+    "entanglement_bipartite": lambda: random_state(4, "mixed", seed=5000, subsystem_dims=(2, 2)),
+    "coherence": lambda: random_state(3, "mixed", seed=1),
+    "nonstabilizerness": lambda: random_state(2, "mixed", seed=0),
+    "gme": lambda: rank_two_three_qubits(6),
+}
+
+
+def descent_starts(rho, theory, m=5):
+    """The roof's branch basis and oracle for ``rho``, and two starting
+    isometries: restart 0's and a seeded random one."""
+    spec = spectral_decompose(rho)
+    keep = spec.eigenvalues > roof.RANK_CUTOFF
+    mu = spec.eigenvalues[keep] / spec.eigenvalues[keep].sum()
+    base = (spec.eigenvectors[:, keep] * np.sqrt(mu)).T
+    nearest, _ = free_state_oracle(theory, rho.subsystem_dims or (rho.dim,))
+    r = mu.size
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    return base, nearest, [np.eye(m, r, dtype=complex), np.linalg.qr(g)[0]]
+
+
+class TestDescentContract:
+    @pytest.mark.parametrize("theory", DESCENT_CASES)
+    def test_value_never_rises_with_more_iterations(self, theory):
+        base, nearest, starts = descent_starts(DESCENT_CASES[theory](), theory)
+        for iso in starts:
+            start = 1.0 - float(nearest(iso @ base)[0].sum())
+            values = [roof._descend(iso, base, nearest,
+                                    RoofConfig(tolerance=1e-7, max_iterations=k))[0]
+                      for k in range(1, 41)]
+            assert values[0] <= start
+            assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("theory", DESCENT_CASES)
+    def test_repeated_calls_are_bitwise_equal(self, theory):
+        rho = DESCENT_CASES[theory]()
+        base, nearest, starts = descent_starts(rho, theory)
+        for iso in starts:
+            first, again = (roof._descend(iso, base, nearest, RoofConfig(tolerance=1e-7))
+                            for _ in range(2))
+            assert first[0] == again[0] and first[2] == again[2]
+            assert np.array_equal(first[1], again[1])
+        first, again = (convex_roof(rho, theory, FAST) for _ in range(2))
+        assert first.value == again.value
+        assert [p for p, _ in first.decomposition] == [p for p, _ in again.decomposition]
+        assert all(np.array_equal(a.amplitudes, b.amplitudes)
+                   for (_, a), (_, b) in zip(first.decomposition, again.decomposition))

@@ -13,7 +13,7 @@ from statetexture import (DensityMatrix, InvalidStateError, OrthonormalBasis,
                           renyi_purity, rugosity_pure, single_shot_cost,
                           spectral_decompose, texture_extrema, texture_in_basis,
                           texture_less_state, texture_purity)
-from statetexture.texture import _unitary_mapping_uniform_to
+from statetexture.texture import BASIS_TOL, _unitary_mapping_uniform_to
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -102,6 +102,28 @@ class TestFourierBasis:
     def test_unitarity(self, d):
         f = fourier_basis(d).unitary
         assert np.max(np.abs(f.conj().T @ f - np.eye(d))) <= 1e-12
+
+
+class TestPackageBases:
+    # the package's own bases are orthonormal by construction and skip the
+    # O(d^3) check of OrthonormalBasis; this is that check, made here
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 1024])
+    @pytest.mark.parametrize("make", [computational_basis, fourier_basis])
+    def test_orthonormal_by_construction(self, make, d):
+        basis = make(d)
+        u = basis.unitary
+        gram = u.conj().T @ u
+        gram.reshape(-1)[::d + 1] -= 1.0
+        assert np.max(np.abs(gram)) <= BASIS_TOL
+        assert not u.flags.writeable and not basis._uniform_ket.flags.writeable
+        ket = u @ np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+        assert np.array_equal(basis._uniform_ket, ket)
+
+    def test_user_unitaries_are_still_checked(self):
+        u = fourier_basis(4).unitary.copy()
+        u[:, 1] = u[:, 0]
+        with pytest.raises(UsageError, match="residual"):
+            OrthonormalBasis(u)
 
 
 class TestExtrema:
