@@ -16,11 +16,11 @@ _NAMES = {
     "purity": "PurityReport check_renyi2_bound renyi_purity single_shot_cost texture_purity",
     "monotones": "MonotoneResult coherence_monotone concurrence_two_qubit entanglement_monotone "
                  "gme_monotone nonstabilizerness_monotone pure_state_monotone "
-                 "sampled_local_texture_bound single_qubit_clifford_group",
+                 "single_qubit_clifford_group",
     "roof": "ConvexRoofResult RoofConfig convex_roof",
     "ising": "ChainSpec EDGroundState MomentumMode PairObservables ScanGrid analytic_rugosity "
-             "bogoliubov_modes dispersion_ground_energy ed_ground ed_ground_state "
-             "ed_pair_observables ed_rugosity pair_observables reduced_pair_state scan",
+             "bogoliubov_modes dispersion_ground_energy ed_ground ed_pair_observables "
+             "ed_rugosity pair_observables reduced_pair_state scan",
     "stateio": "load_state load_unitary save_decomposition save_state",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

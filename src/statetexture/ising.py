@@ -95,7 +95,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError, warn_caller
-from .states import DensityMatrix, PureState, _count, _cut_matrices
+from .states import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, _count,
+                     _cut_matrices)
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
@@ -135,15 +136,11 @@ _RITZ_DECADES = 0.4
 _SQRT_HALF = math.sqrt(0.5)
 _UNSCALED_FIELD = 2.0 ** 256  # see _field_scale
 
-_I2 = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 # the Pauli products of the pair state: sz on either site, then xx, yy, zz
-_Z_SUM = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
-_XX = np.kron(_SX, _SX)
-_YY = np.kron(_SY, _SY)
-_ZZ = np.kron(_SZ, _SZ)
+_Z_SUM = np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z)
+_XX = np.kron(SIGMA_X, SIGMA_X)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 
 def _pair_rugosity(c_xx: float) -> float:
@@ -988,22 +985,17 @@ def ed_ground(spec: ChainSpec) -> EDGroundState:
     degenerate = gap < DEGENERACY_GAP
     if degenerate:
         warn_caller(f"near-degenerate ground space (gap {gap:.3e}) for {spec}")
-    # one 2^n array, normalized in place with its largest entry made positive
+    # one 2^n array with its largest entry made positive; PureState normalizes it
     vec = amplitude[table.orbit]
-    norm = np.linalg.norm(vec)
-    vec /= -norm if vec[np.argmax(np.abs(vec))] < 0 else norm
+    if vec[np.argmax(np.abs(vec))] < 0:
+        np.negative(vec, out=vec)
     state = PureState(vec, (2,) * spec.n)
     return EDGroundState(state=state, energy=e0, gap=gap, degenerate=degenerate)
 
 
-def ed_ground_state(spec: ChainSpec) -> PureState:
-    """Ground state vector of the chain (see :func:`ed_ground`)."""
-    return ed_ground(spec).state
-
-
 def ed_rugosity(spec: ChainSpec) -> float:
     """Rugosity of the exact-diagonalization ground state."""
-    return rugosity_pure(ed_ground_state(spec))
+    return rugosity_pure(ed_ground(spec).state)
 
 
 def reduced_pair_state(state: PureState, site: int = 0) -> DensityMatrix:
@@ -1027,7 +1019,7 @@ def ed_pair_observables(spec: ChainSpec) -> PairObservables:
     """Nearest-neighbor observables from the exact-diagonalization ground
     state via partial trace; the state is translation invariant, so sites
     (0, 1) stand for every pair."""
-    mat = reduced_pair_state(ed_ground_state(spec)).matrix
+    mat = reduced_pair_state(ed_ground(spec).state).matrix
     z_sum, c_xx, c_yy, c_zz = (float(np.real(np.trace(mat @ op)))
                                for op in (_Z_SUM, _XX, _YY, _ZZ))
     return PairObservables(0.5 * z_sum, c_xx, c_yy, c_zz)

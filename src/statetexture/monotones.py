@@ -24,13 +24,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .states import (Cut, PureState, density_of, _count, _cut_layout, _cut_matrices,
+from .states import (SIGMA_Y, Cut, PureState, density_of, _cut_layout, _cut_matrices,
                      _normalize_cut)
-from .texture import OrthonormalBasis, _unitary_mapping_uniform_to, texture_in_basis
 
 THEORIES = ("coherence", "nonstabilizerness", "entanglement_bipartite", "gme")
-
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 MAX_GME_PARTIES = 12
 
@@ -339,8 +336,8 @@ def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult
     dims = psi.subsystem_dims if psi.subsystem_dims is not None else (psi.dim,)
     nearest, cuts = free_state_oracle(theory, dims, cut)
     overlap, _, choice = nearest(psi.amplitudes[None, :])
-    # clamped, as a state within NORM_TOL of unit norm can overlap a free
-    # state by up to 1 + 2 NORM_TOL, and every witness is bounded by 1
+    # clamped, as a unit state's overlap with a free state can round above
+    # 1, and every witness is bounded by 1
     overlap, choice = min(max(float(overlap[0]), 0.0), 1.0), int(choice[0])
     if theory == "coherence":
         witness = {"index": choice, "probability": overlap}
@@ -383,42 +380,6 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     every larger cut, the screen stops, so at 9 to 12 qubits the cuts with
     the largest sides are never formed."""
     return pure_state_monotone(psi, "gme")
-
-
-def _schmidt_witness_basis(mat: np.ndarray) -> np.ndarray:
-    """Product basis whose uniform superposition is the leading Schmidt pair
-    of the cut matrix ``mat``."""
-    u, _, vh = np.linalg.svd(mat)
-    return np.kron(_unitary_mapping_uniform_to(u[:, 0]),
-                   _unitary_mapping_uniform_to(vh[0, :]))
-
-
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def sampled_local_texture_bound(psi: PureState, cut: Iterable[int],
-                                samples: int, seed: int = 0,
-                                include_witness: bool = True) -> float:
-    """Minimum texture over sampled product bases of the given cut: an upper
-    bound on the entanglement monotone, tight when the Schmidt-aligned
-    witness basis is included."""
-    samples = _count(samples, "samples", 0)
-    dims = psi.subsystem_dims
-    mat = _cut_matrices(psi.amplitudes[None, :], dims, _normalize_cut(dims, cut))[0]
-    d_a, d_b = mat.shape
-    cut_state = PureState(mat.ravel(), (d_a, d_b))
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(samples):
-        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
-        best = min(best, texture_in_basis(cut_state, OrthonormalBasis(u)).texture)
-    if include_witness:
-        w = _schmidt_witness_basis(mat)
-        best = min(best, texture_in_basis(cut_state, OrthonormalBasis(w)).texture)
-    return float(best)
 
 
 def single_qubit_clifford_group() -> List[np.ndarray]:

@@ -152,8 +152,8 @@ def convex_roof(rho: StateLike, theory: str,
     ----------
     rho : DensityMatrix or PureState
         State to decompose (``subsystem_dims`` required for the entanglement
-        theories).  A pure state is read as rank one, its normalized
-        amplitudes the one eigenvector, with no projector formed.
+        theories).  A pure state is read as rank one, its amplitudes
+        the one eigenvector, with no projector formed.
     theory : str
         One of ``coherence``, ``nonstabilizerness``,
         ``entanglement_bipartite``, ``gme``.
@@ -176,7 +176,7 @@ def convex_roof(rho: StateLike, theory: str,
 
     if isinstance(rho, PureState):
         mu = np.ones(1)
-        vecs = (rho.amplitudes / np.linalg.norm(rho.amplitudes))[:, None]
+        vecs = rho.amplitudes[:, None]
     else:
         spec = spectral_decompose(rho)
         keep = spec.eigenvalues > RANK_CUTOFF

@@ -20,6 +20,10 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
 
 def _count(value, name: str, minimum: int = 1) -> int:
     """``value`` as an ``int``: a Python or NumPy integer of at least ``minimum``.
@@ -49,7 +53,8 @@ class PureState:
     Attributes
     ----------
     amplitudes : ndarray
-        Complex vector of length ``dim`` with unit 2-norm (within 1e-12).
+        Complex vector of length ``dim``: the given one, whose 2-norm must be
+        within ``NORM_TOL`` of 1, divided by that norm on construction.
     subsystem_dims : tuple of int, optional
         Ordered local dimensions whose product equals ``dim``.
     """
@@ -67,6 +72,7 @@ class PureState:
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state vector norm {nrm!r} is not 1 within tolerance")
+        amp /= nrm
         object.__setattr__(self, "subsystem_dims", _as_dims(amp.size, self.subsystem_dims))
         amp.setflags(write=False)
 
@@ -75,13 +81,9 @@ class PureState:
         return self.amplitudes.size
 
     def projector(self) -> "DensityMatrix":
-        """Return the rank-one density matrix |psi><psi| / <psi|psi>.
-
-        The amplitudes are normalized first: a norm within ``NORM_TOL`` of 1
-        gives a trace up to 2 ``NORM_TOL`` from 1, beyond ``TRACE_TOL``.
-        """
-        amp = self.amplitudes / np.linalg.norm(self.amplitudes)
-        return DensityMatrix(np.outer(amp, amp.conj()), self.subsystem_dims)
+        """Return the rank-one density matrix |psi><psi|."""
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()),
+                             self.subsystem_dims)
 
 
 @dataclass(frozen=True, eq=False)

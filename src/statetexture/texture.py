@@ -196,16 +196,14 @@ def texture_extrema(state: StateLike) -> TextureExtrema:
     eigenvalue of the state, with witness bases mapping the matching
     eigenvector onto the uniform superposition.
 
-    A pure state psi stands for its normalized projector, as in
-    :meth:`PureState.projector`, and is read from its amplitudes with no
-    projector formed: the eigenvalues are 1 and, for d > 1, 0, so t_min = 0
-    and t_max = 1 (0 at d = 1), whatever the norm within ``NORM_TOL``.  The
-    t_min target is psi / |psi|; the t_max target is the basis ket e_k at
-    the smallest |psi_k| less its projection on psi, which keeps at least
-    1 - 1/d of its squared norm.
+    A pure state psi is read from its amplitudes with no projector formed:
+    the eigenvalues are 1 and, for d > 1, 0, so t_min = 0 and t_max = 1 (0
+    at d = 1).  The t_min target is psi; the t_max target is the basis ket
+    e_k at the smallest |psi_k| less its projection on psi, which keeps at
+    least 1 - 1/d of its squared norm.
     """
     if isinstance(state, PureState):
-        top = state.amplitudes / np.linalg.norm(state.amplitudes)
+        top = state.amplitudes
         if state.dim == 1:
             return TextureExtrema(0.0, 0.0, np.stack([top, top]))
         k = int(np.argmin(np.abs(top)))

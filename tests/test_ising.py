@@ -19,7 +19,7 @@ from oracles import kron_ising_hamiltonian, kron_ising_terms, residual
 from statetexture import (ChainSpec, ConvergenceError, PureState, ResourceLimitError, UsageError,
                           analytic_rugosity, bogoliubov_modes,
                           computational_basis, dispersion_ground_energy,
-                          ed_ground, ed_ground_state, ed_pair_observables,
+                          ed_ground, ed_pair_observables,
                           ed_rugosity, pair_observables, partial_trace,
                           reduced_pair_state, rugosity_pure, scan,
                           texture_in_basis)
@@ -36,7 +36,7 @@ class TestChainSpec:
 
     def test_ed_size_limit(self):
         with pytest.raises(ResourceLimitError):
-            ed_ground_state(ChainSpec(22, 1.0))
+            ed_ground(ChainSpec(22, 1.0)).state
 
     @pytest.mark.parametrize("h, g", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
                                       (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
@@ -684,7 +684,7 @@ class TestEdGroundState:
         assert abs(np.real(amp @ sxsx @ amp) - 1.0) < 1e-10
 
     def test_strong_field_polarized(self):
-        state = ed_ground_state(ChainSpec(8, 50.0))
+        state = ed_ground(ChainSpec(8, 50.0)).state
         fidelity = abs(state.amplitudes[0]) ** 2
         assert fidelity > 0.999
 
@@ -728,7 +728,7 @@ class TestEdGroundState:
         assert abs(rugosity_pure(res.state) - analytic_rugosity(ChainSpec(12, 0.2))) < 1e-8
 
     def test_canonical_sign(self):
-        state = ed_ground_state(ChainSpec(6, 0.9))
+        state = ed_ground(ChainSpec(6, 0.9)).state
         amp = state.amplitudes
         assert amp[np.argmax(np.abs(amp))].real > 0
 
@@ -1055,14 +1055,14 @@ class TestEdRugosity:
 
 class TestReducedPair:
     def test_matches_partial_trace(self):
-        state = ed_ground_state(ChainSpec(6, 0.8))
+        state = ed_ground(ChainSpec(6, 0.8)).state
         ours = reduced_pair_state(state, 0).matrix
         # subsystem axis k of the packed amplitudes is chain site n-1-k
         rho = partial_trace(state.projector(), keep=[4, 5]).matrix
         assert np.max(np.abs(ours - rho)) < 1e-12
 
     def test_translation_invariance(self):
-        state = ed_ground_state(ChainSpec(8, 1.1))
+        state = ed_ground(ChainSpec(8, 1.1)).state
         base = reduced_pair_state(state, 0).matrix
         for site in range(1, 8):
             assert np.max(np.abs(reduced_pair_state(state, site).matrix - base)) < 1e-10

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as strat
 
 from oracles import SX, SY, SZ, gme_product_oracle, haar_unitary, wootters_concurrence
-from statetexture import (PureState, ResourceLimitError,
+from statetexture import (OrthonormalBasis, PureState, ResourceLimitError,
                           UsageError, coherence_monotone, concurrence_two_qubit,
                           entanglement_monotone, fourier_basis, gme_monotone,
                           nonstabilizerness_monotone, pure_state_monotone, random_state,
-                          sampled_local_texture_bound,
                           single_qubit_clifford_group, texture_in_basis)
 import statetexture.monotones as monotones
 from statetexture.monotones import free_state_oracle
+from statetexture.texture import _unitary_mapping_uniform_to
 
 STABILIZER_QUBITS = [
     np.array([1.0, 0.0]),
@@ -265,6 +265,39 @@ class TestGme:
         rotated = PureState(u @ w3.amplitudes, (2, 2, 2))
         assert abs(gme_monotone(rotated).value - base) < 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_not_increased_by_local_measurement_on_average(self, data):
+        # one party applies Kraus operators K_i, the d x d blocks of a random
+        # isometry, so sum_i K_i^dag K_i = I; the branch average of GME over
+        # the outcomes cannot exceed its value before
+        n = data.draw(strat.integers(3, 4))
+        dims = tuple(data.draw(strat.integers(2, 3)) for _ in range(n))
+        party = data.draw(strat.integers(0, n - 1))
+        branches = data.draw(strat.integers(2, 4))
+        rng = np.random.default_rng(data.draw(strat.integers(0, 2 ** 32 - 1)))
+        amp = haar_ket(math.prod(dims), rng)
+        d = dims[party]
+        isometry = haar_unitary(branches * d, rng)[:, :d]
+        average = 0.0
+        for kraus in isometry.reshape(branches, d, d):
+            branch = on_party(kraus, amp, dims, party)
+            p = np.vdot(branch, branch).real
+            average += p * gme_monotone(PureState(branch / math.sqrt(p), dims)).value
+        assert average <= gme_monotone(PureState(amp, dims)).value + 1e-12
+
+    def test_raised_by_a_unitary_across_two_parties(self):
+        # negative control: a unitary on parties 0 and 1 together is not
+        # local, and raises GME on some of these draws
+        rng = np.random.default_rng(13)
+        raised = 0
+        for _ in range(20):
+            amp = haar_ket(8, rng)
+            moved = (haar_unitary(4, rng) @ amp.reshape(4, 2)).ravel()
+            raised += (gme_monotone(PureState(moved, (2, 2, 2))).value
+                       > gme_monotone(PureState(amp, (2, 2, 2))).value + 1e-9)
+        assert raised >= 1
+
     def test_cut_is_usage_error(self, ghz3):
         # GME ranges over every bipartition and takes no cut
         with pytest.raises(UsageError):
@@ -447,12 +480,17 @@ class TestScreenedOracle:
         assert sizes == {2: 13, 4: 66, 8: 220, 16: 495}
 
 
+def on_party(op, amp, dims, k):
+    """``amp`` with the operator ``op`` applied to party ``k``."""
+    tensor = np.tensordot(op, amp.reshape(dims), axes=([1], [k]))
+    return np.moveaxis(tensor, 0, k).ravel()
+
+
 def local_rotation(amp, dims, rng):
     """``amp`` with an independent Haar unitary on each party."""
-    tensor = amp.reshape(dims)
     for k, d in enumerate(dims):
-        tensor = np.moveaxis(np.tensordot(haar_unitary(d, rng), tensor, axes=([1], [k])), 0, k)
-    return tensor.ravel()
+        amp = on_party(haar_unitary(d, rng), amp, dims, k)
+    return amp
 
 
 def assert_gme_invariant(amp, dims, order, rng):
@@ -520,29 +558,93 @@ class TestFreeUnitaryInvariance:
         assert nested_stops.count(True) == 3  # each screen stopped at the bounds
 
 
-class TestSampledLocalTextureBound:
-    def test_product_state_exact_zero_with_witness(self):
-        psi = PureState(np.kron([1.0, 0.0], [0.0, 1.0]), (2, 2))
-        assert abs(sampled_local_texture_bound(psi, [0], samples=8, seed=1)) < 1e-10
+def draw_parties(data, low=1):
+    """2 to 4 parties of dimensions ``low`` to 4, a Haar ket on them, and a
+    proper bipartition ``(side A, side B)``."""
+    n = data.draw(strat.integers(2, 4))
+    dims = tuple(data.draw(strat.integers(low, 4)) for _ in range(n))
+    side_a = data.draw(strat.sets(strat.integers(0, n - 1), min_size=1, max_size=n - 1))
+    cut = tuple(sorted(side_a)), tuple(k for k in range(n) if k not in side_a)
+    rng = np.random.default_rng(data.draw(strat.integers(0, 2 ** 32 - 1)))
+    return dims, haar_ket(math.prod(dims), rng), cut, rng
 
-    def test_bell_lower_bound(self, bell_state):
-        val = sampled_local_texture_bound(bell_state, [0], samples=16, seed=2)
-        assert val >= 0.5 - 1e-10
 
-    def test_upper_bounds_monotone_and_tight(self):
-        for seed in range(10):
-            psi = random_state(6, "pure", seed=seed, subsystem_dims=(2, 3))
-            exact = entanglement_monotone(psi, [0]).value
-            bound = sampled_local_texture_bound(psi, [0], samples=10, seed=seed)
-            assert bound >= exact - 1e-10
-            assert bound <= exact + 1e-10  # witness injection achieves equality
+def in_party_order(u, dims, order):
+    """A matrix whose rows run over the parties taken in ``order``, its rows
+    put in the parties' own order; its columns, say basis kets, keep theirs."""
+    rows = u.reshape(tuple(dims[k] for k in order) + (u.shape[1],))
+    return rows.transpose(tuple(np.argsort(order)) + (len(order),)).reshape(u.shape)
 
-    def test_without_witness_still_bounds(self):
-        psi = random_state(4, "pure", seed=3, subsystem_dims=(2, 2))
-        exact = entanglement_monotone(psi, [0]).value
-        bound = sampled_local_texture_bound(psi, [0], samples=40, seed=4,
-                                            include_witness=False)
-        assert bound >= exact - 1e-10
+
+def product_basis(local_a, local_b, dims, cut):
+    """The basis ``local_a x local_b`` across ``cut``, on the parties in
+    their own order; ``OrthonormalBasis`` checks that it is unitary."""
+    return OrthonormalBasis(in_party_order(np.kron(local_a, local_b), dims, cut[0] + cut[1]))
+
+
+def schmidt_pair_basis(amp, dims, cut):
+    """The product basis across ``cut`` whose uniform superposition is the
+    leading Schmidt pair of ``amp``: each side's unitary maps its uniform
+    ket onto a leading singular vector of the cut's matrix."""
+    side_a, side_b = cut
+    mat = amp.reshape(dims).transpose(side_a + side_b).reshape(
+        math.prod(dims[k] for k in side_a), -1)
+    u, _, vh = np.linalg.svd(mat)
+    return product_basis(_unitary_mapping_uniform_to(u[:, 0]),
+                         _unitary_mapping_uniform_to(vh[0]), dims, cut)
+
+
+def monotone_of(theory, psi, cut):
+    if theory == "gme":
+        return gme_monotone(psi)
+    return entanglement_monotone(psi, cut[0])
+
+
+class TestNonLocalTexture:
+    """Non-local texture, the least texture over product bases, equals the
+    entanglement monotones on pure states (Wei and Goldbart, PRA 68, 042307
+    (2003)): the monotone's own Schmidt pair gives a product basis that
+    attains the value, and no product basis goes below it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(strat.data(), strat.sampled_from(["entanglement_bipartite", "gme"]),
+           strat.booleans())
+    def test_schmidt_pair_basis_attains_the_value(self, data, theory, product):
+        dims, amp, cut, rng = draw_parties(data)
+        if product:  # a product across the cut, where both values are 0
+            amp = np.kron(*(haar_ket(math.prod(dims[k] for k in side), rng) for side in cut))
+            amp = in_party_order(amp[:, None], dims, cut[0] + cut[1]).ravel()
+        psi = PureState(amp, dims)
+        result = monotone_of(theory, psi, cut)
+        basis = schmidt_pair_basis(psi.amplitudes, dims, result.witness["cut"])
+        assert abs(texture_in_basis(psi, basis).texture - result.value) < 1e-12
+        assert not product or result.value < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(strat.data())
+    def test_product_bases_never_go_below_the_value(self, data):
+        # Haar product bases across any cut, and that cut's Schmidt-pair
+        # basis, which attains the cut's value: GME is the least over cuts
+        dims, amp, cut, rng = draw_parties(data)
+        psi = PureState(amp, dims)
+        d_a = math.prod(dims[k] for k in cut[0])
+        values = entanglement_monotone(psi, cut[0]).value, gme_monotone(psi).value
+        bases = [product_basis(haar_unitary(d_a, rng), haar_unitary(len(amp) // d_a, rng),
+                               dims, cut) for _ in range(3)]
+        for basis in bases + [schmidt_pair_basis(psi.amplitudes, dims, cut)]:
+            assert texture_in_basis(psi, basis).texture >= max(values) - 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(strat.data(), strat.sampled_from(["entanglement_bipartite", "gme"]))
+    def test_an_entangled_basis_goes_below_the_value(self, data, theory):
+        # negative control: the basis that maps the uniform ket onto psi is
+        # entangled across every cut and gives texture 0 below every
+        # entangled value (a Haar basis of the whole space rarely does)
+        dims, amp, cut, _ = draw_parties(data, low=2)
+        psi = PureState(amp, dims)
+        value = monotone_of(theory, psi, cut).value
+        basis = OrthonormalBasis(_unitary_mapping_uniform_to(psi.amplitudes))
+        assert texture_in_basis(psi, basis).texture < 1e-12 < value
 
 
 class TestConcurrence:

@@ -17,12 +17,12 @@ PUBLIC_NAMES = [
     "StateTextureError", "TextureExtrema", "TextureReport", "UsageError",
     "analytic_rugosity", "bogoliubov_modes", "check_renyi2_bound",
     "coherence_monotone", "computational_basis", "concurrence_two_qubit",
-    "convex_roof", "dispersion_ground_energy", "ed_ground", "ed_ground_state",
-    "ed_pair_observables", "ed_rugosity", "entanglement_monotone",
+    "convex_roof", "dispersion_ground_energy", "ed_ground", "ed_pair_observables",
+    "ed_rugosity", "entanglement_monotone",
     "fourier_basis", "gme_monotone", "load_state", "load_unitary",
     "nonstabilizerness_monotone", "pair_observables", "partial_trace",
     "pure_state_monotone", "random_state", "reduced_pair_state", "renyi_purity",
-    "rugosity_pure", "sampled_local_texture_bound", "save_decomposition",
+    "rugosity_pure", "save_decomposition",
     "save_state", "scan", "schmidt_decompose", "single_qubit_clifford_group",
     "single_shot_cost", "spectral_decompose", "texture_extrema",
     "texture_in_basis", "texture_less_state", "texture_purity",
@@ -85,11 +85,18 @@ class TestImportGraph:
         (["purity", "--state", "{state}"], {"purity", "stateio"},
          {"ising", "roof", "monotones", "texture"}),
         (["ising", "point", "--n", "8", "--h", "0.5"], {"ising"}, {"roof", "monotones", "purity"}),
-    ], ids=["purity", "ising-point"])
+        (["monotone", "ggm", "--state", "{pure}"], {"monotones", "stateio"},
+         {"ising", "roof", "purity", "texture"}),
+        (["convexroof", "--state", "{state}", "--theory", "entangle", "--restarts", "1"],
+         {"roof", "monotones", "stateio"}, {"ising", "purity", "texture"}),
+    ], ids=["purity", "ising-point", "monotone-ggm", "convexroof-entangle"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, used, unused):
-        state = tmp_path / "rho.state"
-        statetexture.save_state(state, statetexture.random_state(4, "mixed", seed=1))
-        argv = [arg.format(state=state) for arg in argv]
+        state, pure = tmp_path / "rho.state", tmp_path / "psi.state"
+        statetexture.save_state(state, statetexture.random_state(4, "mixed", seed=1,
+                                                                 subsystem_dims=(2, 2)))
+        statetexture.save_state(pure, statetexture.random_state(8, "pure", seed=1,
+                                                                subsystem_dims=(2, 2, 2)))
+        argv = [arg.format(state=state, pure=pure) for arg in argv]
         loaded = _loaded_after(f"from statetexture.cli import main\nassert main({argv!r}) == 0")
         assert {f"statetexture.{m}" for m in used} <= loaded
         assert not loaded & {f"statetexture.{m}" for m in unused}

@@ -6,8 +6,7 @@ import pytest
 from oracles import jacobi_eigenvalues, random_density
 from statetexture import (ChainSpec, DensityMatrix, InvalidStateError, PureState, RoofConfig,
                           UsageError, computational_basis, fourier_basis, partial_trace,
-                          random_state, sampled_local_texture_bound, schmidt_decompose,
-                          spectral_decompose)
+                          random_state, schmidt_decompose, spectral_decompose)
 
 
 class TestInvariants:
@@ -248,8 +247,6 @@ class TestRandomState:
             random_state(0, kind)
 
 
-_BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2))
-
 # each entry point that takes a count: a call on one value, and that count's minimum
 COUNT_ARGUMENTS = {
     "ChainSpec.n": (lambda k: ChainSpec(k, 0.5), 2),
@@ -261,8 +258,6 @@ COUNT_ARGUMENTS = {
     "computational_basis": (computational_basis, 1),
     "fourier_basis": (fourier_basis, 1),
     "PureState.subsystem_dims": (lambda k: PureState(np.eye(4)[0], (k,)), 1),
-    "sampled_local_texture_bound": (
-        lambda k: sampled_local_texture_bound(_BELL, [0], samples=k), 0),
 }
 
 
