@@ -142,7 +142,7 @@ def _cmd_convexroof(args) -> list:
     result = roof.convex_roof(state, theory, cfg, cut=cut)
     if args.dump_decomposition:
         stateio.save_decomposition(args.dump_decomposition, result.decomposition)
-    return [("theory", theory), ("value", result.value),
+    return [("theory", theory), ("value", result.value), ("lower_bound", result.lower_bound),
             ("restarts_used", result.restarts_used), ("converged", result.converged),
             ("gap_to_oracle", result.gap_to_oracle),
             ("decomposition_size", len(result.decomposition))]
@@ -303,13 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 parents=[theory, state])
     p.add_argument("--cut", help="bipartition such as 0,1:2,3")
 
-    p = command("convexroof", _cmd_convexroof, "convex-roof upper bound for mixed states",
+    p = command("convexroof", _cmd_convexroof,
+                "convex roof of a mixed state: exact, with a lower bound, for entangle "
+                "on two qubits and coherence or magic on one; else a descent upper bound",
                 parents=[state], writes=("dump_decomposition",))
     p.add_argument("--theory", choices=sorted(_THEORY_BY_FLAG), required=True)
     p.add_argument("--cut", help="bipartition such as 0:1")
     for flag, kind in (("--restarts", int), ("--cardinality", int), ("--tolerance", float),
                        ("--max-iterations", int), ("--seed", int)):
-        p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+        p.add_argument(flag, type=kind, default=argparse.SUPPRESS,
+                       help="descent only; validated, then unused, by the exact cases")
     p.add_argument("--dump-decomposition", help="write the decomposition to this file")
 
     p = command("ising-point", _cmd_ising_point, "rugosity observables at one parameter point",

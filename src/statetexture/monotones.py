@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .states import (SIGMA_Y, Cut, PureState, density_of, _cut_layout, _cut_matrices,
+from .states import (SIGMA_YY, Cut, PureState, density_of, _cut_layout, _cut_matrices,
                      _normalize_cut)
 
 THEORIES = ("coherence", "nonstabilizerness", "entanglement_bipartite", "gme")
@@ -397,8 +397,7 @@ def concurrence_two_qubit(state) -> float:
     rho = density_of(state)
     if rho.dim != 4:
         raise UsageError(f"concurrence is defined for two qubits, got dimension {rho.dim}")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    m = rho.matrix @ yy @ rho.matrix.conj() @ yy
+    m = rho.matrix @ SIGMA_YY @ rho.matrix.conj() @ SIGMA_YY
     nu = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
     roots = np.sqrt(nu)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))

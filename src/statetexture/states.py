@@ -23,6 +23,8 @@ NORM_TOL = 1e-12
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# the two-qubit spin flip of Wootters' concurrence
+SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def _count(value, name: str, minimum: int = 1) -> int:

@@ -2,9 +2,9 @@
 
 The Pauli matrices ``SX``, ``SY``, ``SZ``, ``haar_unitary``,
 ``wootters_concurrence``, ``entanglement_roof_of_concurrence``,
-``kron_ising_terms`` and the chain's eigenpair ``residual`` are the
-benchmark's, loaded from ``bench/oracles.py``, which imports numpy and scipy
-only.
+``qubit_coherence_roof``, ``kron_ising_terms`` and the chain's eigenpair
+``residual`` are the benchmark's, loaded from ``bench/oracles.py``, which
+imports numpy and scipy only.
 """
 
 import importlib.util
@@ -19,7 +19,8 @@ _spec = importlib.util.spec_from_file_location(
 sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sys.modules[_spec.name])
 from bench_oracles import (SX, SY, SZ, entanglement_roof_of_concurrence,  # noqa: E402, F401
-                           haar_unitary, kron_ising_terms, residual, wootters_concurrence)
+                           haar_unitary, kron_ising_terms, qubit_coherence_roof, residual,
+                           wootters_concurrence)
 
 
 def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):

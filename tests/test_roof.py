@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, random_density,
-                     wootters_concurrence)
+from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, qubit_coherence_roof,
+                     random_density, wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
                           convex_roof, pure_state_monotone, random_state, roof,
                           spectral_decompose)
@@ -99,9 +99,10 @@ class TestResultContract:
         assert -1e-9 <= res.gap_to_oracle <= 1e-3
 
     def test_converged_flag(self):
-        res = convex_roof(werner(0.6), "entanglement_bipartite", FAST)
+        rho = rank_two_three_qubits(6)
+        res = convex_roof(rho, "gme", FAST)
         assert res.converged
-        starved = convex_roof(werner(0.6), "entanglement_bipartite",
+        starved = convex_roof(rho, "gme",
                               RoofConfig(cardinality=5, restarts=1, seed=5,
                                          max_iterations=1))
         assert not starved.converged
@@ -118,10 +119,10 @@ class TestResultContract:
     def test_huge_tolerance_stops_at_once(self):
         # tolerance ** 2 once overflowed; tolerance * tolerance is inf, so
         # the first gradient test stops every restart
-        rho = werner(0.6)
-        res = convex_roof(rho, "entanglement_bipartite",
+        rho = rank_two_three_qubits(6)
+        res = convex_roof(rho, "gme",
                           RoofConfig(cardinality=5, restarts=1, seed=5, tolerance=1e308))
-        start = convex_roof(rho, "entanglement_bipartite",
+        start = convex_roof(rho, "gme",
                             RoofConfig(cardinality=5, restarts=1, seed=5, max_iterations=1,
                                        tolerance=1e308))
         assert res.converged and res.value == start.value
@@ -137,20 +138,20 @@ class TestResultContract:
 
     def test_cardinality_cap_checked_before_allocation(self, monkeypatch):
         # cardinality 10**8 once asked np.eye(m, r) for gigabytes and ended in
-        # an _ArrayMemoryError; the cap is 2 d r (8 for a full-rank qubit)
+        # an _ArrayMemoryError; the cap is 2 d r (32 for a rank-2 three-qubit state)
         class Allocated(Exception):
             pass
 
         def eye(*args, **kwargs):
             raise Allocated
 
-        rho = random_state(2, "mixed", seed=27)
+        rho = rank_two_three_qubits(6)
         monkeypatch.setattr(roof.np, "eye", eye)
-        for m in (9, 10 ** 8):
+        for m in (33, 10 ** 8):
             with pytest.raises(UsageError, match="exceeds"):
-                convex_roof(rho, "coherence", RoofConfig(cardinality=m, restarts=1))
+                convex_roof(rho, "gme", RoofConfig(cardinality=m, restarts=1))
         with pytest.raises(Allocated):
-            convex_roof(rho, "coherence", RoofConfig(cardinality=8, restarts=1))
+            convex_roof(rho, "gme", RoofConfig(cardinality=32, restarts=1))
 
     def test_unknown_theory_rejected(self):
         rho = random_state(4, "mixed", seed=25, subsystem_dims=(2, 2))
@@ -237,13 +238,18 @@ class TestProperties:
         assert res.value <= eigen_average + 1e-9
 
 
-def rank_two_three_qubits(seed):
-    """A rank-2 three-qubit state g g^+ / tr, g an 8 x 2 complex Ginibre matrix."""
+def low_rank(seed, rank, dims):
+    """g g^+ / tr, g a d x ``rank`` complex Ginibre matrix, on subsystems ``dims``."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    d = math.prod(dims)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
-    return DensityMatrix(0.5 * (mat + mat.conj().T), (2, 2, 2))
+    return DensityMatrix(0.5 * (mat + mat.conj().T), dims)
+
+
+def rank_two_three_qubits(seed):
+    return low_rank(seed, 2, (2, 2, 2))
 
 
 DESCENT_CASES = {
@@ -294,3 +300,109 @@ class TestDescentContract:
         assert [p for p, _ in first.decomposition] == [p for p, _ in again.decomposition]
         assert all(np.array_equal(a.amplitudes, b.amplitudes)
                    for (_, a), (_, b) in zip(first.decomposition, again.decomposition))
+
+
+def rebuilt(res):
+    return sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in res.decomposition)
+
+
+# the value and the lower bound are summed along different routes, so the
+# bound may exceed the value by rounding
+ROUNDING = 1e-14
+
+
+def ginibre(d, seed, dims=None):
+    return DensityMatrix(random_density(d, np.random.default_rng(seed)), dims)
+
+
+EXACT_CASES = {
+    "werner-0": (lambda: werner(0.0), "entanglement_bipartite"),
+    "werner-0.2": (lambda: werner(0.2), "entanglement_bipartite"),
+    "werner-1/3": (lambda: werner(1.0 / 3.0), "entanglement_bipartite"),
+    "werner-0.6": (lambda: werner(0.6), "entanglement_bipartite"),
+    "ginibre-2x2": (lambda: ginibre(4, 5000, (2, 2)), "entanglement_bipartite"),
+    "rank-2-2x2": (lambda: low_rank(1, 2, (2, 2)), "entanglement_bipartite"),
+    "rank-3-2x2": (lambda: low_rank(2, 3, (2, 2)), "entanglement_bipartite"),
+    "coherence-0": (lambda: ginibre(2, 0), "coherence"),
+    "coherence-1": (lambda: ginibre(2, 1), "coherence"),
+    "magic-ginibre": (lambda: ginibre(2, 0), "nonstabilizerness"),
+    "octahedron-2": (lambda: octahedron_state(2), "nonstabilizerness"),
+    "octahedron-7": (lambda: octahedron_state(7), "nonstabilizerness"),
+}
+
+
+class TestExactPaths:
+    @pytest.mark.parametrize("config", [FAST, RoofConfig()], ids=["fast", "default"])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.6, 1.0])
+    def test_werner_is_the_wootters_roof(self, p, config):
+        # Werner's concurrence in closed form: the spin-flip spectrum's square
+        # roots lose 1e-8 of the roof at p = 1
+        oracle = entanglement_roof_of_concurrence(max(0.0, 1.5 * p - 0.5))
+        res = convex_roof(werner(p), "entanglement_bipartite", config)
+        assert abs(res.value - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5000, 5001, 5002])
+    def test_full_rank_two_qubits_are_the_wootters_roof(self, seed):
+        rho = ginibre(4, seed, (2, 2))
+        res = convex_roof(rho, "entanglement_bipartite", FAST)
+        oracle = entanglement_roof_of_concurrence(wootters_concurrence(rho.matrix))
+        assert abs(res.value - oracle) <= 1e-12
+        assert abs(res.gap_to_oracle) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qubit_coherence_is_the_closed_form(self, seed):
+        rho = ginibre(2, seed)
+        res = convex_roof(rho, "coherence", FAST)
+        assert abs(res.value - qubit_coherence_roof(rho.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("config", [FAST, RoofConfig()], ids=["fast", "default"])
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_octahedron_roof_is_zero(self, seed, config):
+        res = convex_roof(octahedron_state(seed), "nonstabilizerness", config)
+        assert 0.0 <= res.value <= 1e-12
+
+    def test_ginibre_magic_qubit(self):
+        # the descent at the benchmark's settings ends at 1.708e-2 here, a
+        # local minimum where every branch keeps one stabilizer axis
+        res = convex_roof(ginibre(2, 0), "nonstabilizerness")
+        assert abs(res.value - 1.462011e-3) <= 5e-10
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_result_contract(self, case):
+        state, theory = EXACT_CASES[case]
+        rho = state()
+        res = convex_roof(rho, theory, FAST)
+        assert np.max(np.abs(rebuilt(res) - rho.matrix)) <= 1e-10
+        assert abs(sum(p for p, _ in res.decomposition) - 1.0) <= 1e-12
+        resum = sum(p * pure_state_monotone(s, theory).value for p, s in res.decomposition)
+        assert abs(res.value - resum) <= 1e-12
+        assert res.lower_bound - ROUNDING <= res.value <= res.lower_bound + roof.EXACT_GAP
+        assert res.converged and res.restarts_used == 0
+
+    @pytest.mark.parametrize("theory,state", [
+        ("coherence", lambda: random_state(3, "mixed", seed=1)),
+        ("entanglement_bipartite", lambda: ginibre(6, 1, (2, 3))),
+        ("gme", lambda: rank_two_three_qubits(6)),
+    ])
+    def test_other_cases_descend(self, theory, state):
+        config = RoofConfig(cardinality=8, restarts=2, tolerance=1e-7, seed=7)
+        res = convex_roof(state(), theory, config)
+        assert res.lower_bound is None and res.restarts_used == 2
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(strat.integers(0, 2 ** 32 - 1),
+           strat.sampled_from([("entanglement_bipartite", 2), ("entanglement_bipartite", 3),
+                               ("entanglement_bipartite", 4), ("coherence", 2),
+                               ("nonstabilizerness", 2)]))
+    def test_bracket_and_descent_never_below(self, seed, case):
+        theory, rank = case
+        if theory == "entanglement_bipartite":
+            rho = low_rank(seed, rank, (2, 2))
+        else:
+            rho = ginibre(2, seed)
+        res = convex_roof(rho, theory)
+        assert res.lower_bound - ROUNDING <= res.value <= res.lower_bound + roof.EXACT_GAP
+        assert np.max(np.abs(rebuilt(res) - rho.matrix)) <= 1e-10
+        base, nearest, starts = descent_starts(rho, theory, m=rank * rank)
+        for iso in starts:
+            assert roof._descend(iso, base, nearest, RoofConfig())[0] >= res.value - 1e-9
