@@ -12,15 +12,14 @@ _NAMES = {
     "states": "DensityMatrix PureState SchmidtData Spectrum partial_trace random_state "
               "schmidt_decompose spectral_decompose",
     "texture": "OrthonormalBasis TextureExtrema TextureReport computational_basis fourier_basis "
-               "rugosity_pure texture_extrema texture_in_basis texture_less_state",
+               "rugosity_pure texture_extrema texture_in_basis",
     "purity": "PurityReport check_renyi2_bound renyi_purity single_shot_cost texture_purity",
     "monotones": "MonotoneResult coherence_monotone concurrence_two_qubit entanglement_monotone "
-                 "gme_monotone nonstabilizerness_monotone pure_state_monotone "
-                 "single_qubit_clifford_group",
+                 "gme_monotone nonstabilizerness_monotone pure_state_monotone",
     "roof": "ConvexRoofResult RoofConfig convex_roof",
-    "ising": "ChainSpec EDGroundState MomentumMode PairObservables ScanGrid analytic_rugosity "
-             "bogoliubov_modes dispersion_ground_energy ed_ground ed_pair_observables "
-             "ed_rugosity pair_observables reduced_pair_state scan",
+    "ising": "ChainSpec EDGroundState PairObservables ScanGrid analytic_rugosity "
+             "dispersion_ground_energy ed_ground ed_pair_observables ed_rugosity "
+             "pair_observables scan",
     "stateio": "load_state load_unitary save_decomposition save_state",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

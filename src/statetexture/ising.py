@@ -90,13 +90,12 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError, warn_caller
-from .states import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, _count,
-                     _cut_matrices)
+from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, _count
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
@@ -163,18 +162,6 @@ class ChainSpec:
             raise UsageError(f"site count must be even and >= 2, got {self.n}")
         if not (math.isfinite(self.h) and math.isfinite(self.g)):
             raise UsageError(f"fields must be finite, got h = {self.h}, g = {self.g}")
-
-
-@dataclass(frozen=True)
-class MomentumMode:
-    """One antiperiodic momentum mode of the free-fermion solution."""
-
-    p: int
-    phi: float
-    lam: float
-    theta: float
-    u: float
-    v_im: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,26 +495,6 @@ def _require_analytic(spec: ChainSpec) -> None:
         raise UsageError("the free-fermion branch requires g = 0")
     if spec.n > MAX_ANALYTIC_SITES:
         raise ResourceLimitError(f"analytic branch limited to {MAX_ANALYTIC_SITES} sites")
-
-
-def bogoliubov_modes(spec: ChainSpec) -> List[MomentumMode]:
-    """Momentum modes phi_p = (2p-1) pi / N with dispersion
-    ``lam = sqrt((h - cos phi)^2 + sin^2 phi)`` and the rotation angle
-    diagonalizing each momentum block, theta in [pi/2, pi] with
-    ``cos theta = -sqrt((lam - delta) / 2 lam)`` and
-    ``sin theta = sqrt((lam + delta) / 2 lam)``, delta = cos phi - h."""
-    _require_analytic(spec)
-    s = _field_scale(spec.h)
-    delta, sin2, lam = _dispersion(_momentum_table(spec.n), spec.h, s)
-    sin_t = np.sqrt(_half_sum(lam, delta, sin2))
-    cos_t = -np.sqrt(_half_sum(lam, delta, sin2, minus=True))
-    theta = np.arctan2(sin_t, cos_t)
-    phi = np.arange(1, spec.n, 2) * np.pi / spec.n
-    return [
-        MomentumMode(p=i + 1, phi=float(phi[i]), lam=float(lam[i]) * s, theta=float(theta[i]),
-                     u=float(cos_t[i]), v_im=float(sin_t[i]))
-        for i in range(phi.size)
-    ]
 
 
 def _pair_terms(table: tuple, h, s: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -998,29 +965,17 @@ def ed_rugosity(spec: ChainSpec) -> float:
     return rugosity_pure(ed_ground(spec).state)
 
 
-def reduced_pair_state(state: PureState, site: int = 0) -> DensityMatrix:
-    """Reduced density matrix of sites (site, site+1) of a chain state,
-    ordered as |site+1, site> to match the pair-state convention."""
-    dims = state.subsystem_dims
-    if dims is None or any(d != 2 for d in dims):
-        raise UsageError("reduced_pair_state expects a qubit chain state")
-    n = len(dims)
-    # axis for chain site s is n-1-s (site 0 is the least-significant bit)
-    side_a = (n - 1 - (site + 1) % n, n - 1 - site % n)
-    rest = tuple(k for k in range(n) if k not in side_a)
-    mat = _cut_matrices(state.amplitudes[None, :], dims, (side_a, rest))[0]
-    rho = mat @ mat.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho, (2, 2))
-
-
 def ed_pair_observables(spec: ChainSpec) -> PairObservables:
-    """Nearest-neighbor observables from the exact-diagonalization ground
-    state via partial trace; the state is translation invariant, so sites
-    (0, 1) stand for every pair."""
-    mat = reduced_pair_state(ed_ground(spec).state).matrix
-    z_sum, c_xx, c_yy, c_zz = (float(np.real(np.trace(mat @ op)))
+    """Nearest-neighbor observables of the exact-diagonalization ground
+    state; the state is translation invariant, so sites (0, 1) stand for
+    every pair.  Their state is ``M M^+`` over its trace, for the
+    4 x 2^(n-2) matrix M of the amplitudes, ordered |1, 0> like the pair
+    state: sites 1 and 0 are the last two subsystem axes, the
+    fastest-varying index."""
+    mat = ed_ground(spec).state.amplitudes.reshape(-1, 4).T
+    rho = mat @ mat.conj().T
+    rho /= np.trace(rho).real
+    z_sum, c_xx, c_yy, c_zz = (float(np.real(np.trace(rho @ op)))
                                for op in (_Z_SUM, _XX, _YY, _ZZ))
     return PairObservables(0.5 * z_sum, c_xx, c_yy, c_zz)
 

@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -380,14 +380,6 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     every larger cut, the screen stops, so at 9 to 12 qubits the cuts with
     the largest sides are never formed."""
     return pure_state_monotone(psi, "gme")
-
-
-def single_qubit_clifford_group() -> List[np.ndarray]:
-    """The 24 single-qubit Clifford unitaries (modulo global phase): each
-    ``head @ S^k`` for k = 0..3, where S = diag(1, i) and ``head``'s columns
-    are a stabilizer ket and its antipode (I, X, H, HX, SH and SHX)."""
-    return [np.stack([STABILIZER_KETS[j], 1j ** k * STABILIZER_KETS[j ^ 1]], axis=1)
-            for j in range(6) for k in range(4)]
 
 
 def concurrence_two_qubit(state) -> float:

@@ -8,14 +8,16 @@ of its theory, and the roof runs on that theory's batched oracle from
 Decompositions are the rows ``w_i`` of ``W = U B``, with ``B = sqrt(mu) V^T``
 built from the eigenpairs of ``rho`` and ``U`` an m x r isometry.
 
-Three cases of rank two or more are solved in closed form, with no descent:
-two-qubit ``entanglement_bipartite``, by Wootters' decomposition; and
-single-qubit ``coherence`` and ``nonstabilizerness``, whose free sets are the
-convex hulls of free pure states, so that the roof is ``1 - max F(rho,
-sigma)`` over free ``sigma`` (Streltsov, Kampermann & Bruss, NJP 12, 123004
-(2010)), maximized face by face over the Bloch polytope of the free kets.
-Each also returns a lower bound on the roof.  These paths ignore every
-``RoofConfig`` field, which is still validated.
+A rank-one state is its own decomposition, as every decomposition of a
+pure state has its monotone as its value.  Three cases of rank two or more
+are solved in closed form too: two-qubit ``entanglement_bipartite``, by
+Wootters' decomposition; and single-qubit ``coherence`` and
+``nonstabilizerness``, whose free sets are the convex hulls of free pure
+states, so that the roof is ``1 - max F(rho, sigma)`` over free ``sigma``
+(Streltsov, Kampermann & Bruss, NJP 12, 123004 (2010)), maximized face by
+face over the Bloch polytope of the free kets.  Each of these exact paths
+also returns a lower bound on the roof, and ignores every ``RoofConfig``
+field, which is still validated.
 
 Every other case runs a descent.  The objective
 ``F(U) = 1 - sum_i max_phi |<phi|w_i>|^2`` is minimized by gradient
@@ -355,14 +357,15 @@ def convex_roof(rho: StateLike, theory: str,
                 config: Optional[RoofConfig] = None,
                 cut=None) -> ConvexRoofResult:
     """Upper bound on the convex roof of the chosen pure-state monotone,
-    exact for two-qubit ``entanglement_bipartite`` and for single-qubit
-    ``coherence`` and ``nonstabilizerness``.
+    exact for rank-one states, two-qubit ``entanglement_bipartite`` and
+    single-qubit ``coherence`` and ``nonstabilizerness``.
 
-    For a state of rank two or more, those three cases take the closed-form
-    paths ``_wootters`` and ``_qubit_fidelity``: no descent, no restart, a
-    ``lower_bound`` on the roof, and every ``config`` field ignored once it
-    is validated.  Everything else (``gme``, entanglement beyond two qubits,
-    coherence in d >= 3, and every rank-one state) descends.
+    Those cases run no descent and no restart, give a ``lower_bound`` on
+    the roof and ignore every ``config`` field once it is validated: a
+    rank-one state is its own one branch, with its monotone as both value
+    and bound, and states of rank two or more take the closed-form paths
+    ``_wootters`` and ``_qubit_fidelity``.  Everything else (``gme``,
+    entanglement beyond two qubits, coherence in d >= 3) descends.
 
     Parameters
     ----------
@@ -411,11 +414,15 @@ def convex_roof(rho: StateLike, theory: str,
 
     two_qubits = theory == "entanglement_bipartite" and tuple(dims) == (2, 2)
     lower_bound = None
-    if r > 1 and (two_qubits or (theory in FREE_KETS and rho.dim == 2)):
-        best_branches, lower = (_wootters(base) if two_qubits
-                                else _qubit_fidelity(theory, base, mu))
-        lower_bound = max(float(lower), 0.0)  # the roof is never negative
+    if r == 1 or two_qubits or (theory in FREE_KETS and rho.dim == 2):
+        if r == 1:  # every decomposition of a pure state has its monotone as its value
+            best_branches = base
+        else:
+            best_branches, lower = (_wootters(base) if two_qubits
+                                    else _qubit_fidelity(theory, base, mu))
         best_value = 1.0 - float(nearest(best_branches)[0].sum())
+        # the roof is never negative
+        lower_bound = max(best_value if r == 1 else float(lower), 0.0)
         best_converged = best_value - lower_bound <= EXACT_GAP
         restarts_used = 0
     else:

@@ -157,10 +157,6 @@ class SchmidtData:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
 
-    @property
-    def largest(self) -> float:
-        return float(self.coefficients[0])
-
 
 StateLike = Union[PureState, DensityMatrix]
 

@@ -118,12 +118,6 @@ def fourier_basis(d: int) -> OrthonormalBasis:
     return OrthonormalBasis._orthonormal(u)
 
 
-def texture_less_state(basis: OrthonormalBasis) -> PureState:
-    """The unique zero-texture state of a basis: the uniform superposition
-    of its kets, expressed in computational coordinates."""
-    return PureState(basis._uniform_ket)
-
-
 def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport:
     """Texture report of a state relative to a basis.
 

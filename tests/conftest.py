@@ -10,6 +10,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
+import statetexture.ising as ising
 from statetexture import DensityMatrix, PureState
 
 
@@ -39,3 +40,20 @@ def maximally_mixed():
     def make(d, dims=None):
         return DensityMatrix(np.eye(d, dtype=complex) / d, dims)
     return make
+
+
+@pytest.fixture
+def pair_amplitudes():
+    """sin^2(theta_p - phi_p / 2) of the N/2 modes of a chain as the rugosity
+    kernel forms them: exp of its log remainders at |h|, with the chord term
+    ln(4 sin^2(phi_p / 2)) that it subtracts at |h| > 1 added back, and
+    reversed at h < 0, as h -> -h maps phi to pi - phi."""
+    def amplitudes(n, h):
+        table = ising._momentum_table(n)
+        if abs(h) > 1.0:
+            table += (ising._chord_terms(n),)
+        log_amp = ising._log_pair_remainders(table, abs(h), ising._field_scale(h))
+        if len(table) > 2:
+            log_amp += table[2]
+        return np.exp(log_amp)[::1 if h >= 0.0 else -1]
+    return amplitudes

@@ -4,7 +4,10 @@ The Pauli matrices ``SX``, ``SY``, ``SZ``, ``haar_unitary``,
 ``wootters_concurrence``, ``entanglement_roof_of_concurrence``,
 ``qubit_coherence_roof``, ``kron_ising_terms`` and the chain's eigenpair
 ``residual`` are the benchmark's, loaded from ``bench/oracles.py``, which
-imports numpy and scipy only.
+imports numpy and scipy only.  The single-qubit Clifford group is closed
+here from H and S, and the Bogoliubov angle of the free-fermion chain is
+built here with ``arctan2``, independently of the kets and the
+cancellation-free half sums that the package uses.
 """
 
 import importlib.util
@@ -50,6 +53,31 @@ def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):
                 rot[q, q] = c
                 a = rot.conj().T @ a @ rot
     return np.sort(np.real(np.diag(a)))[::-1]
+
+
+def single_qubit_cliffords():
+    """The 24 single-qubit Clifford unitaries modulo global phase: the
+    closure of {H, S} under products, each element with its first nonzero
+    entry made real and positive."""
+    generators = [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.diag([1.0, 1.0j])]
+    group = [np.eye(2, dtype=complex)]
+    for u in group:  # the list grows while it is read: a breadth-first closure
+        for g in generators:
+            v = g @ u
+            first = v.flat[np.argmax(np.abs(v.ravel()) > 1e-9)]
+            v = v * (abs(first) / first)
+            if not any(np.allclose(v, w, rtol=0, atol=1e-12) for w in group):
+                group.append(v)
+    return group
+
+
+def bogoliubov_angles(n, h):
+    """Momenta phi_p = (2p-1) pi / N, p = 1..N/2, of the antiperiodic sector
+    and the Bogoliubov angles theta_p in [pi/2, pi] that diagonalize their
+    blocks, from cos 2theta = (h - cos phi) / lam and sin 2theta =
+    -sin phi / lam, as 2 theta = 2 pi - arctan2(sin phi, h - cos phi)."""
+    phi = np.arange(1, n, 2) * np.pi / n
+    return phi, np.pi - 0.5 * np.arctan2(np.sin(phi), h - np.cos(phi))
 
 
 def kron_ising_hamiltonian(n, h, g):

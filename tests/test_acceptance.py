@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (entanglement_roof_of_concurrence, haar_unitary,
-                     random_density, wootters_concurrence)
+from oracles import (bogoliubov_angles, entanglement_roof_of_concurrence, haar_unitary,
+                     random_density, single_qubit_cliffords, wootters_concurrence)
 from statetexture import (ChainSpec, DensityMatrix, OrthonormalBasis, PureState,
-                          RoofConfig, analytic_rugosity, bogoliubov_modes,
+                          RoofConfig, analytic_rugosity,
                           coherence_monotone, computational_basis, convex_roof,
                           check_renyi2_bound, ed_pair_observables, ed_rugosity,
                           entanglement_monotone, fourier_basis, gme_monotone,
                           nonstabilizerness_monotone, pair_observables,
-                          random_state, scan, single_qubit_clifford_group,
+                          random_state, scan,
                           spectral_decompose, texture_extrema, texture_in_basis,
                           texture_purity)
 
@@ -129,8 +129,8 @@ def test_criterion_4_closed_forms():
     assert abs(gme_monotone(PureState(w, (2, 2, 2))).value - 1 / 3) <= tol
     bell_prod = PureState(np.kron([1.0, 0.0], bell), (2, 2, 2))
     assert gme_monotone(bell_prod).value <= tol
-    # magic closed form vs Clifford brute force
-    cliffords = single_qubit_clifford_group()
+    # magic closed form vs brute force over the Cliffords closed from H and S
+    cliffords = single_qubit_cliffords()
     f2 = fourier_basis(2)
     for seed in range(500):
         psi = random_state(2, "pure", seed=9000 + seed)
@@ -160,18 +160,18 @@ def test_criterion_5_roof_vs_concurrence():
 
 
 @criterion(6, "analytic rugosity matches exact diagonalization at 1e-8")
-def test_criterion_6_analytic_vs_ed():
+def test_criterion_6_analytic_vs_ed(pair_amplitudes):
     # at n = 12, h = 0.2 the odd-parity partner lies 6.8e-10 above the ground state
     with pytest.warns(RuntimeWarning, match="near-degenerate"):
         for n in (4, 6, 8, 10, 12):
             for h in (0.2, 0.5, 1.0, 1.5, 3.0):
                 spec = ChainSpec(n, h)
                 assert abs(analytic_rugosity(spec) - ed_rugosity(spec)) <= 1e-8
-                for mode in bogoliubov_modes(spec):
-                    direct = math.sin(mode.theta - mode.phi / 2.0) ** 2
-                    amp = 1j * mode.v_im * math.cos(mode.phi / 2.0) \
-                        - 1j * mode.u * math.sin(mode.phi / 2.0)
-                    assert abs(direct - abs(amp) ** 2) <= 1e-10
+                # the rugosity kernel's pair amplitudes, the chord term added
+                # back at h > 1, against sin^2(theta - phi/2) of the angles
+                phi, theta = bogoliubov_angles(n, h)
+                assert np.max(np.abs(pair_amplitudes(n, h)
+                                     - np.sin(theta - phi / 2.0) ** 2)) <= 1e-10
 
 
 @criterion(7, "full-state rugosity curve: flat start, ln2 plateau, kink near h=1")

@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as strat
 
 import statetexture
 import statetexture.ising as ising
-from oracles import kron_ising_hamiltonian, kron_ising_terms, residual
-from statetexture import (ChainSpec, ConvergenceError, PureState, ResourceLimitError, UsageError,
-                          analytic_rugosity, bogoliubov_modes,
+from oracles import (SX, SY, SZ, bogoliubov_angles, kron_ising_hamiltonian, kron_ising_terms,
+                     residual)
+from statetexture import (ChainSpec, ConvergenceError, ResourceLimitError, UsageError,
+                          analytic_rugosity,
                           computational_basis, dispersion_ground_energy,
                           ed_ground, ed_pair_observables,
                           ed_rugosity, pair_observables, partial_trace,
-                          reduced_pair_state, rugosity_pure, scan,
+                          rugosity_pure, scan,
                           texture_in_basis)
 
 
@@ -46,21 +47,30 @@ class TestChainSpec:
 
 
 class TestBogoliubovModes:
+    """The modes as the kernels see them: the momentum table, the
+    dispersion, and sin^2 theta and cos^2 theta as the half sums
+    (lam +- delta) / (2 lam).  The kernels never form the angle; the
+    tests compare with the angles that ``oracles`` builds by arctan2."""
+
     def test_momenta_and_flat_dispersion_at_zero_field(self):
-        modes = bogoliubov_modes(ChainSpec(4, 0.0))
-        assert np.allclose([m.phi for m in modes], [np.pi / 4, 3 * np.pi / 4], rtol=0, atol=1e-15)
-        assert np.allclose([m.lam for m in modes], [1.0, 1.0], rtol=0, atol=1e-14)
+        table = ising._momentum_table(4)
+        assert np.allclose(np.arctan2(table[1], table[0]), [np.pi / 4, 3 * np.pi / 4],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(ising._dispersion(table, 0.0, 1.0)[2], [1.0, 1.0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("h", [0.0, 0.2, 1.0, 1.5, 3.0, 50.0])
     @pytest.mark.parametrize("n", [4, 12, 64])
     def test_angle_norm_and_domain(self, n, h):
-        for mode in bogoliubov_modes(ChainSpec(n, h)):
-            assert abs(mode.u ** 2 + mode.v_im ** 2 - 1.0) < 1e-12
-            # the arccos argument, reconstructed; must sit inside [-1, 1]
-            delta = math.cos(mode.phi) - h
-            arg = (delta - mode.lam) / math.sqrt(2 * mode.lam * (mode.lam - delta))
-            assert -1.0 - 1e-9 <= arg <= 1.0 + 1e-9
-            assert math.pi / 2 <= mode.theta <= math.pi + 1e-12
+        delta, sin2, lam = ising._dispersion(ising._momentum_table(n), h, 1.0)
+        sin2_theta = ising._half_sum(lam, delta, sin2)
+        cos2_theta = ising._half_sum(lam, delta, sin2, minus=True)
+        for half in (sin2_theta, cos2_theta):
+            assert np.all((half >= 0.0) & (half <= 1.0))
+        assert np.max(np.abs(sin2_theta + cos2_theta - 1.0)) < 1e-12
+        # against theta in [pi/2, pi] from arctan2
+        _, theta = bogoliubov_angles(n, h)
+        assert np.all((theta >= math.pi / 2) & (theta <= math.pi + 1e-12))
+        assert np.max(np.abs(sin2_theta - np.sin(theta) ** 2)) < 1e-12
 
 
 class TestAnalyticRugosity:
@@ -81,14 +91,11 @@ class TestAnalyticRugosity:
 
     @pytest.mark.parametrize("h", [-1.7, -0.3, 0.0, 0.2, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("n", [4, 12, 64, 512])
-    def test_pair_amplitude_forms_agree(self, n, h):
-        # sin^2(theta - phi/2) against the complex pair amplitude
-        # |v cos(phi/2) - i u sin(phi/2)|^2 with v = i sin(theta)
-        for mode in bogoliubov_modes(ChainSpec(n, h)):
-            s2 = math.sin(mode.theta - mode.phi / 2.0) ** 2
-            amp = abs(1j * mode.v_im * math.cos(mode.phi / 2.0)
-                      - 1j * mode.u * math.sin(mode.phi / 2.0)) ** 2
-            assert abs(s2 - amp) < 1e-10
+    def test_pair_amplitude_forms_agree(self, n, h, pair_amplitudes):
+        # the kernel's pair amplitudes, which it forms from lam and
+        # 1 - h cos(phi) without the angle, against sin^2(theta - phi/2)
+        phi, theta = bogoliubov_angles(n, h)
+        assert np.max(np.abs(pair_amplitudes(n, h) - np.sin(theta - phi / 2.0) ** 2)) < 1e-10
 
     @pytest.mark.parametrize("h", [1.5, 2.0, -1.5])
     def test_pair_amplitudes_match_mpmath(self, h):
@@ -215,12 +222,14 @@ class TestHugeFields:
             warnings.simplefilter("error")
             rugosity = analytic_rugosity(spec)
             obs = pair_observables(spec)
-            modes = bogoliubov_modes(spec)
+            delta, sin2, lam = ising._dispersion(ising._momentum_table(64), h,
+                                                 ising._field_scale(h))
+            halves = [ising._half_sum(lam, delta, sin2, minus) for minus in (False, True)]
         # the fully polarized limit: a computational basis state, R = N ln 2
         assert abs(rugosity - 64 * math.log(2)) < 1e-9
         assert abs(obs.pair_rugosity - math.log(4)) < 1e-12
         assert abs(abs(obs.m_z) - 1.0) < 1e-12
-        assert all(math.isfinite(m.lam) and math.isfinite(m.theta) for m in modes)
+        assert all(np.all(np.isfinite(x)) for x in (lam, *halves))
 
     @pytest.mark.parametrize("h", [1e308, -1e308, 1.7976931348623157e308,
                                    -1.7976931348623157e308])
@@ -255,9 +264,12 @@ class TestHugeFields:
             for h in fields:
                 spec = ChainSpec(256, h)
                 obs = pair_observables(spec)
+                s = ising._field_scale(h)
+                delta, sin2, lam = ising._dispersion(ising._momentum_table(256), h, s)
                 out.append((analytic_rugosity(spec), obs.m_z, obs.c_xx, obs.c_yy, obs.c_zz,
-                            dispersion_ground_energy(spec),
-                            [(m.lam, m.theta) for m in bogoliubov_modes(spec)]))
+                            dispersion_ground_energy(spec), (lam * s).tolist(),
+                            ising._half_sum(lam, delta, sin2).tolist(),
+                            ising._half_sum(lam, delta, sin2, minus=True).tolist()))
             return out
 
         unscaled = values()
@@ -1053,25 +1065,33 @@ class TestEdRugosity:
                        - analytic_rugosity(ChainSpec(n, h))) < 1e-8
 
 
+def _pair_state(state, site):
+    """The state of chain sites (site, site + 1) by partial trace, in the
+    order of their axes; subsystem axis k of the packed amplitudes is chain
+    site n-1-k."""
+    n = len(state.subsystem_dims)
+    return partial_trace(state.projector(), keep=[n - 1 - site, n - 1 - (site + 1) % n]).matrix
+
+
 class TestReducedPair:
     def test_matches_partial_trace(self):
-        state = ed_ground(ChainSpec(6, 0.8)).state
-        ours = reduced_pair_state(state, 0).matrix
-        # subsystem axis k of the packed amplitudes is chain site n-1-k
-        rho = partial_trace(state.projector(), keep=[4, 5]).matrix
-        assert np.max(np.abs(ours - rho)) < 1e-12
+        spec = ChainSpec(6, 0.8)
+        # sites (0, 1), ordered |1, 0> as the pair state is
+        rho = _pair_state(ed_ground(spec).state, 0)
+        obs = ed_pair_observables(spec)
+        want = (0.5 * np.trace(rho @ (np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ))),
+                np.trace(rho @ np.kron(SX, SX)), np.trace(rho @ np.kron(SY, SY)),
+                np.trace(rho @ np.kron(SZ, SZ)))
+        got = (obs.m_z, obs.c_xx, obs.c_yy, obs.c_zz)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
     def test_translation_invariance(self):
+        # so sites (0, 1) stand for every pair; the pair (7, 0) comes out in
+        # the order |7, 0>, which the reflection symmetry of the ring allows
         state = ed_ground(ChainSpec(8, 1.1)).state
-        base = reduced_pair_state(state, 0).matrix
+        base = _pair_state(state, 0)
         for site in range(1, 8):
-            assert np.max(np.abs(reduced_pair_state(state, site).matrix - base)) < 1e-10
-
-    @pytest.mark.parametrize("dims", [None, (3, 3), (2, 2, 4)])
-    def test_non_qubit_state_rejected(self, dims):
-        state = PureState(np.eye(math.prod(dims or (4,)))[0], dims)
-        with pytest.raises(UsageError, match="qubit chain state"):
-            reduced_pair_state(state)
+            assert np.max(np.abs(_pair_state(state, site) - base)) < 1e-10
 
 
 class TestScan:

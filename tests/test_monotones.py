@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from oracles import SX, SY, SZ, gme_product_oracle, haar_unitary, wootters_concurrence
+from oracles import (SX, SY, SZ, gme_product_oracle, haar_unitary, single_qubit_cliffords,
+                     wootters_concurrence)
 from statetexture import (OrthonormalBasis, PureState, ResourceLimitError,
                           UsageError, coherence_monotone, concurrence_two_qubit,
                           entanglement_monotone, fourier_basis, gme_monotone,
                           nonstabilizerness_monotone, pure_state_monotone, random_state,
-                          single_qubit_clifford_group, texture_in_basis)
+                          texture_in_basis)
 import statetexture.monotones as monotones
 from statetexture.monotones import free_state_oracle
 from statetexture.texture import _unitary_mapping_uniform_to
@@ -25,7 +26,7 @@ STABILIZER_QUBITS = [
 ]
 
 
-CLIFFORDS = single_qubit_clifford_group()
+CLIFFORDS = single_qubit_cliffords()
 
 
 def clifford_magic_brute_force(psi: PureState) -> float:
@@ -143,7 +144,8 @@ class TestNonstabilizerness:
             nonstabilizerness_monotone(random_state(4, "pure", seed=0))
 
     def test_clifford_group_properties(self):
-        group = single_qubit_clifford_group()
+        # the oracle's group, closed from H and S, which the brute forces use
+        group = CLIFFORDS
         assert len(group) == 24
         for u in group:
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
@@ -152,14 +154,15 @@ class TestNonstabilizerness:
             """The elements equal to ``v`` up to a global phase."""
             return [k for k, u in enumerate(group) if abs(abs(np.vdot(u, v)) - 2.0) < 1e-12]
 
-        # 24 distinct elements closed under products, each preserving the
+        # 24 distinct elements closed under products, each permuting the six
         # stabilizer kets: the whole Clifford group modulo phase
         assert [index(u) for u in group] == [[k] for k in range(24)]
         for u, v in itertools.product(group, repeat=2):
             assert len(index(u @ v)) == 1
         for u in group:
-            for ket in STABILIZER_QUBITS:
-                assert max(abs(np.vdot(s, u @ ket)) for s in STABILIZER_QUBITS) > 1 - 1e-12
+            images = [[j for j, s in enumerate(STABILIZER_QUBITS)
+                       if abs(np.vdot(s, u @ ket)) > 1 - 1e-12] for ket in STABILIZER_QUBITS]
+            assert sorted(images) == [[j] for j in range(6)]
 
 
 class TestEntanglement:

@@ -11,21 +11,21 @@ import statetexture
 
 PUBLIC_NAMES = [
     "ChainSpec", "ConvergenceError", "ConvexRoofResult", "DensityMatrix",
-    "EDGroundState", "InvalidStateError", "MomentumMode", "MonotoneResult",
+    "EDGroundState", "InvalidStateError", "MonotoneResult",
     "OrthonormalBasis", "PairObservables", "PureState", "PurityReport",
     "ResourceLimitError", "RoofConfig", "ScanGrid", "SchmidtData", "Spectrum",
     "StateTextureError", "TextureExtrema", "TextureReport", "UsageError",
-    "analytic_rugosity", "bogoliubov_modes", "check_renyi2_bound",
+    "analytic_rugosity", "check_renyi2_bound",
     "coherence_monotone", "computational_basis", "concurrence_two_qubit",
     "convex_roof", "dispersion_ground_energy", "ed_ground", "ed_pair_observables",
     "ed_rugosity", "entanglement_monotone",
     "fourier_basis", "gme_monotone", "load_state", "load_unitary",
     "nonstabilizerness_monotone", "pair_observables", "partial_trace",
-    "pure_state_monotone", "random_state", "reduced_pair_state", "renyi_purity",
+    "pure_state_monotone", "random_state", "renyi_purity",
     "rugosity_pure", "save_decomposition",
-    "save_state", "scan", "schmidt_decompose", "single_qubit_clifford_group",
+    "save_state", "scan", "schmidt_decompose",
     "single_shot_cost", "spectral_decompose", "texture_extrema",
-    "texture_in_basis", "texture_less_state", "texture_purity",
+    "texture_in_basis", "texture_purity",
 ]
 
 SUBMODULES = ["errors", "ising", "monotones", "purity", "roof", "stateio", "states", "texture"]

@@ -78,10 +78,14 @@ class TestResultContract:
     def test_rank_one_roof_is_the_closed_form(self, theory, d, dims):
         for seed in range(3):
             psi = random_state(d, "pure", seed=seed, subsystem_dims=dims)
-            # a pure state is read as rank one, with no projector formed
-            for state in (psi.projector(), psi):
-                res = convex_roof(state, theory, RoofConfig(restarts=1))
-                assert abs(res.value - pure_state_monotone(psi, theory).value) < 1e-12
+            want = pure_state_monotone(psi, theory).value
+            # a pure state is read as rank one, with no projector formed, and
+            # is its own one branch
+            assert convex_roof(psi, theory, RoofConfig(restarts=1)).value == want
+            # the projector's eigenvector carries eigh's rounding: over 200
+            # seeds per case the value strays from the monotone by 1.4e-15 at most
+            res = convex_roof(psi.projector(), theory, RoofConfig(restarts=1))
+            assert abs(res.value - want) < 1e-14
 
     def test_more_restarts_never_worse(self):
         rho = random_state(4, "mixed", seed=23, subsystem_dims=(2, 2))
@@ -378,6 +382,32 @@ class TestExactPaths:
         assert abs(res.value - resum) <= 1e-12
         assert res.lower_bound - ROUNDING <= res.value <= res.lower_bound + roof.EXACT_GAP
         assert res.converged and res.restarts_used == 0
+
+    @pytest.mark.parametrize("theory, amplitudes, dims", [
+        ("entanglement_bipartite", [1, 0, 0, 1], (2, 2)),
+        ("entanglement_bipartite", [1, 0, 0, 0, 1, 1], (2, 3)),
+        ("gme", [1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2)),
+        ("gme", [0, 1, 1, 0, 1, 0, 0, 0], (2, 2, 2)),
+        ("coherence", [1, 1], None),
+        ("coherence", [1, 1, 1], None),
+        ("nonstabilizerness", [math.cos(math.pi / 8), math.sin(math.pi / 8)], None),
+    ], ids=["bell", "2x3", "ghz", "w", "plus", "uniform-3", "h-axis"])
+    def test_rank_one_is_its_own_branch(self, theory, amplitudes, dims):
+        # every decomposition of a pure state has its monotone as its value,
+        # so no descent runs, at the default config too
+        psi = PureState(np.array(amplitudes, dtype=complex) / np.linalg.norm(amplitudes), dims)
+        want = pure_state_monotone(psi, theory).value
+        for state, tol in ((psi, 0.0), (psi.projector(), 1e-15)):
+            res = convex_roof(state, theory)
+            assert abs(res.value - want) <= tol
+            assert res.lower_bound == res.value
+            assert res.restarts_used == 0 and res.converged
+            [(p, branch)] = res.decomposition
+            assert abs(p - 1.0) <= 1e-15
+            assert abs(abs(np.vdot(branch.amplitudes, psi.amplitudes)) - 1.0) <= 1e-15
+        # the config is still validated: the cardinality cap 2 d r holds
+        with pytest.raises(UsageError, match="exceeds 2 d r"):
+            convex_roof(psi, theory, RoofConfig(cardinality=2 * psi.dim + 1))
 
     @pytest.mark.parametrize("theory,state", [
         ("coherence", lambda: random_state(3, "mixed", seed=1)),

@@ -12,10 +12,16 @@ from statetexture import (DensityMatrix, InvalidStateError, OrthonormalBasis,
                           computational_basis, convex_roof, fourier_basis, random_state,
                           renyi_purity, rugosity_pure, single_shot_cost,
                           spectral_decompose, texture_extrema, texture_in_basis,
-                          texture_less_state, texture_purity)
+                          texture_purity)
 from statetexture.texture import BASIS_TOL, _unitary_mapping_uniform_to
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def texture_less_state(basis):
+    """The zero-texture state of a basis: the uniform superposition of its
+    kets, the ket the basis forms once and every texture reads."""
+    return PureState(basis._uniform_ket)
 
 
 class TestTextureInBasis:
