@@ -143,9 +143,7 @@ def _cmd_convexroof(args) -> list:
     if args.dump_decomposition:
         stateio.save_decomposition(args.dump_decomposition, result.decomposition)
     return [("theory", theory), ("value", result.value), ("lower_bound", result.lower_bound),
-            ("restarts_used", result.restarts_used), ("converged", result.converged),
-            ("gap_to_oracle", result.gap_to_oracle),
-            ("decomposition_size", len(result.decomposition))]
+            ("converged", result.converged), ("decomposition_size", len(result.decomposition))]
 
 
 def _default_method(method: Optional[str], g: float, axis: str = "h") -> str:
@@ -310,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", choices=sorted(_THEORY_BY_FLAG), required=True)
     p.add_argument("--cut", help="bipartition such as 0:1")
     for flag, kind in (("--restarts", int), ("--cardinality", int), ("--tolerance", float),
-                       ("--max-iterations", int), ("--seed", int)):
+                       ("--seed", int)):
         p.add_argument(flag, type=kind, default=argparse.SUPPRESS,
                        help="descent only; validated, then unused, by the exact cases")
     p.add_argument("--dump-decomposition", help="write the decomposition to this file")

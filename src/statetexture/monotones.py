@@ -24,8 +24,8 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .states import (SIGMA_YY, Cut, PureState, density_of, _cut_layout, _cut_matrices,
-                     _normalize_cut)
+from .states import (SIGMA_YY, Cut, PureState, StateLike, _cut_layout, _cut_matrices,
+                     _normalize_cut, spectral_decompose)
 
 THEORIES = ("coherence", "nonstabilizerness", "entanglement_bipartite", "gme")
 
@@ -382,14 +382,23 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     return pure_state_monotone(psi, "gme")
 
 
-def concurrence_two_qubit(state) -> float:
-    """Wootters concurrence of a two-qubit state:
-    ``max(0, sqrt(nu1) - sqrt(nu2) - sqrt(nu3) - sqrt(nu4))`` from the
-    eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` sorted descending."""
-    rho = density_of(state)
-    if rho.dim != 4:
-        raise UsageError(f"concurrence is defined for two qubits, got dimension {rho.dim}")
-    m = rho.matrix @ SIGMA_YY @ rho.matrix.conj() @ SIGMA_YY
-    nu = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    roots = np.sqrt(nu)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+def concurrence_two_qubit(state: StateLike) -> float:
+    """Wootters concurrence of a two-qubit state, ``max(0, s_1 - s_2 - s_3 -
+    s_4)`` for the singular values ``s``, descending, of ``tau = B YY B^T``
+    (Wootters, PRL 80, 2245 (1998)).
+
+    ``B^T conj(B)`` is the state: for a density matrix, B's four rows are
+    ``sqrt(mu_i) v_i^T`` from the spectrum that validated it, ``mu`` clamped
+    at 0; for a pure state, ``B = psi^T``, and no projector is formed.  The
+    singular values of the complex symmetric ``tau`` are its Takagi values,
+    whose squares are the eigenvalues of ``rho YY rho* YY``, so the
+    concurrence takes no eigenvalue of that non-Hermitian product."""
+    if state.dim != 4:
+        raise UsageError(f"concurrence is defined for two qubits, got dimension {state.dim}")
+    if isinstance(state, PureState):
+        base = state.amplitudes[None, :]
+    else:
+        spec = spectral_decompose(state)
+        base = (spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))).T
+    s = np.linalg.svd(base @ SIGMA_YY @ base.T, compute_uv=False)
+    return float(max(0.0, s[0] - s[1:].sum()))

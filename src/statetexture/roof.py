@@ -28,9 +28,10 @@ factorization.  The trial steps alternate the two Barzilai-Borwein steps, and
 a step is accepted by a nonmonotone Armijo test against a running average of
 the objective (Wen & Yin, Math. Program. 142, 397 (2013); Zhang & Hager, SIAM
 J. Optim. 14, 1043 (2004)).  Where the maximizer switches the gradient is only
-a subgradient, which the seeded restarts guard against.  Each restart returns
-the best decomposition it met, so the result is always an upper bound on the
-roof, never above the spectral decomposition's average.
+a subgradient, which the seeded restarts guard against.  Each restart runs at
+most ``MAX_ITERATIONS`` iterations and returns the best decomposition it met,
+so the result is always an upper bound on the roof, never above the spectral
+decomposition's average.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import UsageError
-from .monotones import STABILIZER_KETS, Oracle, concurrence_two_qubit, free_state_oracle
+from .monotones import STABILIZER_KETS, Oracle, free_state_oracle
 from .states import (SIGMA_X, SIGMA_Y, SIGMA_YY, SIGMA_Z, PureState, StateLike, _count,
                      spectral_decompose)
 
@@ -53,6 +54,8 @@ ARMIJO_SLOPE = 1e-4
 # weight of the past in the Zhang-Hager reference of the Armijo test
 NONMONOTONE_WEIGHT = 0.85
 MIN_STEP = 1e-14
+# the cap on descent iterations per restart
+MAX_ITERATIONS = 2000
 # an exact path's result is converged when its value is within this of its lower bound
 EXACT_GAP = 1e-10
 # how far below 0 a barycentric coordinate may round and its point still count
@@ -71,20 +74,19 @@ QUARTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1
 class RoofConfig:
     """Optimizer knobs: decomposition cardinality (defaults to rank squared),
     number of random restarts, the bound on the Riemannian gradient norm that
-    stops a restart, the cap on descent iterations per restart, and the seed
-    feeding each restart's substream.  The closed-form paths of
-    ``convex_roof`` ignore all five, once they are validated."""
+    stops a restart, and the seed feeding each restart's substream.  The
+    closed-form paths of ``convex_roof`` ignore all four, once they are
+    validated."""
 
     cardinality: Optional[int] = None
     restarts: int = 32
     tolerance: float = 1e-6
-    max_iterations: int = 2000
     seed: int = 0
 
     def __post_init__(self):
         if self.cardinality is not None:
             object.__setattr__(self, "cardinality", _count(self.cardinality, "cardinality"))
-        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+        for name, minimum in (("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise UsageError(f"tolerance must be finite and non-negative, got {self.tolerance}")
@@ -93,19 +95,17 @@ class RoofConfig:
 @dataclass(frozen=True, eq=False)
 class ConvexRoofResult:
     """``value`` is the weighted monotone of ``decomposition``'s branches, an
-    upper bound on the roof.  A closed-form path gives ``lower_bound`` too
-    (``None`` after descent), runs no restart (``restarts_used`` is 0) and is
-    ``converged`` when ``value - lower_bound <= EXACT_GAP``; after descent,
-    ``converged`` means the best restart met its stopping test.
-    ``gap_to_oracle`` is ``value`` less the roof of the Wootters concurrence,
-    for two-qubit entanglement only."""
+    upper bound on the roof.  A closed-form path runs no descent, gives a
+    ``lower_bound`` (for two-qubit entanglement, the roof of the Wootters
+    concurrence) and is ``converged`` when ``value - lower_bound <=
+    EXACT_GAP``.  Descent runs ``RoofConfig.restarts`` restarts, gives
+    ``lower_bound`` None, and is ``converged`` when the best restart met its
+    stopping test."""
 
     value: float
     decomposition: List[Tuple[float, PureState]]
-    restarts_used: int
     converged: bool
-    gap_to_oracle: Optional[float] = None
-    lower_bound: Optional[float] = None
+    lower_bound: Optional[float]
 
 
 def _retract(x: np.ndarray) -> np.ndarray:
@@ -137,7 +137,8 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
     ``C``, so the best iterate, not the last, is returned; it is never above
     the start.  The test is met when the Riemannian gradient norm falls
     below ``cfg.tolerance`` or when no step longer than ``MIN_STEP`` passes
-    the Armijo test.
+    the Armijo test, and missed when ``MAX_ITERATIONS`` iterations end
+    first.
     """
     def evaluate(u):
         w = u @ base
@@ -149,7 +150,7 @@ def _descend(iso: np.ndarray, base: np.ndarray, nearest: Oracle,
     best, best_w, xi = evaluate(iso)
     reference, weight = best, 1.0
     step = 1.0
-    for k in range(cfg.max_iterations):
+    for k in range(MAX_ITERATIONS):
         slope = float(np.vdot(xi, xi).real)
         # a huge tolerance squares to inf here, where tolerance ** 2 raises OverflowError
         if slope < cfg.tolerance * cfg.tolerance:
@@ -360,12 +361,13 @@ def convex_roof(rho: StateLike, theory: str,
     exact for rank-one states, two-qubit ``entanglement_bipartite`` and
     single-qubit ``coherence`` and ``nonstabilizerness``.
 
-    Those cases run no descent and no restart, give a ``lower_bound`` on
-    the roof and ignore every ``config`` field once it is validated: a
-    rank-one state is its own one branch, with its monotone as both value
-    and bound, and states of rank two or more take the closed-form paths
-    ``_wootters`` and ``_qubit_fidelity``.  Everything else (``gme``,
-    entanglement beyond two qubits, coherence in d >= 3) descends.
+    Those cases run no descent, give a ``lower_bound`` on the roof and
+    ignore every ``config`` field once it is validated: a rank-one state is
+    its own one branch, with its monotone as both value and bound, and
+    states of rank two or more take the closed-form paths ``_wootters`` and
+    ``_qubit_fidelity``.  Everything else (``gme``, entanglement beyond two
+    qubits, coherence in d >= 3) runs ``config.restarts`` descents of at
+    most ``MAX_ITERATIONS`` iterations each.
 
     Parameters
     ----------
@@ -424,12 +426,10 @@ def convex_roof(rho: StateLike, theory: str,
         # the roof is never negative
         lower_bound = max(best_value if r == 1 else float(lower), 0.0)
         best_converged = best_value - lower_bound <= EXACT_GAP
-        restarts_used = 0
     else:
         best_value = math.inf
         best_branches = None
         best_converged = False
-        restarts_used = cfg.restarts
         for start in range(cfg.restarts):
             rng = np.random.default_rng((cfg.seed, start))
             if start == 0:
@@ -455,15 +455,9 @@ def convex_roof(rho: StateLike, theory: str,
     decomposition = [(p / total_p, state) for p, state in decomposition]
 
     best_value = max(best_value, 0.0)  # a roof of zero can round below it
-    gap = None
-    if two_qubits:
-        gap = float(best_value - _roof_of_concurrence(concurrence_two_qubit(rho)))
-
     return ConvexRoofResult(
         value=float(best_value),
         decomposition=decomposition,
-        restarts_used=restarts_used,
         converged=best_converged,
-        gap_to_oracle=gap,
         lower_bound=lower_bound,
     )

@@ -267,10 +267,3 @@ def random_state(dim: int, kind: str = "pure", seed: int = 0,
         rho = 0.5 * (rho + rho.conj().T)
         return DensityMatrix(rho, subsystem_dims)
     raise UsageError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-
-
-def density_of(state: StateLike) -> DensityMatrix:
-    """Coerce a pure state to its projector; pass density matrices through."""
-    if isinstance(state, PureState):
-        return state.projector()
-    return state

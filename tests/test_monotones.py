@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from oracles import (SX, SY, SZ, gme_product_oracle, haar_unitary, single_qubit_cliffords,
-                     wootters_concurrence)
-from statetexture import (OrthonormalBasis, PureState, ResourceLimitError,
-                          UsageError, coherence_monotone, concurrence_two_qubit,
+from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, gme_product_oracle,
+                     haar_unitary, single_qubit_cliffords, wootters_concurrence)
+from statetexture import (DensityMatrix, OrthonormalBasis, PureState, ResourceLimitError,
+                          UsageError, coherence_monotone, concurrence_two_qubit, convex_roof,
                           entanglement_monotone, fourier_basis, gme_monotone,
                           nonstabilizerness_monotone, pure_state_monotone, random_state,
                           texture_in_basis)
@@ -667,3 +667,36 @@ class TestConcurrence:
         assert abs(concurrence_two_qubit(bell_state) - 1.0) < 1e-10
         prod = PureState(np.kron([1.0, 0.0], [1.0, 0.0]), (2, 2))
         assert concurrence_two_qubit(prod) < 1e-10
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_mpmath_at_every_rank(self, rank):
+        # the square roots of a float eigvals of rho YY rho* YY lose up to
+        # 3e-8; here 40 digits give the reference from the same float matrix
+        mpmath = pytest.importorskip("mpmath")
+        yy = np.kron(SY, SY)
+        rng = np.random.default_rng(rank)
+        for _ in range(20):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            mat = g @ g.conj().T
+            rho = DensityMatrix(0.5 * (mat + mat.conj().T) / np.trace(mat).real, (2, 2))
+            with mpmath.workdps(40):
+                r = mpmath.matrix(rho.matrix.tolist())
+                flip = mpmath.matrix((yy @ rho.matrix.conj() @ yy).tolist())
+                nu = sorted((max(mpmath.re(e), 0) for e in mpmath.eig(r * flip)[0]), reverse=True)
+                roots = [mpmath.sqrt(v) for v in nu]
+                want = float(max(0, roots[0] - roots[1] - roots[2] - roots[3]))
+            assert abs(concurrence_two_qubit(rho) - want) <= 1e-13
+
+    def test_pure_states_form_no_projector(self, monkeypatch):
+        # a pure state's B is its amplitudes; its roof is read the same way
+        def projector(self):
+            raise AssertionError("projector formed")
+
+        monkeypatch.setattr(PureState, "projector", projector)
+        for seed in range(5):
+            psi = random_state(4, "pure", seed=seed, subsystem_dims=(2, 2))
+            a, b, c, d = psi.amplitudes
+            assert abs(concurrence_two_qubit(psi) - 2.0 * abs(a * d - b * c)) <= 1e-15
+            res = convex_roof(psi, "entanglement_bipartite")
+            want = entanglement_roof_of_concurrence(concurrence_two_qubit(psi))
+            assert abs(res.lower_bound - want) <= 1e-15

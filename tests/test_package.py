@@ -1,7 +1,9 @@
 """The package namespace, and the modules that each entry point loads."""
 
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -108,3 +110,15 @@ class TestImportGraph:
         code = (f"import sys\nsys.path.insert(0, {tests!r})\nimport oracles\n"
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'statetexture'))")
         assert _python(code).strip() == "[]"
+
+
+class TestReadme:
+    def test_python_example_runs(self):
+        # a public name the example uses and the package no longer has fails here
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            [example] = re.findall(r"^```python\n(.*?)^```", handle.read(), re.M | re.S)
+        lines = _python(example).splitlines()
+        # texture and rugosity, the Werner roof's value and lower bound, the chain's rugosity
+        assert [len(line.split()) for line in lines] == [2, 2, 1]
+        assert all(math.isfinite(float(token)) for line in lines for token in line.split())

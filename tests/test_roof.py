@@ -7,11 +7,24 @@ from hypothesis import given, settings, strategies as strat
 from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, qubit_coherence_roof,
                      random_density, wootters_concurrence)
 from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
-                          convex_roof, pure_state_monotone, random_state, roof,
-                          spectral_decompose)
+                          concurrence_two_qubit, convex_roof, pure_state_monotone,
+                          random_state, roof, spectral_decompose)
 from statetexture.monotones import free_state_oracle
 
 FAST = RoofConfig(cardinality=5, restarts=2, tolerance=1e-7, seed=7)
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Every call of ``roof._descend``, one restart each, as its isometry."""
+    calls = []
+
+    def counting(iso, *args, _original=roof._descend):
+        calls.append(iso)
+        return _original(iso, *args)
+
+    monkeypatch.setattr(roof, "_descend", counting)
+    return calls
 
 
 def werner(p):
@@ -97,38 +110,38 @@ class TestResultContract:
         assert values[1] <= values[0] + 1e-12
         assert values[2] <= values[1] + 1e-12
 
-    def test_gap_to_oracle_populated_for_two_qubits(self):
-        res = convex_roof(werner(0.8), "entanglement_bipartite", FAST)
-        assert res.gap_to_oracle is not None
-        assert -1e-9 <= res.gap_to_oracle <= 1e-3
+    def test_lower_bound_is_the_concurrence_roof_for_two_qubits(self):
+        rho = werner(0.8)
+        res = convex_roof(rho, "entanglement_bipartite", FAST)
+        gap = res.value - entanglement_roof_of_concurrence(concurrence_two_qubit(rho))
+        assert -1e-9 <= gap <= 1e-3
+        assert -1e-9 <= res.value - res.lower_bound <= 1e-3
 
-    def test_converged_flag(self):
+    def test_converged_flag(self, monkeypatch):
         rho = rank_two_three_qubits(6)
         res = convex_roof(rho, "gme", FAST)
         assert res.converged
-        starved = convex_roof(rho, "gme",
-                              RoofConfig(cardinality=5, restarts=1, seed=5,
-                                         max_iterations=1))
+        monkeypatch.setattr(roof, "MAX_ITERATIONS", 1)
+        starved = convex_roof(rho, "gme", RoofConfig(cardinality=5, restarts=1, seed=5))
         assert not starved.converged
 
     @pytest.mark.parametrize("fields", [
         {"restarts": 0}, {"restarts": -3}, {"cardinality": 0},
         {"tolerance": -1.0}, {"tolerance": math.nan}, {"tolerance": math.inf},
-        {"max_iterations": 0}, {"seed": 1.5}, {"seed": "3"}, {"seed": -1},
+        {"seed": 1.5}, {"seed": "3"}, {"seed": -1},
     ])
     def test_config_fields_validated(self, fields):
         with pytest.raises(UsageError):
             RoofConfig(**fields)
 
-    def test_huge_tolerance_stops_at_once(self):
+    def test_huge_tolerance_stops_at_once(self, monkeypatch):
         # tolerance ** 2 once overflowed; tolerance * tolerance is inf, so
         # the first gradient test stops every restart
         rho = rank_two_three_qubits(6)
-        res = convex_roof(rho, "gme",
-                          RoofConfig(cardinality=5, restarts=1, seed=5, tolerance=1e308))
-        start = convex_roof(rho, "gme",
-                            RoofConfig(cardinality=5, restarts=1, seed=5, max_iterations=1,
-                                       tolerance=1e308))
+        config = RoofConfig(cardinality=5, restarts=1, seed=5, tolerance=1e308)
+        res = convex_roof(rho, "gme", config)
+        monkeypatch.setattr(roof, "MAX_ITERATIONS", 1)
+        start = convex_roof(rho, "gme", config)
         assert res.converged and res.value == start.value
 
     def test_config_accepts_numpy_integers(self):
@@ -189,7 +202,7 @@ class TestOtherTheories:
         res = convex_roof(PureState(np.eye(4)[0], (2, 2)).projector(), theory)
         assert res.value == 0.0
         if theory == "entanglement_bipartite":
-            assert res.gap_to_oracle == 0.0
+            assert res.lower_bound == 0.0
 
     def test_gme_roof_on_pure_ghz(self, ghz3):
         res = convex_roof(ghz3.projector(), "gme",
@@ -280,13 +293,17 @@ def descent_starts(rho, theory, m=5):
 
 class TestDescentContract:
     @pytest.mark.parametrize("theory", DESCENT_CASES)
-    def test_value_never_rises_with_more_iterations(self, theory):
+    def test_value_never_rises_with_more_iterations(self, theory, monkeypatch):
         base, nearest, starts = descent_starts(DESCENT_CASES[theory](), theory)
+        config = RoofConfig(tolerance=1e-7)
+
+        def capped(iso, k):
+            monkeypatch.setattr(roof, "MAX_ITERATIONS", k)
+            return roof._descend(iso, base, nearest, config)[0]
+
         for iso in starts:
             start = 1.0 - float(nearest(iso @ base)[0].sum())
-            values = [roof._descend(iso, base, nearest,
-                                    RoofConfig(tolerance=1e-7, max_iterations=k))[0]
-                      for k in range(1, 41)]
+            values = [capped(iso, k) for k in range(1, 41)]
             assert values[0] <= start
             assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -351,7 +368,7 @@ class TestExactPaths:
         res = convex_roof(rho, "entanglement_bipartite", FAST)
         oracle = entanglement_roof_of_concurrence(wootters_concurrence(rho.matrix))
         assert abs(res.value - oracle) <= 1e-12
-        assert abs(res.gap_to_oracle) <= 1e-12
+        assert abs(res.value - res.lower_bound) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_qubit_coherence_is_the_closed_form(self, seed):
@@ -372,7 +389,7 @@ class TestExactPaths:
         assert abs(res.value - 1.462011e-3) <= 5e-10
 
     @pytest.mark.parametrize("case", EXACT_CASES)
-    def test_result_contract(self, case):
+    def test_result_contract(self, case, descents):
         state, theory = EXACT_CASES[case]
         rho = state()
         res = convex_roof(rho, theory, FAST)
@@ -381,7 +398,7 @@ class TestExactPaths:
         resum = sum(p * pure_state_monotone(s, theory).value for p, s in res.decomposition)
         assert abs(res.value - resum) <= 1e-12
         assert res.lower_bound - ROUNDING <= res.value <= res.lower_bound + roof.EXACT_GAP
-        assert res.converged and res.restarts_used == 0
+        assert res.converged and descents == []
 
     @pytest.mark.parametrize("theory, amplitudes, dims", [
         ("entanglement_bipartite", [1, 0, 0, 1], (2, 2)),
@@ -392,7 +409,7 @@ class TestExactPaths:
         ("coherence", [1, 1, 1], None),
         ("nonstabilizerness", [math.cos(math.pi / 8), math.sin(math.pi / 8)], None),
     ], ids=["bell", "2x3", "ghz", "w", "plus", "uniform-3", "h-axis"])
-    def test_rank_one_is_its_own_branch(self, theory, amplitudes, dims):
+    def test_rank_one_is_its_own_branch(self, theory, amplitudes, dims, descents):
         # every decomposition of a pure state has its monotone as its value,
         # so no descent runs, at the default config too
         psi = PureState(np.array(amplitudes, dtype=complex) / np.linalg.norm(amplitudes), dims)
@@ -401,7 +418,7 @@ class TestExactPaths:
             res = convex_roof(state, theory)
             assert abs(res.value - want) <= tol
             assert res.lower_bound == res.value
-            assert res.restarts_used == 0 and res.converged
+            assert descents == [] and res.converged
             [(p, branch)] = res.decomposition
             assert abs(p - 1.0) <= 1e-15
             assert abs(abs(np.vdot(branch.amplitudes, psi.amplitudes)) - 1.0) <= 1e-15
@@ -414,10 +431,10 @@ class TestExactPaths:
         ("entanglement_bipartite", lambda: ginibre(6, 1, (2, 3))),
         ("gme", lambda: rank_two_three_qubits(6)),
     ])
-    def test_other_cases_descend(self, theory, state):
+    def test_other_cases_descend(self, theory, state, descents):
         config = RoofConfig(cardinality=8, restarts=2, tolerance=1e-7, seed=7)
         res = convex_roof(state(), theory, config)
-        assert res.lower_bound is None and res.restarts_used == 2
+        assert res.lower_bound is None and len(descents) == 2
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(strat.integers(0, 2 ** 32 - 1),

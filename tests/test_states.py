@@ -252,7 +252,6 @@ COUNT_ARGUMENTS = {
     "ChainSpec.n": (lambda k: ChainSpec(k, 0.5), 2),
     "RoofConfig.cardinality": (lambda k: RoofConfig(cardinality=k), 1),
     "RoofConfig.restarts": (lambda k: RoofConfig(restarts=k), 1),
-    "RoofConfig.max_iterations": (lambda k: RoofConfig(max_iterations=k), 1),
     "RoofConfig.seed": (lambda k: RoofConfig(seed=k), 0),
     "random_state": (random_state, 1),
     "computational_basis": (computational_basis, 1),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as strat
 from oracles import haar_unitary, random_density
 from statetexture import (DensityMatrix, InvalidStateError, OrthonormalBasis,
                           PureState, RoofConfig, UsageError, check_renyi2_bound,
-                          computational_basis, convex_roof, fourier_basis, random_state,
+                          computational_basis, concurrence_two_qubit, convex_roof,
+                          fourier_basis, random_state,
                           renyi_purity, rugosity_pure, single_shot_cost,
                           spectral_decompose, texture_extrema, texture_in_basis,
                           texture_purity)
@@ -169,9 +170,9 @@ class TestExtrema:
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Every np.linalg.eigh and eigvalsh call, as (name, shape)."""
+    """Every np.linalg.eigh, eigvalsh and eigvals call, as (name, shape)."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "eigvals"):
         def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _original(a, *args, **kwargs)
@@ -189,9 +190,11 @@ class TestOneSpectrumPerState:
         texture_purity(rho)
         renyi_purity(rho, 2.0)
         single_shot_cost(rho)
-        convex_roof(rho, "entanglement_bipartite", RoofConfig(restarts=1, max_iterations=20))
+        convex_roof(rho, "entanglement_bipartite", RoofConfig(restarts=1))
+        concurrence_two_qubit(rho)
         # the second is the exact two-qubit roof's Takagi factorization: the
-        # eigh of an 8 x 8 real matrix built from the state's eigenvectors
+        # eigh of an 8 x 8 real matrix built from the state's eigenvectors;
+        # the concurrence takes singular values of the same spectrum's rows
         assert decompositions == [("eigh", (4, 4)), ("eigh", (8, 8))]
 
     def test_pure_states_form_no_projector(self, decompositions):
