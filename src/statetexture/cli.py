@@ -125,9 +125,10 @@ def _cmd_monotone(args) -> list:
     psi = stateio.load_state(args.state)
     if not isinstance(psi, PureState):
         raise UsageError("this command needs a pure state file (kind = 'pure')")
-    result = monotones.pure_state_monotone(psi, _THEORY_BY_FLAG[args.theory],
+    theory = _THEORY_BY_FLAG[args.theory]
+    result = monotones.pure_state_monotone(psi, theory,
                                            cut=_parse_cut(args.cut, psi.subsystem_dims))
-    return ([("theory", result.theory), ("value", result.value)]
+    return ([("theory", theory), ("value", result.value)]
             + [(f"witness_{k}", v) for k, v in sorted(result.witness.items())])
 
 
@@ -171,13 +172,13 @@ def _cmd_ising_point(args) -> list:
                     ("pair_rugosity_normalized", obs.pair_rugosity / args.n)]
 
 
-def _scan_csv_lines(grid) -> List[str]:
+def _scan_csv_lines(pts: np.ndarray, grid) -> List[str]:
     lines = ["point,rugosity,normalized_rugosity,d1,d2"]
-    npts = grid.points.size
+    npts = pts.size
     for k in range(npts):
         d1 = _fmt(grid.first_derivative[k - 1]) if 1 <= k <= npts - 2 else ""
         d2 = _fmt(grid.second_derivative[k - 2]) if 2 <= k <= npts - 3 else ""
-        lines.append(",".join([_fmt(float(grid.points[k])), _fmt(float(grid.rugosity[k])),
+        lines.append(",".join([_fmt(float(pts[k])), _fmt(float(grid.rugosity[k])),
                                _fmt(float(grid.normalized_rugosity[k])), d1, d2]))
     if grid.kink_estimate is not None:
         lines.append(f"# kink_estimate = {_fmt(grid.kink_estimate)}")
@@ -242,7 +243,7 @@ def _cmd_ising_scan(args) -> list:
     method = _default_method(args.method, spec.g, args.axis)
     grid = ising.scan(spec, args.axis, pts, observable=args.observable,
                       method=method, kink_window=window)
-    csv = "\n".join(_scan_csv_lines(grid))
+    csv = "\n".join(_scan_csv_lines(pts, grid))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(csv + "\n")
@@ -252,8 +253,8 @@ def _cmd_ising_scan(args) -> list:
         xlabel = "transverse field h" if args.axis == "h" else "longitudinal field g"
         with open(args.emit_plot, "w") as handle:
             handle.write(_PLOT_TEMPLATE.format(csv=str(args.out), xlabel=xlabel))
-    return [("axis", grid.axis), ("n", grid.n_sites), ("points", grid.points.size),
-            ("observable", grid.observable), ("method", grid.method),
+    return [("axis", args.axis), ("n", args.n), ("points", pts.size),
+            ("observable", args.observable), ("method", method),
             ("kink_estimate", grid.kink_estimate), ("out", args.out or "-")]
 
 

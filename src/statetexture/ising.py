@@ -212,29 +212,25 @@ class EDGroundState:
 class ScanGrid:
     """Rugosity observable over a parameter grid with central differences.
 
-    ``first_derivative`` and ``second_derivative`` act on the normalized
-    rugosity and are two (respectively four) entries shorter than the grid;
-    ``kink_estimate`` is the grid point of largest curvature magnitude inside
-    the requested window, or None when no window was given.
+    ``rugosity`` and ``normalized_rugosity`` (divided by the site count) hold
+    one entry per grid point; ``first_derivative`` and ``second_derivative``
+    act on the normalized rugosity and are two (respectively four) entries
+    shorter than the grid; ``kink_estimate`` is the grid point of largest
+    curvature magnitude inside the requested window, or None when no window
+    was given.
     """
 
-    axis: str
-    points: np.ndarray
     rugosity: np.ndarray
     normalized_rugosity: np.ndarray
     first_derivative: np.ndarray
     second_derivative: np.ndarray
     kink_estimate: Optional[float]
-    n_sites: int
-    observable: str
-    method: str
 
 
 # ----------------------------------------------------------------------
 # Cached tables
 # ----------------------------------------------------------------------
 
-_CacheInfo = collections.namedtuple("CacheInfo", "hits misses currsize nbytes")
 # the one table store: (builder, size) -> (table, bytes), least recently used first
 _TABLES = collections.OrderedDict()
 _TABLES_LOCK = threading.Lock()
@@ -249,65 +245,39 @@ def _drop_tables(limit: int, keep: int) -> None:
         _tables_nbytes -= _TABLES.popitem(last=False)[1][1]
 
 
-class _Stored:
-    """A builder of a read-only table (an array or a tuple of arrays) of one
-    integer argument, the size, whose tables are held in the one store (see
-    the module docstring); one lock guards it, so threads may share it.
-    ``bytes_per_size`` times the size is what a table takes, where that is
-    known before it is built.
-
-    ``cache_info`` gives this builder's hits and misses, and the count and
-    bytes of its tables that the store holds; ``cache_clear`` drops those
-    tables and zeroes the counts.
-    """
-
-    def __init__(self, build, bytes_per_size: int = 0):
-        functools.update_wrapper(self, build)
-        self._build = build
-        self._bytes_per_size = bytes_per_size
-        self._hits = self._misses = 0
-
-    def __call__(self, size: int):
-        global _tables_nbytes
-        key = self._build, size
-        with _TABLES_LOCK:
-            entry = _TABLES.get(key)
-            if entry is not None:
-                self._hits += 1
-                _TABLES.move_to_end(key)
-                return entry[0]
-            self._misses += 1
-            _drop_tables(_TABLE_BUDGET - self._bytes_per_size * size, keep=0)
-            table = self._build(size)
-            columns = (table,) if isinstance(table, np.ndarray) else table
-            nbytes = sum(column.nbytes for column in columns)
-            _TABLES[key] = table, nbytes
-            _tables_nbytes += nbytes
-            _drop_tables(_TABLE_BUDGET, keep=1)
-            return table
-
-    def _held(self) -> dict:
-        return {key: nbytes for key, (_, nbytes) in _TABLES.items() if key[0] is self._build}
-
-    def cache_info(self) -> _CacheInfo:
-        with _TABLES_LOCK:
-            held = self._held()
-            return _CacheInfo(self._hits, self._misses, len(held), sum(held.values()))
-
-    def cache_clear(self) -> None:
-        global _tables_nbytes
-        with _TABLES_LOCK:
-            for key, nbytes in self._held().items():
-                del _TABLES[key]
-                _tables_nbytes -= nbytes
-            self._hits = self._misses = 0
+def _stored(bytes_per_size: int = 0):
+    """Decorator for a builder of a read-only table (an array or a tuple of
+    arrays) of one integer argument, the size, whose tables are held in the
+    one store (see the module docstring); one lock guards it, so threads may
+    share it.  ``bytes_per_size`` times the size is what a table takes,
+    where that is known before it is built."""
+    def decorate(build):
+        @functools.wraps(build)
+        def stored(size: int):
+            global _tables_nbytes
+            key = build, size
+            with _TABLES_LOCK:
+                entry = _TABLES.get(key)
+                if entry is not None:
+                    _TABLES.move_to_end(key)
+                    return entry[0]
+                _drop_tables(_TABLE_BUDGET - bytes_per_size * size, keep=0)
+                table = build(size)
+                columns = (table,) if isinstance(table, np.ndarray) else table
+                nbytes = sum(column.nbytes for column in columns)
+                _TABLES[key] = table, nbytes
+                _tables_nbytes += nbytes
+                _drop_tables(_TABLE_BUDGET, keep=1)
+                return table
+        return stored
+    return decorate
 
 
 # ----------------------------------------------------------------------
 # Analytic (free-fermion) branch, g = 0
 # ----------------------------------------------------------------------
 
-@functools.partial(_Stored, bytes_per_size=8)
+@_stored(bytes_per_size=8)
 def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """cos phi_p and sin phi_p of the momenta phi_p = (2p-1) pi / M, p = 1..M/2,
     of an antiperiodic grid of M sites, the chain's own (M = N) or a reduced
@@ -333,7 +303,7 @@ def _momentum_table(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-@functools.partial(_Stored, bytes_per_size=4)
+@_stored(bytes_per_size=4)
 def _chord_terms(m: int) -> np.ndarray:
     """ln(4 sin^2(phi_p / 2)) of the modes of a grid of M sites, the term
     that :func:`_log_pair_remainders` subtracts at |h| > 1.
@@ -476,17 +446,14 @@ def _in_place(ufunc, x: np.ndarray, modes, *first) -> None:
         ufunc(*first, x, out=x, where=modes)
 
 
-def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray, minus: bool = False
-              ) -> np.ndarray:
-    """(lam + x) / (2 lam), or (lam - x) / (2 lam) if ``minus``, for
-    lam = sqrt(x^2 + y2), without cancellation.
+def _half_sum(lam: np.ndarray, x: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """(lam + x) / (2 lam) for lam = sqrt(x^2 + y2), without cancellation.
 
-    Since lam^2 - x^2 = y2, each equals r = y2 / (2 lam (lam + |x|)) on the
-    modes on which it cancels, x < 0 for lam + x and x >= 0 for lam - x,
-    and 1 - r on the others.
+    Since lam^2 - x^2 = y2, it equals r = y2 / (2 lam (lam + |x|)) on the
+    modes with x < 0, on which it cancels, and 1 - r on the others.
     """
-    r, negative, rest = _ratio(lam, x, y2)
-    _in_place(np.subtract, r, negative if minus else rest, 1.0)
+    r, _, rest = _ratio(lam, x, y2)
+    _in_place(np.subtract, r, rest, 1.0)
     return r
 
 
@@ -712,7 +679,7 @@ def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return states[is_rep], orbit
 
 
-@_Stored
+@_stored()
 def _chain_table(n: int) -> _ChainTable:
     """The orbit table and matrix rows of a chain of n sites (see :class:`_ChainTable`).
 
@@ -1073,6 +1040,5 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         sub = np.where(inside)[0]
         kink = float(x2[sub[np.argmax(np.abs(d2[sub]))]])
 
-    return ScanGrid(axis=axis, points=pts, rugosity=values, normalized_rugosity=normalized,
-                    first_derivative=d1, second_derivative=d2, kink_estimate=kink,
-                    n_sites=spec.n, observable=observable, method=method)
+    return ScanGrid(rugosity=values, normalized_rugosity=normalized, first_derivative=d1,
+                    second_derivative=d2, kink_estimate=kink)

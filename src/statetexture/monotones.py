@@ -40,7 +40,6 @@ Oracle = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class MonotoneResult:
-    theory: str
     value: float
     witness: Dict[str, Any]
 
@@ -347,7 +346,7 @@ def pure_state_monotone(psi: PureState, theory: str, cut=None) -> MonotoneResult
         witness = {"axis": "zxy"[choice // 2], "magnetization": sign * (2.0 * overlap - 1.0)}
     else:
         witness = {"cut": cuts[choice], "largest_schmidt": overlap}
-    return MonotoneResult(theory, 1.0 - overlap, witness)
+    return MonotoneResult(1.0 - overlap, witness)
 
 
 def coherence_monotone(psi: PureState) -> MonotoneResult:

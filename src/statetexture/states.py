@@ -253,10 +253,10 @@ def random_state(dim: int, kind: str = "pure", seed: int = 0,
                  subsystem_dims: Optional[Sequence[int]] = None) -> StateLike:
     """Sample a Haar-random pure state or a Ginibre-induced mixed state.
 
-    Deterministic for a given ``seed``.
+    Deterministic for a given ``seed``, a non-negative integer.
     """
     dim = _count(dim, "dimension")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     if kind == "pure":
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return PureState(v / np.linalg.norm(v), subsystem_dims)

@@ -2,12 +2,13 @@
 
 The Pauli matrices ``SX``, ``SY``, ``SZ``, ``haar_unitary``,
 ``wootters_concurrence``, ``entanglement_roof_of_concurrence``,
-``qubit_coherence_roof``, ``kron_ising_terms`` and the chain's eigenpair
-``residual`` are the benchmark's, loaded from ``bench/oracles.py``, which
-imports numpy and scipy only.  The single-qubit Clifford group is closed
-here from H and S, and the Bogoliubov angle of the free-fermion chain is
-built here with ``arctan2``, independently of the kets and the
-cancellation-free half sums that the package uses.
+``qubit_coherence_roof``, ``kron_ising_terms``, ``sparse_ising_hamiltonian``
+and the chain's eigenpair ``residual`` are the benchmark's, loaded from
+``bench/oracles.py``, which imports numpy and scipy only.  The
+single-qubit Clifford group is closed here from H and S, and the
+Bogoliubov angle of the free-fermion chain is built here with ``arctan2``,
+independently of the kets and the cancellation-free half sums that the
+package uses.
 """
 
 import importlib.util
@@ -23,7 +24,7 @@ sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sys.modules[_spec.name])
 from bench_oracles import (SX, SY, SZ, entanglement_roof_of_concurrence,  # noqa: E402, F401
                            haar_unitary, kron_ising_terms, qubit_coherence_roof, residual,
-                           wootters_concurrence)
+                           sparse_ising_hamiltonian, wootters_concurrence)
 
 
 def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-14):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as strat
 import statetexture
 import statetexture.ising as ising
 from oracles import (SX, SY, SZ, bogoliubov_angles, kron_ising_hamiltonian, kron_ising_terms,
-                     residual)
+                     residual, sparse_ising_hamiltonian)
 from statetexture import (ChainSpec, ConvergenceError, ResourceLimitError, UsageError,
                           analytic_rugosity,
                           computational_basis, dispersion_ground_energy,
@@ -24,6 +24,24 @@ from statetexture import (ChainSpec, ConvergenceError, ResourceLimitError, Usage
                           ed_rugosity, pair_observables, partial_trace,
                           rugosity_pure, scan,
                           texture_in_basis)
+
+
+def _held(build) -> dict:
+    """The tables of one stored builder that the table store holds, by size."""
+    return {size: table for (builder, size), (table, _) in ising._TABLES.items()
+            if builder is build.__wrapped__}
+
+
+def _same_tables(before: dict, after: dict) -> bool:
+    """Whether two ``_held`` readings hold the same table objects: none was
+    built in between."""
+    return before.keys() == after.keys() and all(after[m] is t for m, t in before.items())
+
+
+def _empty_store() -> None:
+    with ising._TABLES_LOCK:
+        ising._TABLES.clear()
+        ising._tables_nbytes = 0
 
 
 class TestChainSpec:
@@ -63,7 +81,7 @@ class TestBogoliubovModes:
     def test_angle_norm_and_domain(self, n, h):
         delta, sin2, lam = ising._dispersion(ising._momentum_table(n), h, 1.0)
         sin2_theta = ising._half_sum(lam, delta, sin2)
-        cos2_theta = ising._half_sum(lam, delta, sin2, minus=True)
+        cos2_theta = ising._half_sum(lam, -delta, sin2)
         for half in (sin2_theta, cos2_theta):
             assert np.all((half >= 0.0) & (half <= 1.0))
         assert np.max(np.abs(sin2_theta + cos2_theta - 1.0)) < 1e-12
@@ -224,7 +242,7 @@ class TestHugeFields:
             obs = pair_observables(spec)
             delta, sin2, lam = ising._dispersion(ising._momentum_table(64), h,
                                                  ising._field_scale(h))
-            halves = [ising._half_sum(lam, delta, sin2, minus) for minus in (False, True)]
+            halves = [ising._half_sum(lam, x, sin2) for x in (delta, -delta)]
         # the fully polarized limit: a computational basis state, R = N ln 2
         assert abs(rugosity - 64 * math.log(2)) < 1e-9
         assert abs(obs.pair_rugosity - math.log(4)) < 1e-12
@@ -269,7 +287,7 @@ class TestHugeFields:
                 out.append((analytic_rugosity(spec), obs.m_z, obs.c_xx, obs.c_yy, obs.c_zz,
                             dispersion_ground_energy(spec), (lam * s).tolist(),
                             ising._half_sum(lam, delta, sin2).tolist(),
-                            ising._half_sum(lam, delta, sin2, minus=True).tolist()))
+                            ising._half_sum(lam, -delta, sin2).tolist()))
             return out
 
         unscaled = values()
@@ -417,11 +435,12 @@ class TestBlockedKernels:
     def test_scan_and_points_build_one_table(self):
         # one table per grid, the chain's own (h = 1) and the reduced ones
         # alike, built once for the scan and every later point and kernel
-        ising._momentum_table.cache_clear()
+        _empty_store()
         n = 4096
         grid = np.linspace(0.5, 1.5, 5)
         sites = {2 * ising._grid_modes(n, h) for h in (*grid, 0.7)}
         assert sites == {256, 512, 1024, n}
+        rounds = []
         for _ in range(2):
             scan(ChainSpec(n, 0.0), "h", grid, method="analytic")
             for h in (1.0, 0.7):
@@ -429,7 +448,9 @@ class TestBlockedKernels:
                 analytic_rugosity(spec)
                 pair_observables(spec)
                 dispersion_ground_energy(spec)
-        assert ising._momentum_table.cache_info().misses == len(sites)
+            rounds.append(_held(ising._momentum_table))
+        assert set(rounds[0]) == sites
+        assert _same_tables(*rounds)
 
     @pytest.mark.parametrize("kernel", [analytic_rugosity, pair_observables,
                                         dispersion_ground_energy])
@@ -467,14 +488,25 @@ class TestBlockedKernels:
         # two builders share a store that holds about a third of the tables
         # asked for, so that threads evict each other's, from more threads
         # than cores with a short switch interval: every call gets a table of
-        # its size, no hit or miss is lost, and the store keeps its budget
-        # and its count of the bytes it holds
+        # its size, tables are evicted and built again, and the store keeps
+        # its budget and its count of the bytes it holds.  The builders are
+        # shaped like the momentum table (8M bytes) and the chord column (4M)
         budget = 4096
         monkeypatch.setattr(ising, "_TABLE_BUDGET", budget)
-        builders = (ising._momentum_table, ising._chord_terms)
+        builds = []  # appended to under the store's lock
+
+        @ising._stored(bytes_per_size=8)
+        def pair(m):
+            builds.append(m)
+            return np.zeros(m // 2), np.zeros(m // 2)
+
+        @ising._stored(bytes_per_size=4)
+        def column(m):
+            builds.append(m)
+            return np.zeros(m // 2)
+
+        builders = (pair, column)
         requests = [(build, m) for build in builders for m in range(16, 64, 2)]
-        for build in builders:
-            build.cache_clear()
         errors, calls = [], 4 * 3000
 
         def work(seed):
@@ -498,10 +530,10 @@ class TestBlockedKernels:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        infos = [build.cache_info() for build in builders]
-        assert sum(info.hits + info.misses for info in infos) == calls
-        assert sum(info.misses for info in infos) > len(requests)
-        assert sum(info.nbytes for info in infos) <= ising._tables_nbytes <= budget
+        assert len(builds) > len(requests)
+        held = [nbytes for (build, _), (_, nbytes) in ising._TABLES.items()
+                if build in (pair.__wrapped__, column.__wrapped__)]
+        assert sum(held) <= ising._tables_nbytes <= budget
         assert ising._tables_nbytes == sum(nbytes for _, nbytes in ising._TABLES.values())
 
     def test_benchmark_rounds_build_no_table_twice(self):
@@ -524,9 +556,9 @@ class TestBlockedKernels:
                 pair_observables(ChainSpec(n_point, field))
 
         benchmark_round()
-        misses = [build.cache_info().misses for build in builders]
+        tables = [_held(build) for build in builders]
         benchmark_round()
-        assert [build.cache_info().misses for build in builders] == misses
+        assert all(_same_tables(held, _held(build)) for held, build in zip(tables, builders))
 
     @pytest.mark.parametrize("observable", ["full", "pair"])
     def test_scan_peak_memory_is_a_few_blocks(self, observable):
@@ -667,16 +699,15 @@ class TestReducedGrid:
     def test_reduced_tables_are_cached_apart_and_read_only(self):
         # a reduced grid's table sits in the one cache under its own size,
         # and the chord column is built only when |h| > 1 asks for it
-        ising._momentum_table.cache_clear()
-        ising._chord_terms.cache_clear()
+        _empty_store()
         analytic_rugosity(ChainSpec(10 ** 6, 0.7))
-        assert ising._momentum_table.cache_info().currsize == 1
-        assert ising._chord_terms.cache_info().currsize == 0
+        tables = _held(ising._momentum_table)
+        assert len(tables) == 1 and _held(ising._chord_terms) == {}
         analytic_rugosity(ChainSpec(10 ** 6, -1 / 0.7))
-        assert ising._momentum_table.cache_info().currsize == 1
-        assert ising._chord_terms.cache_info().currsize == 1
+        assert _same_tables(tables, _held(ising._momentum_table))
+        assert len(_held(ising._chord_terms)) == 1
         table = ising._momentum_table(512)
-        assert ising._momentum_table.cache_info().hits == 2
+        assert table is tables[512]
         for column in (*table, ising._chord_terms(512)):
             with pytest.raises(ValueError):
                 column[0] = 0.0
@@ -761,25 +792,55 @@ class TestEdGroundState:
         assert "Lanczos" in capsys.readouterr().err
 
 
+def _sparse_lowest(ham, even: np.ndarray, by_parity: bool):
+    """The lowest eigenvalues, as a sorted array, their eigenvectors and the
+    gap of a sparse chain Hamiltonian, by scipy's eigsh.  ``by_parity``
+    solves the even and odd spin-flip blocks apart: the lowest level of
+    each, the even ground vector, and the gap from it to the odd level."""
+    from scipy.sparse.linalg import eigsh
+
+    def lowest(block, k):
+        start = np.random.default_rng(block.shape[0]).standard_normal(block.shape[0])
+        w, v = eigsh(block, k=k, which="SA", v0=start)
+        order = np.argsort(w)
+        return w[order], v[:, order]
+
+    if not by_parity:
+        evals, evecs = lowest(ham, 2)
+        return evals, evecs, evals[1] - evals[0]
+    (e_even,), v_even = lowest(ham[even][:, even], 1)
+    (e_odd,), _ = lowest(ham[~even][:, ~even], 1)
+    evecs = np.zeros((even.size, 1))
+    evecs[even] = v_even
+    return np.array([min(e_even, e_odd)]), evecs, e_odd - e_even
+
+
 class TestSymmetrySector:
     """The sector solve against full-space references."""
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_matches_kron_oracle_grid(self, n):
-        # the Kronecker Hamiltonian is affine in h and g: its terms, built once
-        bonds, z_sum, x_sum = kron_ising_terms(n)
-        base, dz, dx = -0.5 * bonds, -0.5 * z_sum, 0.5 * x_sum
+        # up to 8 sites the Kronecker Hamiltonian, affine in h and g, from its
+        # terms built once, solved densely; at 10 sites the bit-flip sparse
+        # one, solved by scipy's eigsh (at g = 0 on each parity block)
+        if n <= 8:
+            bonds, z_sum, x_sum = kron_ising_terms(n)
+            base, dz, dx = -0.5 * bonds, -0.5 * z_sum, 0.5 * x_sum
         even = np.array([bin(s).count("1") % 2 == 0 for s in range(1 << n)])
         for h in (-0.7, 0.2, 0.5, 1.0, 1.5, 3.0):
             for g in (-0.5, 0.0, 0.05, 0.3, 0.8):
-                ham = base + h * dz + g * dx
-                evals, evecs = scipy.linalg.eigh(ham, subset_by_index=[0, 1])
-                if g == 0.0:
-                    # gap to the lowest odd-parity level
-                    odd = np.linalg.eigvalsh(ham[np.ix_(~even, ~even)])[0]
-                    gap = odd - np.linalg.eigvalsh(ham[np.ix_(even, even)])[0]
+                if n <= 8:
+                    ham = base + h * dz + g * dx
+                    evals, evecs = scipy.linalg.eigh(ham, subset_by_index=[0, 1])
+                    if g == 0.0:
+                        # gap to the lowest odd-parity level
+                        odd = np.linalg.eigvalsh(ham[np.ix_(~even, ~even)])[0]
+                        gap = odd - np.linalg.eigvalsh(ham[np.ix_(even, even)])[0]
+                    else:
+                        gap = evals[1] - evals[0]
                 else:
-                    gap = evals[1] - evals[0]
+                    evals, evecs, gap = _sparse_lowest(sparse_ising_hamiltonian(n, h, g), even,
+                                                       g == 0.0)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     res = ed_ground(ChainSpec(n, h, g))
@@ -1011,10 +1072,13 @@ class TestEdCaches:
     """One table per chain length, built once."""
 
     def test_alternating_lengths_rebuild_nothing(self):
-        ising._chain_table.cache_clear()
-        for n in (8, 10, 12, 8):
+        _empty_store()
+        for n in (8, 10, 12):
             ed_ground(ChainSpec(n, 0.5, 0.3))
-        assert ising._chain_table.cache_info()[:2] == (1, 3)
+        tables = _held(ising._chain_table)
+        assert sorted(tables) == [8, 10, 12]
+        ed_ground(ChainSpec(8, 0.5, 0.3))
+        assert _same_tables(tables, _held(ising._chain_table))
 
     def test_structure_is_read_only(self):
         for n in (12, 14):
@@ -1029,7 +1093,7 @@ class TestEdCaches:
         # sectors of n >= 14 load scipy.sparse for their CSR matrix, whose
         # module objects (1.3 MB) are loaded here, outside the measurement
         import scipy.sparse  # noqa: F401
-        ising._chain_table.cache_clear()
+        _empty_store()
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -1040,8 +1104,8 @@ class TestEdCaches:
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        info = ising._chain_table.cache_info()
-        assert info.currsize == 1 and info.nbytes <= ising._TABLE_BUDGET
+        [table] = _held(ising._chain_table).values()
+        assert sum(column.nbytes for column in table) <= ising._TABLE_BUDGET
         assert current <= 11 * 2 ** 20
 
 
@@ -1163,7 +1227,7 @@ class TestScan:
     def test_ed_scan_over_g(self):
         grid = np.arange(-0.3, 0.3 + 1e-12, 0.1)
         out = scan(ChainSpec(6, 0.5), "g", grid, method="ed")
-        assert out.points.size == 7
+        assert out.rugosity.size == 7
         assert np.all(np.isfinite(out.rugosity))
 
     def test_pair_observable_scan(self):
@@ -1220,14 +1284,16 @@ class TestScan:
         assert shapes[2:] == [()] * (2 * grid.size)
 
     def test_ed_scan_equals_point_values_and_builds_one_orbit_table(self):
-        ising._chain_table.cache_clear()
+        _empty_store()
         grid = np.linspace(-0.3, 0.3, 7)
         full = scan(ChainSpec(8, 0.5), "g", grid, method="ed")
+        tables = _held(ising._chain_table)
+        assert list(tables) == [8]
         pair = scan(ChainSpec(8, 0.5), "g", grid, observable="pair", method="ed")
-        assert ising._chain_table.cache_info().misses == 1
         for k, g in enumerate(grid):
             assert full.rugosity[k] == ed_rugosity(ChainSpec(8, 0.5, g))
             assert pair.rugosity[k] == ed_pair_observables(ChainSpec(8, 0.5, g)).pair_rugosity
+        assert _same_tables(tables, _held(ising._chain_table))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid_rejected(self, bad):

@@ -1,6 +1,9 @@
-"""The package namespace, and the modules that each entry point loads."""
+"""The package namespace, its result types, the modules that each entry point
+loads, and the code-line counter."""
 
+import dataclasses
 import importlib
+import importlib.util
 import math
 import os
 import re
@@ -32,6 +35,19 @@ PUBLIC_NAMES = [
 
 SUBMODULES = ["errors", "ising", "monotones", "purity", "roof", "stateio", "states", "texture"]
 
+# the fields of each result type: what it computed, none of its caller's inputs
+RESULT_FIELDS = {
+    "ConvexRoofResult": ["value", "decomposition", "converged", "lower_bound"],
+    "EDGroundState": ["state", "energy", "gap", "degenerate"],
+    "MonotoneResult": ["value", "witness"],
+    "PairObservables": ["m_z", "c_xx", "c_yy", "c_zz"],
+    "PurityReport": ["texture_purity", "renyi_purities", "renyi2_bound_rhs", "bound_satisfied",
+                     "single_shot_cost"],
+    "ScanGrid": ["rugosity", "normalized_rugosity", "first_derivative", "second_derivative",
+                 "kink_estimate"],
+    "TextureReport": ["grand_sum", "texture", "rugosity", "imag_residual"],
+}
+
 
 def _python(code):
     """Standard output of a fresh interpreter that runs ``code`` on this package."""
@@ -52,6 +68,11 @@ class TestNamespace:
         module = obj.__module__
         assert module.rpartition(".")[0] == "statetexture"
         assert getattr(importlib.import_module(module), name) is obj
+
+    @pytest.mark.parametrize("name", RESULT_FIELDS)
+    def test_result_type_has_its_fields(self, name):
+        fields = dataclasses.fields(getattr(statetexture, name))
+        assert [field.name for field in fields] == RESULT_FIELDS[name]
 
     def test_star_import_binds_every_name(self):
         namespace = {}
@@ -122,3 +143,24 @@ class TestReadme:
         # texture and rugosity, the Werner roof's value and lower bound, the chain's rugosity
         assert [len(line.split()) for line in lines] == [2, 2, 1]
         assert all(math.isfinite(float(token)) for line in lines for token in line.split())
+
+
+class TestCodeLines:
+    def test_counts_neither_blank_comment_nor_docstring_lines(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "code_lines", os.path.join(root, "tools", "code_lines.py"))
+        code_lines = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(code_lines)
+        module = tmp_path / "sample.py"
+        module.write_text('"""Module docstring\n\non three lines."""\n\n'
+                          "import os  # a comment after code\n"
+                          "# a comment line\n"
+                          "class A:\n"
+                          '    """Class docstring."""\n'
+                          "    def f(self):\n"
+                          "        '''Function docstring.'''\n"
+                          '        return """a string\n'
+                          'on two lines"""\n')
+        # import, class, def and the two lines of the returned string
+        assert code_lines.count(module) == (5, 12)

@@ -254,6 +254,7 @@ COUNT_ARGUMENTS = {
     "RoofConfig.restarts": (lambda k: RoofConfig(restarts=k), 1),
     "RoofConfig.seed": (lambda k: RoofConfig(seed=k), 0),
     "random_state": (random_state, 1),
+    "random_state.seed": (lambda k: random_state(2, seed=k), 0),
     "computational_basis": (computational_basis, 1),
     "fourier_basis": (fourier_basis, 1),
     "PureState.subsystem_dims": (lambda k: PureState(np.eye(4)[0], (k,)), 1),
@@ -270,3 +271,9 @@ def test_count_arguments_are_integers_at_least_their_minimum(name):
         call(minimum - 2)
     for value in (4, np.int64(4), np.int32(4), np.uint8(4)):
         call(value)
+
+
+def test_random_state_rejects_a_missing_seed():
+    # numpy would draw a fresh seed from the operating system on every call
+    with pytest.raises(UsageError, match="seed must be an integer, got None"):
+        random_state(2, seed=None)
