@@ -994,7 +994,12 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
         raise UsageError(f"method must be 'analytic' or 'ed', got {method!r}")
     if observable not in ("full", "pair"):
         raise UsageError(f"observable must be 'full' or 'pair', got {observable!r}")
-    pts = np.asarray(list(grid), dtype=float)
+    try:
+        pts = np.asarray(list(grid), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"scan grid must be a one-dimensional sequence of numbers: {exc}") from exc
+    if pts.ndim != 1:
+        raise UsageError(f"scan grid must be one-dimensional, got shape {pts.shape}")
     if pts.size < 5:
         raise UsageError("scan grid needs at least 5 points")
     if not np.all(np.isfinite(pts)):
@@ -1005,6 +1010,8 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
     x2 = pts[2:-2]
     window = None
     if kink_window is not None:
+        if np.shape(kink_window) != (2,):
+            raise UsageError(f"kink window must be two numbers (lo, hi), got {kink_window!r}")
         lo, hi = float(kink_window[0]), float(kink_window[1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"kink window bounds must be finite, got [{lo}, {hi}]")

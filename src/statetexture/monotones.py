@@ -70,8 +70,10 @@ def _leading_pair(w: np.ndarray, dims: Tuple[int, ...], cut: Cut):
     return s[:, 0] ** 2, np.transpose(pair, back).reshape(len(w), -1)
 
 
-# cuts whose matrices the GME screen stacks at a time; every cut matrix
-# holds the whole row, so a chunk is a fixed multiple of the rows' size
+# cuts whose matrices the GME screen gathers at a time; every cut matrix
+# holds the whole row, so a chunk is a fixed multiple of the rows' size.  The
+# chunks' Gram matrices go into blocks of as many cuts as fit in the memory
+# of one chunk, and the bounds are evaluated once per block
 SCREEN_CHUNK = 4
 # the screen's rounding margin, in units of d * eps * |w_i|^2: the Gram
 # products, the bounds and the SVD are each backward stable with errors of
@@ -207,16 +209,25 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
             diagonal = np.arange(size)
             root = math.sqrt(max(size - 1, 1))
             mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
-            for start in range(0, len(index), SCREEN_CHUNK):
-                part = slice(start, start + SCREEN_CHUNK)
-                off = (strides_s[part] @ digits_s)[:, :, None] + (strides_l[part] @ digits_l)[:, None, :]
-                mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
+            # a block of Gram matrices takes no more memory than one chunk
+            # (a smaller side has size**2 <= d)
+            width = min(d // size ** 2 * SCREEN_CHUNK, len(index))
+            grams = np.empty((m, width, size, size), dtype=w.dtype)
+            for block in range(0, len(index), width):
+                block_cuts = index[block:block + width]
+                gram = grams[:, :len(block_cuts)]
+                for start in range(0, gram.shape[1], SCREEN_CHUNK):
+                    part = slice(block + start, block + start + SCREEN_CHUNK)
+                    off = ((strides_s[part] @ digits_s)[:, :, None]
+                           + (strides_l[part] @ digits_l)[:, None, :])
+                    mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
+                    np.matmul(mats, mats.conj().swapaxes(-1, -2),
+                              out=gram[:, start:start + SCREEN_CHUNK])
                 # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
-                gram = mats @ mats.conj().swapaxes(-1, -2)
                 gram[..., diagonal, diagonal] -= mean[:, :, None]
                 mod = np.abs(gram)
                 spread = np.sqrt(np.einsum("...ij,...ij->...", mod, mod) / size)
-                upper[index[part]] = (np.minimum(mod.sum(-1).max(-1), spread * root) + mean).T
+                upper[block_cuts] = (np.minimum(mod.sum(-1).max(-1), spread * root) + mean).T
                 best = np.maximum(best, (spread / root + mean).max(-1))
     contenders = upper >= best - margin
     several = contenders & (contenders.sum(axis=0) > 1)
@@ -239,11 +250,15 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], t
 
     A table of at most ``SCREEN_CHUNK`` cuts (three parties) gets one
     ``svd(compute_uv=False)`` per cut.  A larger one is screened level by
-    level, from one subsystem on the smaller side up, each group in chunks
-    of ``SCREEN_CHUNK`` cuts gathered with one ``np.take``.  For a cut, let
-    M be its matrix with the smaller side (size S) as rows, G = M M^+ its
-    reduced state, m = tr G / S and s^2 = |G - m I|_F^2 / S.  Then ``m + s /
-    sqrt(S - 1) <= lambda_1(G) <= m + min(|G - m I|_inf, s sqrt(S - 1))``:
+    level, from one subsystem on the smaller side up.  Each group is
+    gathered in chunks of ``SCREEN_CHUNK`` cuts with one ``np.take``, and
+    the chunks' Gram matrices are written into a block of up to ``d //
+    S**2 * SCREEN_CHUNK`` cuts (S**2 <= d for the smaller side), no more
+    memory than one gathered chunk; the bounds below are evaluated once per
+    block.  For a cut, let M be its matrix with the smaller side (size S) as
+    rows, G = M M^+ its reduced state, m = tr G / S and s^2 = |G - m I|_F^2
+    / S.  Then ``m + s / sqrt(S - 1) <= lambda_1(G) <= m + min(|G - m
+    I|_inf, s sqrt(S - 1))``:
     Wolkowicz and Styan's bounds, exact for S = 2 and the upper one never
     above |G|_F, and Gershgorin's.  Each row's best starts at 0 and grows
     with each lower bound.
@@ -373,7 +388,9 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     but only contenders are decomposed: bounds on each cut's reduced-state
     spectrum (``nearest_product``: Gershgorin and Wolkowicz-Styan, with a
     stated rounding margin) drop the cuts that cannot win, so the value and
-    the witness cut are bitwise those of one SVD per cut.  A larger side is
+    the witness cut are bitwise those of one SVD per cut.  The bounds run
+    once per block of Gram matrices, a block sized by the memory of one
+    gathered chunk of ``SCREEN_CHUNK`` cut matrices.  A larger side is
     bounded by ``lambda_1(rho_A) <= d_T (upper(A less T) + margin)`` from
     its one-subsystem-smaller sides first; once these nested bounds clear
     every larger cut, the screen stops, so at 9 to 12 qubits the cuts with

@@ -1203,18 +1203,35 @@ class TestScan:
         with pytest.raises(UsageError):
             scan(ChainSpec(64, 0.0), "h", grid, method="analytic", kink_window=(5.0, 6.0))
 
-    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.2, math.inf), (0.8, 0.2),
-                                        (5.0, 6.0)])
-    @pytest.mark.parametrize("method", ["analytic", "ed"])
-    def test_bad_kink_window_rejected_before_any_point(self, monkeypatch, window, method):
+    @staticmethod
+    def count_solves(monkeypatch):
         calls = []
         for name in ("_free_fermion", "ed_ground"):
             kernel = getattr(ising, name)
             monkeypatch.setattr(ising, name,
                                 lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+        return calls
+
+    # a window is exactly two numbers: one value or three are usage errors
+    @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.2, math.inf), (0.8, 0.2),
+                                        (5.0, 6.0), (0.3,), (0.2, 0.5, 9.0)])
+    @pytest.mark.parametrize("method", ["analytic", "ed"])
+    def test_bad_kink_window_rejected_before_any_point(self, monkeypatch, window, method):
+        calls = self.count_solves(monkeypatch)
         with pytest.raises(UsageError):
             scan(ChainSpec(8, 0.0), "h", np.linspace(0.0, 1.0, 11), method=method,
                  kink_window=window)
+        assert calls == []
+
+    # a grid of two rows of increasing values, a ragged one, a scalar and
+    # strings are usage errors, raised before any solve
+    @pytest.mark.parametrize("grid", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                                      [[0.1, 0.2], [0.3]], 0.5, ["a"] * 5])
+    @pytest.mark.parametrize("method", ["analytic", "ed"])
+    def test_grid_must_be_one_dimensional(self, monkeypatch, grid, method):
+        calls = self.count_solves(monkeypatch)
+        with pytest.raises(UsageError, match="one-dimensional"):
+            scan(ChainSpec(8, 0.0), "h", grid, method=method)
         assert calls == []
 
     def test_kink_stable_under_refinement(self):

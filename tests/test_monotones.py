@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,47 @@ class TestScreenedOracle:
         upper = lam - 0.999 * margin
         for index, subs, factor, _ in levels[1:]:
             assert (monotones._nested_upper(upper, subs, factor, margin) >= lam[index]).all()
+
+    @staticmethod
+    def three_rows(d, rng):
+        # a Haar row, a zero row that forms every level, a scaled row
+        return np.array([haar_ket(d, rng), np.zeros(d), 1e-6 * haar_ket(d, rng)])
+
+    def test_rows_end_in_partial_blocks(self, monkeypatch):
+        blocks = []
+        einsum = np.einsum
+
+        def recording_einsum(subscripts, *operands, **kwargs):
+            if subscripts == "...ij,...ij->...":  # once per block of Gram matrices
+                blocks.append(operands[0].shape[1:3])
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording_einsum)
+        assert_matches_one_svd_per_cut(self.three_rows(2 ** 9, np.random.default_rng(9)),
+                                       (2,) * 9)
+        # a block holds up to (d // S**2) * SCREEN_CHUNK cuts of side S
+        assert blocks == ([(9, 2), (36, 4), (32, 8), (32, 8), (20, 8)]
+                          + [(8, 16)] * 15 + [(6, 16)])
+
+    def test_mixed_dimension_rows(self):
+        # groups of 40 cuts with S = 16 and of 30 with S = 24 end in blocks
+        # of 4 and 2 cuts
+        dims = (2, 2, 3, 2, 2, 2, 2, 2, 2)
+        assert_matches_one_svd_per_cut(
+            self.three_rows(math.prod(dims), np.random.default_rng(3)), dims)
+
+    def test_screen_memory_is_a_few_states(self):
+        psi = PureState(haar_ket(2 ** 12, np.random.default_rng(12)), (2,) * 12)
+        gme_monotone(psi)  # builds the cut table, which is kept
+        tracemalloc.start()
+        try:
+            gme_monotone(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a Gram block as large as a whole group of cuts would take 2 MB at
+        # the 4-qubit sides alone, 32 times the state
+        assert peak <= 24 * psi.amplitudes.nbytes
 
     def test_large_cuts_are_not_gathered(self, monkeypatch):
         # at twelve qubits the bounds from the cuts with up to 4-qubit sides
