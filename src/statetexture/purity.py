@@ -46,17 +46,31 @@ def _texture_purity(lam: np.ndarray) -> float:
     return lam.size * float(lam[0] - lam[-1])
 
 
-def _renyi_purities(lam: np.ndarray, alphas: Sequence[float]) -> List[float]:
-    """Renyi purities of a descending spectrum at each order, all from one
-    clipped copy of it."""
-    alphas = [float(a) for a in alphas]
-    for alpha in alphas:
+def _orders(alphas: Sequence[float]) -> List[float]:
+    """Renyi orders as floats, each an int or float (not a bool), finite and
+    positive; anything else raises ``UsageError`` naming it."""
+    try:
+        alphas = list(alphas)
+    except TypeError:
+        raise UsageError(f"alphas must be a sequence of orders, got {alphas!r}") from None
+    orders = []
+    for a in alphas:
+        if isinstance(a, bool) or not isinstance(a, (int, float, np.integer, np.floating)):
+            shown = a.item() if isinstance(a, np.generic) else a  # no "np." in the message
+            raise UsageError(f"alpha must be a number, got {shown!r}")
+        alpha = float(a)
         if not math.isfinite(alpha):
             raise UsageError(f"alpha must be finite, got {alpha}")
         if alpha <= 0:
             raise UsageError(f"alpha must be positive, got {alpha}")
+        orders.append(alpha)
+    return orders
+
+
+def _renyi_purities(lam: np.ndarray, alphas: List[float]) -> List[float]:
+    """Renyi purities of a descending spectrum at each of the orders from
+    :func:`_orders`.  Only the positive eigenvalues p enter the sums."""
     d = lam.size
-    lam = np.maximum(lam, 0.0)
     p = lam[lam > 0.0]
     values = {}
     far = [alpha for alpha in alphas if abs(alpha - 1.0) >= 0.5]
@@ -65,7 +79,7 @@ def _renyi_purities(lam: np.ndarray, alphas: Sequence[float]) -> List[float]:
         # with t = lam_max sum (lam / lam_max)^alpha in [lam_max, d lam_max], so
         # no power underflows the sum to 0 (alpha = 1e308 gives log2(d lam_max),
         # the limit); the zero eigenvalues add nothing to the sums
-        top = float(lam[0])  # eigenvalues are descending
+        top = float(lam[0])  # descending, and positive for a trace-one state
         ratios = p / top
         for alpha in far:
             t = top * float((ratios ** alpha).sum())
@@ -76,7 +90,7 @@ def _renyi_purities(lam: np.ndarray, alphas: Sequence[float]) -> List[float]:
         # With delta = sum p - 1 and x = sum p expm1(eps ln p), sum p^alpha is
         # 1 + delta + x, so S_alpha of p / (1 + delta) takes no difference of
         # nearly equal terms; the renormalization matters once |eps| ~ 1e-16
-        delta, logs = math.fsum(p) - 1.0, np.log(p)
+        delta, logs = math.fsum(p.tolist()) - 1.0, np.log(p)
         for alpha in near:
             eps = alpha - 1.0
             if eps == 0.0:  # the von Neumann limit of the form below
@@ -88,10 +102,10 @@ def _renyi_purities(lam: np.ndarray, alphas: Sequence[float]) -> List[float]:
     return [values[alpha] for alpha in alphas]
 
 
-def _single_shot_cost(lam: np.ndarray) -> Optional[int]:
+def _single_shot_cost(lam: np.ndarray, purity: float) -> Optional[int]:
     if lam[-1] > RANK_TOL:
         return None
-    return int(math.ceil(math.log2(_texture_purity(lam)) - 1e-12))
+    return int(math.ceil(math.log2(purity) - 1e-12))
 
 
 def texture_purity(rho: StateLike) -> float:
@@ -102,13 +116,14 @@ def texture_purity(rho: StateLike) -> float:
 def renyi_purity(rho: StateLike, alpha: float) -> float:
     """Renyi purity ``log2(d) - S_alpha`` in bits, for ``alpha`` in
     (0, inf); ``alpha = 1`` gives the von Neumann limit ``log2(d) - S``."""
-    return _renyi_purities(_spectrum(rho), (alpha,))[0]
+    return _renyi_purities(_spectrum(rho), _orders((alpha,)))[0]
 
 
 def single_shot_cost(rho: StateLike) -> Optional[int]:
     """``ceil(log2 P)`` for non-full-rank states (smallest eigenvalue at or
     below the rank tolerance 1e-10); ``None`` for full-rank states."""
-    return _single_shot_cost(_spectrum(rho))
+    lam = _spectrum(rho)
+    return _single_shot_cost(lam, _texture_purity(lam))
 
 
 def check_renyi2_bound(rho: StateLike,
@@ -116,17 +131,17 @@ def check_renyi2_bound(rho: StateLike,
     """Evaluate the Renyi-2 purity against its texture-purity lower bound
     ``log2[1 + P^2 / (2d)]``; the two coincide for qubits.  One spectrum
     serves every quantity."""
+    alphas = _orders(alphas)
     lam = _spectrum(rho)
     p = _texture_purity(lam)
-    rhs = math.log2(1.0 + p * p / (2.0 * rho.dim))
-    alphas = [float(a) for a in alphas]
-    values = _renyi_purities(lam, alphas if 2.0 in alphas else alphas + [2.0])
-    renyi = dict(zip(alphas, values))
-    p2 = values[alphas.index(2.0)] if 2.0 in alphas else values[-1]
+    rhs = math.log2(1.0 + p * p / (2.0 * lam.size))
+    orders = alphas if 2.0 in alphas else alphas + [2.0]
+    renyi = dict(zip(orders, _renyi_purities(lam, orders)))
+    p2 = renyi[2.0] if 2.0 in alphas else renyi.pop(2.0)
     return PurityReport(
         texture_purity=p,
         renyi_purities=renyi,
         renyi2_bound_rhs=rhs,
         bound_satisfied=p2 >= rhs - BOUND_SLACK,
-        single_shot_cost=_single_shot_cost(lam),
+        single_shot_cost=_single_shot_cost(lam, p),
     )

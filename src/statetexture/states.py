@@ -37,6 +37,20 @@ def _count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def _entries(value, what: str) -> np.ndarray:
+    """``value`` as a new complex array.  As in state files, a string, bytes or
+    bool entry is not a number: it raises ``InvalidStateError`` rather than
+    being parsed or coerced, as does an entry that does not convert."""
+    arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if arr.dtype.kind in "bSU" or (arr.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes, bool, np.bool_)) for x in arr.flat)):
+        raise InvalidStateError(f"{what} entries must be numbers, not strings or booleans")
+    try:
+        return np.array(arr, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidStateError(f"{what} entries must be numbers: {exc}") from None
+
+
 def _as_dims(dim: int, subsystem_dims: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
     if subsystem_dims is None:
         return None
@@ -65,7 +79,7 @@ class PureState:
     subsystem_dims: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).ravel()
+        amp = _entries(self.amplitudes, "state vector").ravel()
         object.__setattr__(self, "amplitudes", amp)
         if amp.size < 1:
             raise InvalidStateError("state vector must have at least one amplitude")
@@ -103,9 +117,10 @@ class DensityMatrix:
     _spectrum: "Spectrum" = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _entries(self.matrix, "density matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
+        # before the residual, where inf - inf would raise numpy's RuntimeWarning
         if not np.isfinite(mat).all():
             raise InvalidStateError("density matrix contains non-finite entries")
         herm = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
@@ -117,11 +132,10 @@ class DensityMatrix:
         w, v = np.linalg.eigh(mat)
         if w[0] < -PSD_TOL:  # eigh sorts ascending
             raise InvalidStateError(f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL}")
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
         w.setflags(write=False)
         v.setflags(write=False)
-        object.__setattr__(self, "_spectrum", Spectrum(w, v))
+        # descending, as reversed views of eigh's ascending output
+        object.__setattr__(self, "_spectrum", Spectrum(w[::-1], v[:, ::-1]))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "subsystem_dims", _as_dims(mat.shape[0], self.subsystem_dims))
         mat.setflags(write=False)
@@ -135,12 +149,8 @@ class DensityMatrix:
 class Spectrum:
     """Eigendecomposition of a density matrix, eigenvalues descending."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns aligned with eigenvalues
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=complex))
+    eigenvalues: np.ndarray  # float
+    eigenvectors: np.ndarray  # complex, columns aligned with eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +199,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise UsageError("partial_trace requires subsystem_dims on the input state")
     dims = rho.subsystem_dims
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_count(k, "subsystem index", 0) for k in keep))
     if not keep:
         raise UsageError("partial_trace: keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -210,7 +220,7 @@ def _normalize_cut(dims: Optional[Tuple[int, ...]], cut: Iterable[int]) -> Cut:
     if dims is None:
         raise UsageError("a cut requires subsystem_dims on the input state")
     n = len(dims)
-    side_a = tuple(sorted(set(int(k) for k in cut)))
+    side_a = tuple(sorted(set(_count(k, "subsystem index", 0) for k in cut)))
     if not side_a or any(k < 0 or k >= n for k in side_a) or len(side_a) == n:
         raise UsageError(f"cut {side_a} is not a proper bipartition of {n} subsystems")
     side_b = tuple(k for k in range(n) if k not in side_a)

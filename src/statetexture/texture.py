@@ -135,20 +135,20 @@ def texture_in_basis(state: StateLike, basis: OrthonormalBasis) -> TextureReport
     (d - 1) lo], as validation bounds the spectrum of one triangle, and
     |s|^2 is within d ``BASIS_TOL`` of 1.
     """
-    d = state.dim
-    if basis.dim != d:
-        raise UsageError(f"basis dimension {basis.dim} does not match state dimension {d}")
     s = basis._uniform_ket
+    d = s.size
+    if state.dim != d:
+        raise UsageError(f"basis dimension {d} does not match state dimension {state.dim}")
     if isinstance(state, PureState):
-        grand = d * abs(np.vdot(s, state.amplitudes)) ** 2
+        grand = complex(d * abs(np.vdot(s, state.amplitudes)) ** 2)
     else:
-        grand = d * np.vdot(s, state.matrix @ s)
+        grand = complex(d * np.vdot(s, state.matrix @ s))
     imag_residual = abs(grand.imag)
     if imag_residual > d * d * HERMITICITY_TOL:
         raise InvalidStateError(
             f"grand sum has imaginary residual {imag_residual:.3e}; input state is corrupted"
         )
-    e = float(grand.real)
+    e = grand.real
     lo = PSD_TOL + d * HERMITICITY_TOL / 2
     slack = 2 * d * (TRACE_TOL + d * (lo + BASIS_TOL))
     if not -slack <= e <= d + slack:
@@ -176,10 +176,12 @@ def _unitary_mapping_uniform_to(target: np.ndarray) -> np.ndarray:
     """
     d = target.shape[-1]
     uniform = np.full(d, 1.0 / math.sqrt(d))
-    # exp(i angle(c)) is c / |c| to rounding even for subnormal c, and 1 at c = 0
-    phase = np.exp(1j * np.angle(target @ uniform))[..., None]
+    # exp(i angle(c)) is c / |c| to rounding even for subnormal c, and 1 at c = 0;
+    # arctan2(imag, real) is the angle, as np.angle computes it
+    c = target @ uniform
+    phase = np.exp(1j * np.arctan2(c.imag, c.real))[..., None]
     w = phase * uniform + target
-    scale = 2.0 * phase / np.sum(w.real ** 2 + w.imag ** 2, axis=-1, keepdims=True)
+    scale = 2.0 * phase / (w.real ** 2 + w.imag ** 2).sum(-1, keepdims=True)
     u = (scale * w)[..., :, None] * w[..., None, :].conj()
     u.reshape(u.shape[:-2] + (d * d,))[..., :: d + 1] -= phase
     return u

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -189,6 +191,29 @@ class TestPurityCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+
+def test_spectral_commands_print_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    # the texture and purity commands read a 256 x 256 state through BLAS
+    # (its eigh, rho @ s); a second thread must not change a printed digit
+    path = tmp_path / "mixed8.state"
+    save_state(path, random_state(256, "mixed", seed=3, subsystem_dims=(2,) * 8))
+    commands = [["texture"], ["texture", "--basis", "fourier"], ["texture", "extrema"],
+                ["purity", "--alpha", "2,3,0.5"]]
+    code = ("import sys\nfrom statetexture.cli import main\n"
+            f"for argv in {[argv + ['--state', str(path)] for argv in commands]!r}:\n"
+            "    print(main(argv))\n"
+            "    sys.stdout.flush()\n")
+    src = str(Path(purity.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one, two = (subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                               env=dict(os.environ, PYTHONPATH=pythonpath,
+                                        OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)).stdout
+                for k in ("1", "2"))
+    lines = one.decode().splitlines()
+    assert [line for line in lines if line in ("0", "1", "2")] == ["0"] * 4
+    assert sum(line.startswith(("texture ", "t_max ", "renyi_purity_0.5 ")) for line in lines) == 4
+    assert one == two
 
 
 class TestMonotoneCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -215,6 +216,36 @@ class TestRenyiPurity:
         for alpha in (-1.0, 0.0):
             with pytest.raises(UsageError):
                 renyi_purity(random_state(2, "mixed", seed=0), alpha)
+
+
+class TestOrders:
+    """Renyi orders are ints or floats; anything else is named in a ``UsageError``."""
+
+    @pytest.mark.parametrize("alphas, shown", [
+        (("x",), "'x'"), ((None,), "None"), ((2.0, "3"), "'3'"), ((True,), "True"),
+        ((np.bool_(True),), "True"), ((2 + 0j,), "(2+0j)"), ((np.complex128(2),), "(2+0j)"),
+        (([2.0],), "[2.0]"),
+    ], ids=["letter", "none", "numeric-string", "bool", "numpy-bool", "complex",
+            "numpy-complex", "list"])
+    def test_non_numbers_are_named(self, alphas, shown):
+        rho = random_state(3, "mixed", seed=9)
+        for call in (lambda: check_renyi2_bound(rho, alphas),
+                     lambda: renyi_purity(rho, alphas[-1])):
+            with pytest.raises(UsageError, match=re.escape(f"alpha must be a number, got {shown}")):
+                call()
+
+    @pytest.mark.parametrize("alphas", [2.0, 3, None])
+    def test_orders_must_be_a_sequence(self, alphas):
+        with pytest.raises(UsageError, match=f"alphas must be a sequence of orders, got {alphas}"):
+            check_renyi2_bound(random_state(3, "mixed", seed=9), alphas)
+
+    def test_numpy_and_integer_orders_are_floats(self):
+        rho = random_state(3, "mixed", seed=9)
+        report = check_renyi2_bound(rho, (np.float32(0.5), 3, np.int64(2)))
+        assert list(report.renyi_purities) == [0.5, 3.0, 2.0]
+        assert all(type(a) is float for a in report.renyi_purities)
+        assert report.renyi_purities == check_renyi2_bound(rho, np.array([0.5, 3.0, 2.0])).renyi_purities
+        assert renyi_purity(rho, np.int64(3)) == report.renyi_purities[3.0]
 
 
 class TestRenyi2Bound:

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import jacobi_eigenvalues, random_density
 from statetexture import (ChainSpec, DensityMatrix, InvalidStateError, PureState, RoofConfig,
-                          UsageError, computational_basis, fourier_basis, partial_trace,
-                          random_state, schmidt_decompose, spectral_decompose)
+                          UsageError, computational_basis, entanglement_monotone, fourier_basis,
+                          partial_trace, random_state, schmidt_decompose, spectral_decompose)
 
 
 class TestInvariants:
@@ -46,6 +46,53 @@ class TestInvariants:
     def test_malformed_input_rejected(self, make, error, message):
         with pytest.raises(error, match=message):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]),
+        lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
+        lambda: DensityMatrix(np.array([[b"0.5", b"0"], [b"0", b"0.5"]])),
+        lambda: DensityMatrix([[0.5, False], [False, 0.5]]),
+        lambda: DensityMatrix(np.eye(2, dtype=bool)),
+        lambda: PureState(["1", "0"]),
+        lambda: PureState([True, False]),
+        lambda: PureState(np.array([1.0, "0"], dtype=object)),
+        lambda: PureState([np.bool_(True), 0.0]),
+    ], ids=["numeric-strings", "letters", "bytes", "bools-among-numbers", "bool-array",
+            "pure-strings", "pure-bools", "object-array", "numpy-bool"])
+    def test_strings_bytes_and_bools_are_not_numbers(self, make):
+        # as in state files: no entry is parsed or coerced into a number
+        with pytest.raises(InvalidStateError, match="must be numbers, not strings or booleans"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityMatrix([[0.5], [0.0, 0.5]]),
+        lambda: PureState([10 ** 400, 0]),
+        lambda: PureState([{}, 1.0]),
+    ], ids=["ragged", "int-overflow", "dict"])
+    def test_failed_conversion_is_an_invalid_state(self, make):
+        with pytest.raises(InvalidStateError, match="must be numbers: "):
+            make()
+
+    def test_numbers_of_every_kind_are_accepted(self):
+        rho = DensityMatrix([[0.5, 0], [np.int64(0), np.float32(0.5)]])
+        assert rho.matrix.dtype == complex and rho.matrix[1, 1] == 0.5
+        assert np.array_equal(DensityMatrix([[1, 0], [0, 0]]).matrix, np.diag([1.0, 0.0]))
+        assert np.array_equal(PureState([1, 0j]).amplitudes, [1.0, 0.0])
+        assert np.array_equal(PureState(np.array([1.0, 0], dtype=object)).amplitudes, [1.0, 0.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf),
+                                       complex(np.inf, np.inf), 1e308])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entries_are_named_without_a_warning(self, entry, where):
+        # the Hermiticity residual of an inf entry would take inf - inf, whose
+        # RuntimeWarning the suite turns into an error, so finiteness comes first
+        mat = np.eye(2, dtype=complex) / 2
+        mat[where] = entry
+        message = "non-finite entries"
+        if entry == 1e308:
+            message = "trace" if where == (0, 0) else "not Hermitian"
+        with pytest.raises(InvalidStateError, match=message):
+            DensityMatrix(mat)
 
     def test_dims_product_is_not_wrapped(self):
         # (2^32 + 1)(2^32 - 1) = 2^64 - 1, whose square is 1 modulo 2^64
@@ -168,7 +215,7 @@ class TestPartialTrace:
             partial_trace(rho, keep=[0])
 
     @pytest.mark.parametrize("keep, message", [([], "non-empty"), ([2], "out of range"),
-                                               ([-1, 0], "out of range")])
+                                               ([-1, 0], "subsystem index must be >= 0")])
     def test_bad_keep_rejected(self, bell_state, keep, message):
         with pytest.raises(UsageError, match=message):
             partial_trace(bell_state.projector(), keep=keep)
@@ -247,6 +294,8 @@ class TestRandomState:
             random_state(0, kind)
 
 
+FIVE_QUBITS = PureState(np.eye(32)[5], (2,) * 5)
+
 # each entry point that takes a count: a call on one value, and that count's minimum
 COUNT_ARGUMENTS = {
     "ChainSpec.n": (lambda k: ChainSpec(k, 0.5), 2),
@@ -258,6 +307,9 @@ COUNT_ARGUMENTS = {
     "computational_basis": (computational_basis, 1),
     "fourier_basis": (fourier_basis, 1),
     "PureState.subsystem_dims": (lambda k: PureState(np.eye(4)[0], (k,)), 1),
+    "partial_trace.keep": (lambda k: partial_trace(FIVE_QUBITS.projector(), [k]), 0),
+    "schmidt_decompose.cut": (lambda k: schmidt_decompose(FIVE_QUBITS, [k]), 0),
+    "entanglement_monotone.cut": (lambda k: entanglement_monotone(FIVE_QUBITS, [k]), 0),
 }
 
 
