@@ -95,7 +95,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, UsageError, warn_caller
-from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, _count
+from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, _count, _real
 from .texture import _rugosity as _overlap_rugosity, rugosity_pure
 
 MAX_ED_SITES = 20
@@ -160,6 +160,8 @@ class ChainSpec:
         object.__setattr__(self, "n", _count(self.n, "site count", 2))
         if self.n % 2 != 0:
             raise UsageError(f"site count must be even and >= 2, got {self.n}")
+        for name in ("h", "g"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"field {name}"))
         if not (math.isfinite(self.h) and math.isfinite(self.g)):
             raise UsageError(f"fields must be finite, got h = {self.h}, g = {self.g}")
 
@@ -1010,9 +1012,12 @@ def scan(spec: ChainSpec, axis: str, grid: Sequence[float], observable: str = "f
     x2 = pts[2:-2]
     window = None
     if kink_window is not None:
-        if np.shape(kink_window) != (2,):
-            raise UsageError(f"kink window must be two numbers (lo, hi), got {kink_window!r}")
-        lo, hi = float(kink_window[0]), float(kink_window[1])
+        try:
+            lo, hi = kink_window
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"kink window must be two numbers (lo, hi), got {kink_window!r}") from None
+        lo, hi = _real(lo, "kink window bound"), _real(hi, "kink window bound")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"kink window bounds must be finite, got [{lo}, {hi}]")
         window = (x2 >= lo) & (x2 <= hi)

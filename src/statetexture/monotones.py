@@ -70,10 +70,11 @@ def _leading_pair(w: np.ndarray, dims: Tuple[int, ...], cut: Cut):
     return s[:, 0] ** 2, np.transpose(pair, back).reshape(len(w), -1)
 
 
-# cuts whose matrices the GME screen gathers at a time; every cut matrix
-# holds the whole row, so a chunk is a fixed multiple of the rows' size.  The
-# chunks' Gram matrices go into blocks of as many cuts as fit in the memory
-# of one chunk, and the bounds are evaluated once per block
+# cuts whose matrices the GME screen forms at a time, each a transpose of
+# the state tensor copied into one reused buffer; every cut matrix holds the
+# whole row, so a chunk is a fixed multiple of the rows' size.  The chunks'
+# Gram matrices go into blocks of as many cuts as fit in the memory of one
+# chunk, and the bounds are evaluated once per block
 SCREEN_CHUNK = 4
 # the screen's rounding margin, in units of d * eps * |w_i|^2: the Gram
 # products, the bounds and the SVD are each backward stable with errors of
@@ -106,12 +107,6 @@ class _Bipartitions(Sequence):
         return cut
 
 
-def _digits(side: Tuple[int, ...]) -> np.ndarray:
-    """Every multi-index of subsystems with dimensions ``side``, row-major,
-    one per column."""
-    return np.indices(side, dtype=np.min_scalar_type(max(side))).reshape(len(side), -1)
-
-
 @functools.lru_cache(maxsize=32)
 def _gme_table(dims: Tuple[int, ...]):
     """Every bipartition of subsystems ``dims`` and the GME screen's table
@@ -122,16 +117,16 @@ def _gme_table(dims: Tuple[int, ...]):
     the positions of the k cuts whose one side is the smaller side less one
     of its subsystems T, and d_T (neither for k = 1); and its groups.  A
     group gathers the level's cuts with the same subsystem dimensions on the
-    smaller and the larger side.  It holds the cut positions, the strides in
-    the flat state of each cut's smaller-side and larger-side subsystems,
-    and the two sides' digit tables, so that ``strides @ digits`` are a
-    side's offsets."""
+    smaller and the larger side.  It holds the cut positions; each cut's
+    transpose axes of the state tensor ``(row,) + dims``: 0, then 1 + the
+    smaller side's subsystems, then 1 + the larger side's; the permuted
+    shape, the smaller side's dimensions then the larger side's; and S, the
+    smaller side's size."""
     n = len(dims)
     cuts = _Bipartitions(n)
     member = np.ones((len(cuts), n), dtype=bool)  # side A, as in _Bipartitions
     member[:, 1:] = (np.arange(len(cuts))[:, None] >> np.arange(n - 1)) & 1
     sizes = np.array(dims)
-    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)])
     d_a = np.where(member, sizes, 1).prod(axis=1)
     small = member == (d_a * d_a <= math.prod(dims))[:, None]
     n_small = small.sum(axis=1)
@@ -144,22 +139,22 @@ def _gme_table(dims: Tuple[int, ...]):
         if not rows.size:
             continue
         parties_s = np.nonzero(small[rows])[1].reshape(len(rows), k)
-        parties_l = np.nonzero(~small[rows])[1].reshape(len(rows), n - k)
+        parties = np.concatenate([parties_s, np.nonzero(~small[rows])[1].reshape(len(rows), -1)],
+                                 axis=1)
         nested = None, None  # a one-subsystem side has no smaller side
         if k > 1:
             subs = (small[rows] @ weight)[:, None] - weight[parties_s]
             subs = np.where(small[rows, :1] & (parties_s != 0), subs, len(cuts) - subs)
             nested = subs, sizes[parties_s][:, :, None].astype(float)
-        keys, group = np.unique(np.concatenate([sizes[parties_s], sizes[parties_l]], axis=1),
-                                axis=0, return_inverse=True)
+        keys, group = np.unique(sizes[parties], axis=0, return_inverse=True)
         groups = []
         for g, key in enumerate(keys.tolist()):
             pick = group.ravel() == g
-            groups.append((rows[pick], strides[parties_s[pick]], strides[parties_l[pick]],
-                           _digits(tuple(key[:k])), _digits(tuple(key[k:]))))
+            axes = tuple((0, *cut) for cut in (1 + parties[pick]).tolist())
+            groups.append((rows[pick], axes, tuple(key), math.prod(key[:k])))
         levels.append((rows, *nested, groups))
     for rows, subs, factor, groups in levels:
-        for array in (rows, subs, factor, *(array for group in groups for array in group)):
+        for array in (rows, subs, factor, *(group[0] for group in groups)):
             if array is not None:
                 array.setflags(write=False)  # the table is shared by every caller
     return cuts, levels
@@ -194,6 +189,7 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
         return np.argmax([np.linalg.svd(_cut_matrices(w, dims, cut), compute_uv=False)[:, 0]
                           for cut in cuts], axis=0)
     m, d = w.shape
+    tensor = w.reshape((m,) + dims)
     flat = w.view(float)
     norm2 = np.einsum("ij,ij->i", flat, flat)
     margin = SCREEN_MARGIN * d * np.finfo(float).eps * norm2
@@ -204,8 +200,7 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
     for level, (_, _, _, groups) in enumerate(levels):
         if level and _nested_clears(levels[level:], upper, best - margin, margin):
             break
-        for index, strides_s, strides_l, digits_s, digits_l in groups:
-            size = digits_s.shape[1]
+        for index, axes, shape, size in groups:
             diagonal = np.arange(size)
             root = math.sqrt(max(size - 1, 1))
             mean = (norm2 / size)[:, None]  # tr G / size, as tr G = |w_i|^2
@@ -213,15 +208,18 @@ def _screened_choice(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut],
             # (a smaller side has size**2 <= d)
             width = min(d // size ** 2 * SCREEN_CHUNK, len(index))
             grams = np.empty((m, width, size, size), dtype=w.dtype)
+            chunk = np.empty((m, SCREEN_CHUNK) + shape, dtype=w.dtype)
+            # (row, cut, smaller side, larger side), a view of the chunk
+            mats = chunk.reshape(m, SCREEN_CHUNK, size, d // size)
             for block in range(0, len(index), width):
                 block_cuts = index[block:block + width]
                 gram = grams[:, :len(block_cuts)]
                 for start in range(0, gram.shape[1], SCREEN_CHUNK):
-                    part = slice(block + start, block + start + SCREEN_CHUNK)
-                    off = ((strides_s[part] @ digits_s)[:, :, None]
-                           + (strides_l[part] @ digits_l)[:, None, :])
-                    mats = np.take(w, off, axis=1)  # (row, cut, smaller side, larger side)
-                    np.matmul(mats, mats.conj().swapaxes(-1, -2),
+                    part = axes[block + start:block + start + SCREEN_CHUNK]
+                    for slot, cut_axes in enumerate(part):
+                        chunk[:, slot] = tensor.transpose(cut_axes)
+                    formed = mats[:, :len(part)]
+                    np.matmul(formed, formed.conj().swapaxes(-1, -2),
                               out=gram[:, start:start + SCREEN_CHUNK])
                 # bounds on lambda_1(G) from G - mean I (for S = 1 both are mean)
                 gram[..., diagonal, diagonal] -= mean[:, :, None]
@@ -251,19 +249,20 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], t
     A table of at most ``SCREEN_CHUNK`` cuts (three parties) gets one
     ``svd(compute_uv=False)`` per cut.  A larger one is screened level by
     level, from one subsystem on the smaller side up.  Each group is
-    gathered in chunks of ``SCREEN_CHUNK`` cuts with one ``np.take``, and
-    the chunks' Gram matrices are written into a block of up to ``d //
-    S**2 * SCREEN_CHUNK`` cuts (S**2 <= d for the smaller side), no more
-    memory than one gathered chunk; the bounds below are evaluated once per
-    block.  For a cut, let M be its matrix with the smaller side (size S) as
-    rows, G = M M^+ its reduced state, m = tr G / S and s^2 = |G - m I|_F^2
-    / S.  Then ``m + s / sqrt(S - 1) <= lambda_1(G) <= m + min(|G - m
-    I|_inf, s sqrt(S - 1))``:
+    formed in chunks of ``SCREEN_CHUNK`` cuts, each cut's matrix a transpose
+    of the state tensor ``(row,) + dims``, smaller side first, copied into
+    one buffer per group; the chunks' Gram matrices are written into a block
+    of up to ``d // S**2 * SCREEN_CHUNK`` cuts (S**2 <= d for the smaller
+    side), no more memory than one chunk; the bounds below are evaluated
+    once per block.  For a cut, let M be its matrix with the smaller side
+    (size S) as rows, G = M M^+ its reduced state, m = tr G / S and s^2 =
+    |G - m I|_F^2 / S.  Then ``m + s / sqrt(S - 1) <= lambda_1(G) <= m +
+    min(|G - m I|_inf, s sqrt(S - 1))``:
     Wolkowicz and Styan's bounds, exact for S = 2 and the upper one never
     above |G|_F, and Gershgorin's.  Each row's best starts at 0 and grows
     with each lower bound.
 
-    Larger sides are bounded from smaller ones before they are gathered.
+    Larger sides are bounded from smaller ones before they are formed.
     For a side A, a subsystem T of it and S = A less T, twirling T with its
     Weyl operators gives rho_A <= d_T rho_S x I_T, so lambda_1(rho_A) <=
     d_T lambda_1(rho_S) <= d_T (upper(S) + margin), the margin (below) being
@@ -273,7 +272,7 @@ def nearest_product(w: np.ndarray, dims: Tuple[int, ...], cuts: Sequence[Cut], t
     all the levels left, each from the bounds of the one before.  If they
     put every cut of every level left below the best less the margin, for
     every row, the screen stops: those cuts keep their nested bounds and are
-    never gathered.  Otherwise the level is formed in full, as its G bounds
+    never formed.  Otherwise the level is formed in full, as its G bounds
     are what make the next levels' nested bounds tight: skipping a level
     doubles (for qubits) the bounds above it.  On Haar states the screen
     stops before the 5-qubit sides at 12 qubits (40 of 40 states), before
@@ -390,7 +389,8 @@ def gme_monotone(psi: PureState) -> MonotoneResult:
     stated rounding margin) drop the cuts that cannot win, so the value and
     the witness cut are bitwise those of one SVD per cut.  The bounds run
     once per block of Gram matrices, a block sized by the memory of one
-    gathered chunk of ``SCREEN_CHUNK`` cut matrices.  A larger side is
+    chunk of ``SCREEN_CHUNK`` cut matrices, each a transpose of the state
+    tensor.  A larger side is
     bounded by ``lambda_1(rho_A) <= d_T (upper(A less T) + margin)`` from
     its one-subsystem-smaller sides first; once these nested bounds clear
     every larger cut, the screen stops, so at 9 to 12 qubits the cuts with

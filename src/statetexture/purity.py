@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .states import PureState, StateLike, spectral_decompose
+from .states import PureState, StateLike, _real, spectral_decompose
 
 RANK_TOL = 1e-10
 BOUND_SLACK = 1e-10
@@ -55,10 +55,7 @@ def _orders(alphas: Sequence[float]) -> List[float]:
         raise UsageError(f"alphas must be a sequence of orders, got {alphas!r}") from None
     orders = []
     for a in alphas:
-        if isinstance(a, bool) or not isinstance(a, (int, float, np.integer, np.floating)):
-            shown = a.item() if isinstance(a, np.generic) else a  # no "np." in the message
-            raise UsageError(f"alpha must be a number, got {shown!r}")
-        alpha = float(a)
+        alpha = _real(a, "alpha")
         if not math.isfinite(alpha):
             raise UsageError(f"alpha must be finite, got {alpha}")
         if alpha <= 0:

@@ -44,10 +44,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .monotones import STABILIZER_KETS, Oracle, free_state_oracle
 from .states import (SIGMA_X, SIGMA_Y, SIGMA_YY, SIGMA_Z, PureState, StateLike, _count,
-                     spectral_decompose)
+                     _real, spectral_decompose)
 
 RANK_CUTOFF = 1e-12
 ARMIJO_SLOPE = 1e-4
@@ -56,6 +56,12 @@ NONMONOTONE_WEIGHT = 0.85
 MIN_STEP = 1e-14
 # the cap on descent iterations per restart
 MAX_ITERATIONS = 2000
+# the largest descent, in entries m * d of its m x d branch matrix: one
+# objective evaluation peaks at 50-113 bytes per entry for coherence and
+# 292-305 for gme (tracemalloc, d = 64-1024, 2-core machine), about
+# 610 MiB at the limit; a full-rank d = 1024 state at its default
+# cardinality r^2 would ask for 16 GiB for the start alone
+MAX_BRANCH_ENTRIES = 2 ** 21
 # an exact path's result is converged when its value is within this of its lower bound
 EXACT_GAP = 1e-10
 # how far below 0 a barycentric coordinate may round and its point still count
@@ -88,6 +94,7 @@ class RoofConfig:
             object.__setattr__(self, "cardinality", _count(self.cardinality, "cardinality"))
         for name, minimum in (("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
+        object.__setattr__(self, "tolerance", _real(self.tolerance, "tolerance"))
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise UsageError(f"tolerance must be finite and non-negative, got {self.tolerance}")
 
@@ -383,6 +390,8 @@ def convex_roof(rho: StateLike, theory: str,
         must lie in [r, 2 d r] for rank r and dimension d: the roof needs at
         most r^2 + 1 <= 2 d r branches (Caratheodory), the default is r^2,
         and the cap keeps the m x d branch matrix within 2 d^2 r entries.
+        A descent with m d above ``MAX_BRANCH_ENTRIES`` raises
+        ``ResourceLimitError`` before it allocates.
     cut : iterable of int, optional
         Bipartition for ``entanglement_bipartite``; defaults to the first
         subsystem versus the rest when exactly two subsystems are present.
@@ -427,6 +436,10 @@ def convex_roof(rho: StateLike, theory: str,
         lower_bound = max(best_value if r == 1 else float(lower), 0.0)
         best_converged = best_value - lower_bound <= EXACT_GAP
     else:
+        if m * rho.dim > MAX_BRANCH_ENTRIES:
+            raise ResourceLimitError(
+                f"a descent of {m} branches of dimension {rho.dim} exceeds the limit of "
+                f"{MAX_BRANCH_ENTRIES} entries m * d")
         best_value = math.inf
         best_branches = None
         best_converged = False

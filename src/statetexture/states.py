@@ -37,6 +37,31 @@ def _count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a ``float``: a Python or NumPy int or float.  A bool, a
+    complex number, a string or ``None`` raises ``UsageError``, as does an
+    int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        shown = value.item() if isinstance(value, np.generic) else value  # no "np." in the message
+        raise UsageError(f"{name} must be a number, got {shown!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{name} is beyond the float range") from None
+
+
+def _subsystems(value) -> Tuple[int, ...]:
+    """The distinct subsystem indices of the iterable ``value``, ascending.
+    A bare index, or anything else that is not an iterable of integers,
+    raises ``UsageError``."""
+    try:
+        items = list(value)
+    except TypeError:
+        raise UsageError(
+            f"subsystem indices must be an iterable of integers, got {value!r}") from None
+    return tuple(sorted(set(_count(k, "subsystem index", 0) for k in items)))
+
+
 def _entries(value, what: str) -> np.ndarray:
     """``value`` as a new complex array.  As in state files, a string, bytes or
     bool entry is not a number: it raises ``InvalidStateError`` rather than
@@ -199,7 +224,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise UsageError("partial_trace requires subsystem_dims on the input state")
     dims = rho.subsystem_dims
     n = len(dims)
-    keep = sorted(set(_count(k, "subsystem index", 0) for k in keep))
+    keep = _subsystems(keep)
     if not keep:
         raise UsageError("partial_trace: keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -220,7 +245,7 @@ def _normalize_cut(dims: Optional[Tuple[int, ...]], cut: Iterable[int]) -> Cut:
     if dims is None:
         raise UsageError("a cut requires subsystem_dims on the input state")
     n = len(dims)
-    side_a = tuple(sorted(set(_count(k, "subsystem index", 0) for k in cut)))
+    side_a = _subsystems(cut)
     if not side_a or any(k < 0 or k >= n for k in side_a) or len(side_a) == n:
         raise UsageError(f"cut {side_a} is not a proper bipartition of {n} subsystems")
     side_b = tuple(k for k in range(n) if k not in side_a)

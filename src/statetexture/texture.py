@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidStateError, UsageError, warn_caller
 from .states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL, PureState, StateLike, _count,
-                     spectral_decompose)
+                     _entries, spectral_decompose)
 
 BASIS_TOL = 1e-10
 
@@ -35,9 +35,12 @@ class OrthonormalBasis:
     _uniform_ket: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise UsageError(f"basis unitary must be square, got shape {u.shape}")
+        try:
+            u = _entries(self.unitary, "basis unitary")
+        except InvalidStateError as exc:
+            raise UsageError(str(exc)) from None
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+            raise UsageError(f"basis unitary must be square and non-empty, got shape {u.shape}")
         # an entry above modulus 1 (or nan) is rejected before U^dag U can overflow
         top = np.max(np.abs(u))
         if not top <= 1.0 + BASIS_TOL:

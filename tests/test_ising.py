@@ -1212,9 +1212,11 @@ class TestScan:
                                 lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
         return calls
 
-    # a window is exactly two numbers: one value or three are usage errors
+    # a window is exactly two numbers: one value, three, or two that are not
+    # real numbers are usage errors
     @pytest.mark.parametrize("window", [(math.nan, 1.0), (0.2, math.inf), (0.8, 0.2),
-                                        (5.0, 6.0), (0.3,), (0.2, 0.5, 9.0)])
+                                        (5.0, 6.0), (0.3,), (0.2, 0.5, 9.0), 0.5,
+                                        ("a", "b"), (None, 1.0), (0.2, 1j), "ab"])
     @pytest.mark.parametrize("method", ["analytic", "ed"])
     def test_bad_kink_window_rejected_before_any_point(self, monkeypatch, window, method):
         calls = self.count_solves(monkeypatch)

@@ -458,6 +458,29 @@ class TestScreenedOracle:
         for index, subs, factor, _ in levels[1:]:
             assert (monotones._nested_upper(upper, subs, factor, margin) >= lam[index]).all()
 
+    @pytest.mark.parametrize("dims", [(2,) * 9, (2, 3, 1, 2, 3), (3, 2, 1, 3, 2, 2, 1, 2, 3, 2)])
+    def test_group_layout_is_the_cut_matrix(self, dims):
+        # each group cut's transpose of the state tensor, viewed as S x L, is
+        # its matrix with the smaller side as rows, entry for entry: a swapped
+        # side or axis order shows here even where the argmax survives it
+        d = math.prod(dims)
+        w = self.three_rows(d, np.random.default_rng(d))
+        tensor = w.reshape((3,) + dims)
+        cuts, levels = monotones._gme_table(dims)
+        seen = []
+        for _, _, _, groups in levels:
+            for index, axes, shape, size in groups:
+                for c, cut_axes in zip(index, axes):
+                    side_a, side_b = cuts[c]
+                    small = math.prod(dims[k] for k in side_a) ** 2 <= d
+                    sides = (side_a, side_b) if small else (side_b, side_a)
+                    assert shape == tuple(dims[k] for k in sides[0] + sides[1])
+                    assert size == math.prod(dims[k] for k in sides[0])
+                    mats = tensor.transpose(cut_axes).reshape(3, size, -1)
+                    assert np.array_equal(mats, monotones._cut_matrices(w, dims, sides))
+                    seen.append(c)
+        assert sorted(seen) == list(range(len(cuts)))
+
     @staticmethod
     def three_rows(d, rng):
         # a Haar row, a zero row that forms every level, a scaled row
@@ -502,21 +525,21 @@ class TestScreenedOracle:
     def test_large_cuts_are_not_gathered(self, monkeypatch):
         # at twelve qubits the bounds from the cuts with up to 4-qubit sides
         # clear every cut with a 5- or 6-qubit smaller side: none of their
-        # matrices is formed, by a gather or by a transpose
+        # matrices is formed, for a Gram product or for an SVD
         formed = []
-        take, cut_matrices = np.take, monotones._cut_matrices
+        matmul, cut_matrices = np.matmul, monotones._cut_matrices
 
-        def counting_take(a, indices, *args, **kwargs):
-            if np.ndim(indices) == 3:  # (cut, smaller side, larger side) offsets
-                formed.extend([np.shape(indices)[1]] * len(indices))
-            return take(a, indices, *args, **kwargs)
+        def counting_matmul(a, b, *args, **kwargs):
+            if np.ndim(a) == 4:  # (row, cut, smaller side, larger side)
+                formed.extend([np.shape(a)[2]] * np.shape(a)[1])
+            return matmul(a, b, *args, **kwargs)
 
         def counting_cut_matrices(w, dims, cut):
             mats = cut_matrices(w, dims, cut)
             formed.append(min(mats.shape[1:]))
             return mats
 
-        monkeypatch.setattr(np, "take", counting_take)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
         monkeypatch.setattr(monotones, "_cut_matrices", counting_cut_matrices)
         amp = haar_ket(2 ** 12, np.random.default_rng(2024))
         gme_monotone(PureState(amp, (2,) * 12))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as strat
 
 from oracles import (SX, SY, SZ, entanglement_roof_of_concurrence, qubit_coherence_roof,
                      random_density, wootters_concurrence)
-from statetexture import (DensityMatrix, PureState, RoofConfig, UsageError,
+from statetexture import (DensityMatrix, PureState, ResourceLimitError, RoofConfig, UsageError,
                           concurrence_two_qubit, convex_roof, pure_state_monotone,
                           random_state, roof, spectral_decompose)
 from statetexture.monotones import free_state_oracle
@@ -169,6 +169,24 @@ class TestResultContract:
                 convex_roof(rho, "gme", RoofConfig(cardinality=m, restarts=1))
         with pytest.raises(Allocated):
             convex_roof(rho, "gme", RoofConfig(cardinality=32, restarts=1))
+
+    def test_branch_entries_checked_before_allocation(self, monkeypatch):
+        # a full-rank d = 256 state's default cardinality r^2 = 65536 is
+        # within 2 d r but asks for 2^24 branch entries, 256 MiB for W alone
+        class Allocated(Exception):
+            pass
+
+        def eye(*args, **kwargs):
+            raise Allocated
+
+        rho = random_state(256, "mixed", seed=3)
+        monkeypatch.setattr(roof.np, "eye", eye)
+        most = roof.MAX_BRANCH_ENTRIES // rho.dim
+        for config in (RoofConfig(restarts=1), RoofConfig(cardinality=most + 1, restarts=1)):
+            with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+                convex_roof(rho, "coherence", config)
+        with pytest.raises(Allocated):
+            convex_roof(rho, "coherence", RoofConfig(cardinality=most, restarts=1))
 
     def test_unknown_theory_rejected(self):
         rho = random_state(4, "mixed", seed=25, subsystem_dims=(2, 2))

@@ -5,8 +5,9 @@ import pytest
 
 from oracles import jacobi_eigenvalues, random_density
 from statetexture import (ChainSpec, DensityMatrix, InvalidStateError, PureState, RoofConfig,
-                          UsageError, computational_basis, entanglement_monotone, fourier_basis,
-                          partial_trace, random_state, schmidt_decompose, spectral_decompose)
+                          UsageError, computational_basis, convex_roof, entanglement_monotone,
+                          fourier_basis, partial_trace, pure_state_monotone, random_state,
+                          scan, schmidt_decompose, spectral_decompose)
 
 
 class TestInvariants:
@@ -322,6 +323,57 @@ def test_count_arguments_are_integers_at_least_their_minimum(name):
     with pytest.raises(UsageError, match=f"must be >= {minimum}, got {minimum - 2}"):
         call(minimum - 2)
     for value in (4, np.int64(4), np.int32(4), np.uint8(4)):
+        call(value)
+
+
+# each entry point that takes a real number: a call on one value, and an
+# integer that the call accepts
+REAL_ARGUMENTS = {
+    "ChainSpec.h": (lambda x: ChainSpec(8, x), 2),
+    "ChainSpec.g": (lambda x: ChainSpec(8, 0.5, x), 0),
+    "RoofConfig.tolerance": (lambda x: RoofConfig(tolerance=x), 1),
+    "scan.kink_window": (lambda x: scan(ChainSpec(8, 0.0), "h", np.linspace(0.0, 1.0, 11),
+                                        kink_window=(x, 0.9)), 0),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_arguments_are_ints_or_floats(name):
+    call, integer = REAL_ARGUMENTS[name]
+    for value in ("0.5", 0.5j, None, True, np.bool_(False), [0.5]):
+        with pytest.raises(UsageError, match="must be a number, got"):
+            call(value)
+    for value in (0.5, np.float64(0.5), np.float32(0.5), integer, np.int64(integer)):
+        call(value)
+
+
+def test_real_arguments_are_kept_as_floats():
+    spec = ChainSpec(8, np.float32(0.5), 1)
+    assert (type(spec.h), type(spec.g)) == (float, float)
+    assert spec == ChainSpec(8, 0.5, 1.0)
+    assert type(RoofConfig(tolerance=np.int64(1)).tolerance) is float
+    with pytest.raises(UsageError, match="beyond the float range"):
+        ChainSpec(8, 10 ** 400)
+
+
+# each entry point that takes a set of subsystem indices, called on one value
+INDEX_SET_ARGUMENTS = {
+    "partial_trace.keep": lambda k: partial_trace(FIVE_QUBITS.projector(), k),
+    "schmidt_decompose.cut": lambda k: schmidt_decompose(FIVE_QUBITS, k),
+    "entanglement_monotone.cut": lambda k: entanglement_monotone(FIVE_QUBITS, k),
+    "pure_state_monotone.cut": lambda k: pure_state_monotone(FIVE_QUBITS,
+                                                             "entanglement_bipartite", cut=k),
+    "convex_roof.cut": lambda k: convex_roof(FIVE_QUBITS, "entanglement_bipartite", cut=k),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_SET_ARGUMENTS)
+def test_a_bare_index_is_not_a_set_of_indices(name):
+    call = INDEX_SET_ARGUMENTS[name]
+    for value in (0, np.int64(1), 2.5):
+        with pytest.raises(UsageError, match="must be an iterable of integers, got"):
+            call(value)
+    for value in ([1], (1, 2), np.array([1])):
         call(value)
 
 

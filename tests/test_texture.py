@@ -402,6 +402,15 @@ class TestValidation:
         with pytest.raises(UsageError, match="must be square"):
             OrthonormalBasis(unitary)
 
+    @pytest.mark.parametrize("unitary, message", [
+        ("x", "must be numbers"), ([["1", "0"], ["0", "1"]], "must be numbers"),
+        (np.eye(2, dtype=bool), "must be numbers"), (np.zeros((0, 0)), "square and non-empty"),
+        ([], "square and non-empty"),
+    ], ids=["string", "string-entries", "bool", "empty", "empty-list"])
+    def test_basis_must_be_a_matrix_of_numbers(self, unitary, message):
+        with pytest.raises(UsageError, match=message):
+            OrthonormalBasis(unitary)
+
     @pytest.mark.parametrize("make", [computational_basis, fourier_basis])
     def test_basis_dimension_must_be_positive(self, make):
         with pytest.raises(UsageError, match="dimension must be >= 1"):
