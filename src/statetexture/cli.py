@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple
@@ -340,6 +341,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) >= 2 and (argv[0], argv[1]) in _ALIAS:
         argv = [_ALIAS[(argv[0], argv[1])]] + argv[2:]
+    # argparse reads a value such as -1e-3 or -1.2,-0.8 as an option; no option
+    # here starts with a digit or a dot, so such a token joins the flag before it
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"--\w[^=]*$", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

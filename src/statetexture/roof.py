@@ -11,11 +11,12 @@ built from the eigenpairs of ``rho`` and ``U`` an m x r isometry.
 A rank-one state is its own decomposition, as every decomposition of a
 pure state has its monotone as its value.  Three cases of rank two or more
 are solved in closed form too: two-qubit ``entanglement_bipartite``, by
-Wootters' decomposition; and single-qubit ``coherence`` and
-``nonstabilizerness``, whose free sets are the convex hulls of free pure
-states, so that the roof is ``1 - max F(rho, sigma)`` over free ``sigma``
-(Streltsov, Kampermann & Bruss, NJP 12, 123004 (2010)), maximized face by
-face over the Bloch polytope of the free kets.  Each of these exact paths
+Wootters' decomposition into four branches, turned by one ``eigh`` of a real
+4 x 4 matrix; and single-qubit ``coherence`` and ``nonstabilizerness``,
+whose free sets are the convex hulls of free pure states, so that the roof
+is ``1 - max F(rho, sigma)`` over free ``sigma`` (Streltsov, Kampermann &
+Bruss, NJP 12, 123004 (2010)), maximized face by face over the Bloch
+polytope of the free kets.  Each of these exact paths
 also returns a lower bound on the roof, and ignores every ``RoofConfig``
 field, which is still validated.
 
@@ -71,8 +72,8 @@ BARYCENTRIC_SLACK = 1e-12
 # the free kets of the single-qubit theories solved in closed form
 FREE_KETS = {"coherence": STABILIZER_KETS[:2], "nonstabilizerness": STABILIZER_KETS}
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-# a real rotation of four vectors that gives each branch a quarter of every
-# vector's z^T YY z, the cross terms cancelling
+# a real rotation, every entry +-1/2, that gives each of four vectors a
+# quarter of the trace of any diagonal quadratic form of them
 QUARTERS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
 
 
@@ -207,28 +208,6 @@ def _takagi(tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return s[::-1][:n], q * np.exp(1j * np.angle(np.diagonal(r)))
 
 
-def _zero_diagonal(m: np.ndarray) -> np.ndarray:
-    """A real rotation ``O`` with ``diag(O m O^T) = 0``, for a real symmetric
-    ``m`` of trace 0.  Each Givens rotation zeroes the largest diagonal entry
-    against one of the opposite sign, whose sum then stays on the other."""
-    n = len(m)
-    rotation = np.identity(n)
-    for _ in range(n - 1):
-        d = np.diagonal(m)
-        k = int(np.argmax(np.abs(d)))
-        j = int(np.argmin(d) if d[k] > 0.0 else np.argmax(d))
-        a, b, c = d[k], d[j], m[k, j]
-        if not a * b < 0.0:
-            break
-        # t = tan(angle) solves b t^2 + 2 c t + a = 0, this root the smaller
-        t = -a / (c + math.copysign(math.sqrt(c * c - a * b), c))
-        cos = 1.0 / math.hypot(1.0, t)
-        g = np.identity(n)
-        g[[k, k, j, j], [k, j, k, j]] = cos, t * cos, -t * cos, cos
-        m, rotation = g @ m @ g.T, g @ rotation
-    return rotation
-
-
 def _triangle(a: float, b: float, w: complex) -> Tuple[complex, complex]:
     """Unit ``u``, ``v`` with ``a u + b v = w``, for ``|a - b| <= |w| <=
     a + b``, by the law of cosines."""
@@ -247,19 +226,23 @@ def _roof_of_concurrence(c: float) -> float:
 
 
 def _wootters(base: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Branches of Wootters' optimal decomposition of the two-qubit state
-    with rows ``base`` (two to four), every one with the state's concurrence
-    C, and the roof of C (Wootters, PRL 80, 2245 (1998)).
+    """The four branches of Wootters' optimal decomposition of the two-qubit
+    state with rows ``base`` (two to four), every one with the state's
+    concurrence C, and the roof of C (Wootters, PRL 80, 2245 (1998)).
 
     With ``x_k`` the rows of ``W^+ base`` for the Takagi factorization
     ``base YY base^T = W diag(lam) W^T``, ``x_k^T YY x_l = lam_k delta_kl``
     and ``C = max(0, lam_1 - lam_2 - lam_3 - lam_4)``, fewer than four rows
-    padded with zeros.  For C > 0, ``y = (x_1, i x_2, i x_3, i x_4)`` have
-    ``y_k^T YY y_l = diag(lam_1, -lam_2, -lam_3, -lam_4)``, and a real
-    rotation ``z = O y`` that zeroes the diagonal of that matrix less ``C Re
-    <y_k|y_l>`` (trace 0, as tr rho = 1) gives ``z_i^T YY z_i = C |z_i|^2``.
-    For C = 0, phases with ``sum_k lam_k e^{2 i theta_k} = 0`` and the
-    rotation ``QUARTERS`` give every ``z_i^T YY z_i = 0``."""
+    padded with zeros.  Every entry of ``QUARTERS`` is +-1/2, so each
+    diagonal entry of ``QUARTERS L QUARTERS^T`` is ``tr L / 4`` for a
+    diagonal ``L``.  For C > 0, ``y = (x_1, i x_2, i x_3, i x_4)`` have
+    ``y_k^T YY y_l = diag(lam_1, -lam_2, -lam_3, -lam_4)``, and that matrix
+    less ``C Re <y_k|y_l>`` is a real symmetric ``M = V L V^T`` of trace
+    ``C - C tr rho = 0``; the rotation ``QUARTERS V^T`` then zeroes the
+    diagonal of M, which gives ``z_i^T YY z_i = C |z_i|^2`` for ``z =
+    QUARTERS V^T y``.  For C = 0, phases with ``sum_k lam_k e^{2 i theta_k}
+    = 0`` make ``y_k^T YY y_l`` diagonal with trace 0, and ``z = QUARTERS
+    y`` has every ``z_i^T YY z_i = 0``."""
     r = len(base)
     s, w = _takagi(base @ SIGMA_YY @ base.T)
     lam = np.zeros(4)
@@ -269,8 +252,8 @@ def _wootters(base: np.ndarray) -> Tuple[np.ndarray, float]:
     conc = lam[0] - lam[1:].sum()
     if conc > 0.0:
         y = x * np.array([1.0, 1.0j, 1.0j, 1.0j])[:, None] @ base
-        rotation = _zero_diagonal(np.diag(lam * [1.0, -1.0, -1.0, -1.0])
-                                  - conc * (y.conj() @ y.T).real)
+        y = np.linalg.eigh(np.diag(lam * [1.0, -1.0, -1.0, -1.0])
+                           - conc * (y.conj() @ y.T).real)[1].T @ y
     else:
         conc = 0.0
         # a quadrilateral with sides lam, closed through a diagonal that both
@@ -279,8 +262,7 @@ def _wootters(base: np.ndarray) -> Tuple[np.ndarray, float]:
         phases = np.array(_triangle(lam[0], lam[1], diagonal)
                           + _triangle(lam[2], lam[3], -diagonal))
         y = x * np.sqrt(phases)[:, None] @ base
-        rotation = QUARTERS
-    return rotation @ y, _roof_of_concurrence(conc)
+    return QUARTERS @ y, _roof_of_concurrence(conc)
 
 
 @functools.lru_cache(maxsize=None)

@@ -193,6 +193,21 @@ class TestPurityCommand:
         assert err.startswith("usage error:")
 
 
+def run_under_blas_threads(commands, threads):
+    """The stdout of ``main`` on each argv of ``commands``, each followed by
+    its exit code, from a fresh interpreter with ``threads`` BLAS threads."""
+    code = ("import sys\nfrom statetexture.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    print(main(argv))\n"
+            "    sys.stdout.flush()\n")
+    src = str(Path(purity.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath,
+                                   OPENBLAS_NUM_THREADS=threads,
+                                   OMP_NUM_THREADS=threads)).stdout
+
+
 def test_spectral_commands_print_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
     # the texture and purity commands read a 256 x 256 state through BLAS
     # (its eigh, rho @ s); a second thread must not change a printed digit
@@ -200,20 +215,35 @@ def test_spectral_commands_print_the_same_bytes_under_one_and_two_blas_threads(t
     save_state(path, random_state(256, "mixed", seed=3, subsystem_dims=(2,) * 8))
     commands = [["texture"], ["texture", "--basis", "fourier"], ["texture", "extrema"],
                 ["purity", "--alpha", "2,3,0.5"]]
-    code = ("import sys\nfrom statetexture.cli import main\n"
-            f"for argv in {[argv + ['--state', str(path)] for argv in commands]!r}:\n"
-            "    print(main(argv))\n"
-            "    sys.stdout.flush()\n")
-    src = str(Path(purity.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    one, two = (subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
-                               env=dict(os.environ, PYTHONPATH=pythonpath,
-                                        OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)).stdout
+    one, two = (run_under_blas_threads([argv + ["--state", str(path)] for argv in commands], k)
                 for k in ("1", "2"))
     lines = one.decode().splitlines()
     assert [line for line in lines if line in ("0", "1", "2")] == ["0"] * 4
     assert sum(line.startswith(("texture ", "t_max ", "renyi_purity_0.5 ")) for line in lines) == 4
     assert one == two
+
+
+def test_exact_roofs_print_and_dump_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    # the exact roofs are LAPACK calls on the state's spectrum: the Takagi
+    # eigh, the Wootters rotation's eigh and the QR; a second thread must not
+    # change a printed digit or a dumped byte
+    states = {"ginibre2x2": random_state(4, "mixed", seed=5, subsystem_dims=(2, 2)),
+              "qubit": random_state(2, "mixed", seed=0),
+              "rank1": random_state(4, "pure", seed=6, subsystem_dims=(2, 2)).projector()}
+    for name, state in states.items():
+        save_state(tmp_path / name, state)
+    cases = [("ginibre2x2", "entangle"), ("qubit", "magic"), ("qubit", "coherence"),
+             ("rank1", "entangle")]
+    dumps = [tmp_path / f"decomposition{i}.json" for i in range(len(cases))]
+    commands = [["convexroof", "--state", str(tmp_path / name), "--theory", theory,
+                 "--dump-decomposition", str(dump)] for (name, theory), dump in zip(cases, dumps)]
+    runs = []
+    for k in ("1", "2"):
+        runs.append((run_under_blas_threads(commands, k), [dump.read_bytes() for dump in dumps]))
+    lines = runs[0][0].decode().splitlines()
+    assert [line for line in lines if line in ("0", "1", "2")] == ["0"] * 4
+    assert sum(line.startswith("decomposition_size ") for line in lines) == 4
+    assert runs[0] == runs[1]
 
 
 class TestMonotoneCommand:
@@ -515,6 +545,36 @@ class TestContract:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("ising", "point", "--n", "8", "--h", "0.5", "--g", "-1e-3"), 0),
+        (("ising", "point", "--n", "8", "--h", "-5e-1"), 0),
+        (("ising", "scan", "--n", "8", "--axis", "h", "--from", "-1e-1", "--to", "0",
+          "--step", "0.02"), 0),
+        (("ising", "scan", "--n", "64", "--axis", "h", "--from", "-2", "--to", "0",
+          "--step", "0.05", "--kink-window", "-1.2,-0.8"), 0),
+        (("purity", "--state", "mixed", "--alpha", "-2"), 2),
+        (("purity", "--state", "mixed", "--alpha", "-2,3"), 2),
+    ], ids=["g-exponent", "h-exponent", "from-exponent", "kink-window", "alpha", "alpha-list"])
+    def test_spaced_negative_value_reads_as_its_equals_form(self, capsys, mixed_file, argv,
+                                                            want):
+        # argparse takes only tokens such as -1 and -.5 for negative numbers;
+        # an exponent or a list is read as the value of its flag all the same
+        argv = [mixed_file if arg == "mixed" else arg for arg in argv] + ["--format",
+                                                                          "structured"]
+        twin = argv[:-4] + [f"{argv[-4]}={argv[-3]}"] + argv[-2:]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *twin)
+        assert code == want
+        if want == 2:
+            assert err.startswith("usage error: alpha must be positive")
+        if "--kink-window" in argv:  # the h -> -h image of the critical point
+            assert parse_structured(out)["kink_estimate"] == "-0.95"
+
+    def test_missing_value_stays_usage_error(self, capsys):
+        code, out, err = run(capsys, "ising", "point", "--n", "8", "--g", "--h", "0.5")
+        assert (code, out) == (2, "")
+        assert "argument --g: expected one argument" in err
 
     def test_nothing_written_on_usage_error(self, capsys, tmp_path):
         target = tmp_path / "never.csv"

@@ -369,8 +369,25 @@ EXACT_CASES = {
     "octahedron-7": (lambda: octahedron_state(7), "nonstabilizerness"),
 }
 
+# two-qubit states of rank 2, 3 and 4, and Werner states at and above C = 0
+WOOTTERS_STATES = {
+    **{f"werner-{p}": (lambda p=p: werner(p)) for p in (0.2, 0.34, 0.6, 0.8)},
+    **{f"rank-{rank}-{seed}": (lambda rank=rank, seed=seed: low_rank(seed, rank, (2, 2)))
+       for rank in (2, 3, 4) for seed in range(6)},
+}
+
 
 class TestExactPaths:
+    @pytest.mark.parametrize("case", WOOTTERS_STATES)
+    def test_every_wootters_branch_carries_the_concurrence(self, case):
+        rho = WOOTTERS_STATES[case]()
+        conc = concurrence_two_qubit(rho)
+        assert (conc == 0.0) == (case == "werner-0.2")
+        res = convex_roof(rho, "entanglement_bipartite")
+        assert len(res.decomposition) == 4
+        for _, branch in res.decomposition:
+            assert abs(concurrence_two_qubit(branch) - conc) <= 1e-12
+
     @pytest.mark.parametrize("config", [FAST, RoofConfig()], ids=["fast", "default"])
     @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.6, 1.0])
     def test_werner_is_the_wootters_roof(self, p, config):

@@ -194,8 +194,10 @@ class TestOneSpectrumPerState:
         concurrence_two_qubit(rho)
         # the second is the exact two-qubit roof's Takagi factorization: the
         # eigh of an 8 x 8 real matrix built from the state's eigenvectors;
-        # the concurrence takes singular values of the same spectrum's rows
-        assert decompositions == [("eigh", (4, 4)), ("eigh", (8, 8))]
+        # the third is of the roof's 4 x 4 real rotation matrix, not of the
+        # state, so the state is still decomposed once; the concurrence takes
+        # singular values of the same spectrum's rows
+        assert decompositions == [("eigh", (4, 4)), ("eigh", (8, 8)), ("eigh", (4, 4))]
 
     def test_pure_states_form_no_projector(self, decompositions):
         # 12 qubits: a d x d complex array takes 268 MB; the basis of the
